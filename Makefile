@@ -51,16 +51,21 @@ perf:
 	$(PYTHON) -m repro.cli perf --quick
 	$(PYTHON) -m pytest -x -q benchmarks/perf
 
-# End-to-end observability smoke: run one tiny traced benchmark,
-# summarize the trace, and self-compare it under the regression gate
-# (any flagged regression against itself is a tracing bug).
+# End-to-end observability smoke: run one tiny traced benchmark with
+# repetitions and a warmup, check that the fault-free cell executed
+# once (its trace holds exactly one run block), summarize the trace,
+# and self-compare it under the regression gate (any flagged
+# regression against itself is a tracing bug).
 TRACE_SMOKE_DIR := .trace-smoke
 trace-smoke:
 	rm -rf $(TRACE_SMOKE_DIR)
 	$(PYTHON) -m repro.cli run --platforms giraph --graphs graph500-8 \
-		--algorithms BFS --trace $(TRACE_SMOKE_DIR) \
+		--algorithms BFS --repetitions 3 --warmup 1 \
+		--trace $(TRACE_SMOKE_DIR) \
 		--report $(TRACE_SMOKE_DIR)/report.txt >/dev/null
-	$(PYTHON) -m repro.cli trace $(TRACE_SMOKE_DIR)/giraph_graph500-8_BFS.jsonl
+	$(PYTHON) -m repro.cli trace $(TRACE_SMOKE_DIR)/giraph_graph500-8_BFS.jsonl \
+		| tee $(TRACE_SMOKE_DIR)/summary.txt
+	test "$$(grep -c '^attempt ' $(TRACE_SMOKE_DIR)/summary.txt)" = 1
 	$(PYTHON) -m repro.cli analyze --check \
 		$(TRACE_SMOKE_DIR)/giraph_graph500-8_BFS.jsonl \
 		$(TRACE_SMOKE_DIR)/giraph_graph500-8_BFS.jsonl

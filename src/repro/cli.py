@@ -155,11 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-validate", action="store_true",
                      help="skip output validation")
     run.add_argument("--repetitions", type=int, default=None, metavar="N",
-                     help="measured executions per cell (runtime reported "
-                     "as their mean with std/CI95 columns)")
+                     help="measured repetitions per cell (runtime reported "
+                     "as their mean with std/CI95 columns); a fault-free "
+                     "cell executes once and derives its N identical "
+                     "repetitions from that run")
     run.add_argument("--warmup", type=int, default=None, metavar="N",
                      help="discarded warmup executions before measuring "
-                     "each cell")
+                     "each cell; they execute only under --inject, since "
+                     "a fault-free warmup would repeat the measured run")
     run.add_argument("--audit", action="store_true",
                      help="preflight the resolved run spec through the "
                      "benchmark self-audit; error-severity findings "
@@ -902,10 +905,14 @@ def _selfcheck_perf() -> bool:
 
 
 def _selfcheck_trace() -> bool:
-    """Run a traced benchmark and verify replay + self-analysis."""
+    """Run a traced, repeated cell and verify its one run block.
+
+    Checks the block count, replay against the result's profile, and
+    a clean ``analyze --check`` self-comparison.
+    """
     import tempfile
 
-    from repro.observability import verify_replay
+    from repro.observability import parse_trace, read_trace, verify_replay
 
     print("selfcheck: running trace-replay check")
     passed = False
@@ -915,11 +922,20 @@ def _selfcheck_trace() -> bool:
             ClusterSpec.paper_distributed(), names=["giraph"]
         )
         core = BenchmarkCore(platforms, graphs, trace_dir=tmp)
-        suite = core.run(BenchmarkRunSpec(algorithms=[Algorithm.BFS]))
+        suite = core.run(
+            BenchmarkRunSpec(
+                algorithms=[Algorithm.BFS], repetitions=3, warmup_runs=1
+            )
+        )
         result = suite.results[0]
         if not (result.succeeded and result.trace_path):
             print(f"  traced run failed: {result.failure_reason}")
         else:
+            # A fault-free cell executes once whatever its repetitions
+            # and warmup, so its trace holds exactly one run block.
+            blocks = len(parse_trace(read_trace(result.trace_path)))
+            if blocks != 1:
+                print(f"  trace holds {blocks} run blocks, expected 1")
             mismatches = verify_replay(result.trace_path, result.run.profile)
             for mismatch in mismatches:
                 print(f"  replay mismatch: {mismatch}")
@@ -929,7 +945,11 @@ def _selfcheck_trace() -> bool:
                 threshold=0.05,
                 check=True,
             )
-            passed = not mismatches and _command_analyze(analyze_args) == 0
+            passed = (
+                blocks == 1
+                and not mismatches
+                and _command_analyze(analyze_args) == 0
+            )
     return passed
 
 

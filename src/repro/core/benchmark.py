@@ -70,10 +70,12 @@ class BenchmarkResult:
     run: PlatformRun | None = None
     samples: list[UtilizationSample] = field(default_factory=list)
     #: Per-repetition runtimes when the run spec asks for several;
-    #: ``runtime_seconds`` is then their arithmetic mean.
+    #: ``runtime_seconds`` is then their mean. A fault-free cell
+    #: executes once and records that run for every repetition.
     repetition_runtimes: list[float] = field(default_factory=list)
-    #: Warmup executions run (and discarded) before the measured
-    #: repetitions of this cell.
+    #: Warmup executions the run spec declares for this cell. They
+    #: execute (and are discarded) only under a fault plan; without
+    #: one they would repeat the measured execution exactly.
     warmup_runs: int = 0
     #: Algorithm-execution attempts this cell took (> 1 after retries
     #: of injected transient faults).
@@ -183,7 +185,9 @@ class BenchmarkCore:
         directory via an attached
         :class:`~repro.observability.JsonlTraceWriter`. Tracing is
         observe-only: recorded profiles are bit-identical with or
-        without it.
+        without it. A fault-free cell executes once, so its trace
+        holds one run; under a fault plan it holds every warmup,
+        repetition and retried attempt.
     graph_store:
         When set, parallel runs (``run(parallel=n)``) persist each
         distinct graph once into this directory (content-addressed,
@@ -457,14 +461,29 @@ class BenchmarkCore:
             attempts += 1
             runtimes = []
             try:
-                # Warmup executions run first and are discarded: they
-                # are part of each attempt's deterministic schedule,
-                # so a retried attempt re-warms exactly the same way.
-                for _warmup in range(warmup):
-                    platform.run_algorithm(handle, algorithm, spec.params)
-                for _repetition in range(repetitions):
+                if platform.faults is None:
+                    # Without an injector every execution of a cell is
+                    # bit-identical (output and profile are a function
+                    # of platform, graph, algorithm, params and
+                    # cluster), so the cell runs once and each
+                    # repetition records that run; a warmup would only
+                    # discard an identical run.
                     run = platform.run_algorithm(handle, algorithm, spec.params)
-                    runtimes.append(run.simulated_seconds)
+                    runtimes = [run.simulated_seconds] * repetitions
+                else:
+                    # The injector reseeds per execution and counts
+                    # executions for transient faults, so every
+                    # execution runs. Warmup executions run first and
+                    # are discarded: they are part of each attempt's
+                    # deterministic schedule, so a retried attempt
+                    # re-warms exactly the same way.
+                    for _warmup in range(warmup):
+                        platform.run_algorithm(handle, algorithm, spec.params)
+                    for _repetition in range(repetitions):
+                        run = platform.run_algorithm(
+                            handle, algorithm, spec.params
+                        )
+                        runtimes.append(run.simulated_seconds)
             except PlatformFailure as failure:
                 if failure.transient and attempts <= self.max_retries:
                     # Linear backoff, in simulated seconds; the retry
@@ -497,7 +516,7 @@ class BenchmarkCore:
             # cells and database rows can label their bottleneck even
             # for time-limit or invalid outcomes.
             base.chokepoints = analyze_profile(run.profile)
-        runtime = sum(runtimes) / len(runtimes)
+        runtime = base.runtime_stats.mean
         if self.time_limit_seconds is not None and runtime > self.time_limit_seconds:
             base.failure_reason = "time-limit"
             base.run = run

@@ -52,7 +52,10 @@ class RuntimeStats:
     ``std`` is the sample standard deviation (``ddof=1``); for a
     single repetition it is 0 and the confidence interval collapses
     to the mean — a degenerate interval the audit rules treat as "no
-    variance information", not as perfect precision.
+    variance information", not as perfect precision. Identical
+    samples (every fault-free cell, whose repetitions are derived from
+    one execution) are exact determinism: their mean is the sample
+    itself and their std is exactly 0.
     """
 
     n: int
@@ -68,9 +71,12 @@ class RuntimeStats:
         if not values:
             return None
         n = len(values)
+        if all(value == values[0] for value in values):
+            # ``sum/n`` of n equal floats can land one ulp off the
+            # value (and manufacture a ~1e-15 std); equal samples have
+            # exactly their own value as mean and exactly no spread.
+            return cls.from_moments(values[0], 0.0, n)
         mean = sum(values) / n
-        if n < 2:
-            return cls(n=n, mean=mean, std=0.0, ci95_low=mean, ci95_high=mean)
         variance = sum((value - mean) ** 2 for value in values) / (n - 1)
         return cls.from_moments(mean, math.sqrt(variance), n)
 
@@ -105,8 +111,12 @@ class RuntimeStats:
 
     @property
     def has_spread(self) -> bool:
-        """Whether the sample carries real variance information."""
-        return self.n >= 2
+        """Whether the sample carries real variance information.
+
+        Needs both repetitions and a non-zero std: a zero-spread
+        sample (one run, or identical runs) has nothing to show.
+        """
+        return self.n >= 2 and self.std > 0.0
 
     def overlaps(self, other: "RuntimeStats") -> bool:
         """Whether the two 95% confidence intervals overlap.

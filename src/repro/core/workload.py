@@ -142,7 +142,9 @@ class BenchmarkRunSpec:
     repetitions: int = 1
     #: Unmeasured executions before the measured repetitions of each
     #: cell (the warmup the SoK fault taxonomy asks benchmarks to
-    #: declare); their runtimes are discarded.
+    #: declare); their runtimes are discarded. They execute only under
+    #: a fault plan: a fault-free cell executes once, and a warmup
+    #: would repeat that run exactly.
     warmup_runs: int = 0
 
     def selects_platform(self, name: str) -> bool:

@@ -11,14 +11,24 @@ from repro.core.results_db import ResultsDatabase
 from repro.core.workload import Algorithm, BenchmarkRunSpec
 from repro.datasets.catalog import load_dataset
 from repro.platforms.registry import create_platform_fleet
+from repro.robustness.faults import FaultPlan
+
+#: A fault plan whose repetitions really differ: the straggler slows
+#: only the first two executions (the warmup and the first measured
+#: repetition), after which the transient plan disarms.
+SPREAD_PLAN = "straggler:workers=0,factor=4;transient:attempts=2"
 
 
-def _run_suite(repetitions=3, warmup=1):
+def _run_suite(repetitions=3, warmup=1, fault_plan=None):
     platforms = create_platform_fleet(
         ClusterSpec.paper_distributed(), names=["giraph"]
     )
     graphs = {"graph500-6": load_dataset("graph500-6")}
-    core = BenchmarkCore(platforms, graphs)
+    core = BenchmarkCore(
+        platforms,
+        graphs,
+        fault_plan=FaultPlan.parse(fault_plan) if fault_plan else None,
+    )
     spec = BenchmarkRunSpec(
         algorithms=[Algorithm.BFS],
         repetitions=repetitions,
@@ -83,7 +93,8 @@ class TestResultsDbColumns:
 
 class TestReportRendering:
     def test_text_cell_shows_spread(self):
-        suite = _run_suite(repetitions=3)
+        suite = _run_suite(repetitions=3, fault_plan=SPREAD_PLAN)
+        assert suite.results[0].runtime_stats.std > 0.0
         text = ReportGenerator().render(suite)
         assert "±" in text
 
@@ -91,8 +102,17 @@ class TestReportRendering:
         suite = _run_suite(repetitions=1, warmup=0)
         assert "±" not in ReportGenerator().render(suite)
 
-    def test_html_cell_carries_ci_tooltip(self):
+    def test_fault_free_repetitions_are_bare_mean(self):
+        # Derived repetitions are identical: exact determinism prints
+        # no spread and carries no CI95 tooltip.
         suite = _run_suite(repetitions=3)
+        stats = suite.results[0].runtime_stats
+        assert stats.n == 3 and stats.std == 0.0
+        assert "±" not in ReportGenerator().render(suite)
+        assert "CI95=" not in ReportGenerator().render_html(suite)
+
+    def test_html_cell_carries_ci_tooltip(self):
+        suite = _run_suite(repetitions=3, fault_plan=SPREAD_PLAN)
         html = ReportGenerator().render_html(suite)
         assert "CI95=" in html
         assert "n=3" in html

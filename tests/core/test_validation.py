@@ -4,9 +4,12 @@ import pytest
 
 from repro.algorithms import bfs, connected_components, stats
 from repro.algorithms.stats import GraphStats
+from repro.core.benchmark import BenchmarkCore
+from repro.core.cost import ClusterSpec
 from repro.core.errors import ValidationFailure
 from repro.core.validation import OutputValidator
-from repro.core.workload import Algorithm, AlgorithmParams
+from repro.core.workload import Algorithm, AlgorithmParams, BenchmarkRunSpec
+from repro.platforms.registry import create_platform_fleet
 
 
 @pytest.fixture
@@ -95,3 +98,54 @@ class TestValidate:
     def test_non_dict_output_described(self, validator, params, small_rmat):
         with pytest.raises(ValidationFailure, match="got list"):
             validator.validate(small_rmat, Algorithm.BFS, params, [1, 2, 3])
+
+
+class _CountingValidator(OutputValidator):
+    """Records every reference computation it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.computed = []
+
+    def reference_output(self, graph, algorithm, params):
+        self.computed.append((graph, algorithm, params))
+        return super().reference_output(graph, algorithm, params)
+
+
+class TestReferenceMemo:
+    def test_suite_computes_each_reference_once(self, small_rmat):
+        validator = _CountingValidator()
+        platforms = create_platform_fleet(
+            ClusterSpec.paper_distributed(),
+            names=["giraph", "graphlab", "graphx"],
+        )
+        core = BenchmarkCore(
+            platforms,
+            {"a": small_rmat, "b": small_rmat.with_uniform_weights(seed=1)},
+            validator=validator,
+        )
+        suite = core.run(
+            BenchmarkRunSpec(algorithms=[Algorithm.BFS, Algorithm.CONN])
+        )
+        assert len(suite.results) == 3 * 2 * 2
+        assert all(result.succeeded for result in suite.results)
+        # Two graphs x two algorithms, however many platforms.
+        assert len(validator.computed) == 4
+        assert len(set(validator.computed)) == 4
+
+    def test_wrong_output_on_memo_hit_rejected(self, params, small_rmat):
+        validator = _CountingValidator()
+        correct = connected_components(small_rmat)
+        validator.validate(small_rmat, Algorithm.CONN, params, correct)
+        wrong = dict(correct)
+        vertex = next(iter(wrong))
+        wrong[vertex] += 1
+        with pytest.raises(ValidationFailure, match="wrong values"):
+            validator.validate(small_rmat, Algorithm.CONN, params, wrong)
+        assert len(validator.computed) == 1
+
+    def test_reference_output_stays_uncached(self, params, small_rmat):
+        validator = _CountingValidator()
+        for _ in range(2):
+            validator.reference_output(small_rmat, Algorithm.CONN, params)
+        assert len(validator.computed) == 2

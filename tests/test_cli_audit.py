@@ -159,9 +159,13 @@ def test_run_audit_preflight_allows_rigorous_spec(tmp_path, capsys):
 
 def test_run_repetitions_flag_populates_stats(tmp_path, capsys):
     db = tmp_path / "results.jsonl"
+    # A fault-free cell's repetitions are identical and print no
+    # spread; this plan slows only the first two executions, so the
+    # measured repetitions really differ.
     code = main(
         ["run", "--graphs", "graph500-7", "--platforms", "giraph",
          "--algorithms", "BFS", "--repetitions", "3", "--warmup", "1",
+         "--inject", "straggler:workers=0,factor=4;transient:attempts=2",
          "--report", str(tmp_path / "r.txt"), "--results-db", str(db)]
     )
     assert code == 0
