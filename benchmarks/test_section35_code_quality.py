@@ -12,7 +12,7 @@ on a synthetic "bad commit".
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.core.quality import QualityReport, analyze_source, analyze_tree, detect_regressions
+from repro.analysis import QualityReport, analyze_source, analyze_tree, detect_regressions
 
 SOURCE_ROOT = "src/repro"
 

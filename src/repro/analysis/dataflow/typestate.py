@@ -65,8 +65,8 @@ __all__ = ["CostProtocolRule", "ProtocolSummary"]
 CHARGE_IN_ROUND = {
     "charge_compute",
     "charge_random_access",
-    "charge_compute_bulk",
-    "charge_messages_bulk",
+    "charge_worker_compute",
+    "charge_worker_messages",
     "charge_message",
     "charge_shuffle",
     "charge_disk_read",

@@ -373,16 +373,13 @@ SIGNATURES: dict[str, tuple[tuple[str, str | None], ...]] = {
     # CostMeter charge API.
     "charge_compute": (("worker", "1"), ("ops", "ops")),
     "charge_random_access": (("worker", "1"), ("count", "ops")),
-    "charge_compute_bulk": (
-        ("worker", "1"), ("ops", "ops"), ("random_accesses", "ops"),
-    ),
+    "charge_worker_compute": (("ops", "ops"), ("random_accesses", "ops")),
     "charge_message": (
         ("src_worker", "1"), ("dst_worker", "1"),
         ("payload_bytes", "bytes"), ("count", "1"),
     ),
-    "charge_messages_bulk": (
-        ("src_worker", "1"), ("dst_worker", "1"),
-        ("count", "1"), ("payload_bytes", "bytes"),
+    "charge_worker_messages": (
+        ("src_workers", "1"), ("dst_workers", "1"), ("payload_bytes", "bytes"),
     ),
     "charge_shuffle": (("num_bytes", "bytes"), ("count", "1")),
     "charge_disk_read": (("worker", None), ("num_bytes", "bytes")),

@@ -150,8 +150,8 @@ COST_BASENAMES = {
     "graphx.py",
     "store.py",
     "traversal.py",
-    # The vectorized kernel paths charge through the batched
-    # CostMeter APIs (charge_compute_bulk, charge_messages_bulk);
+    # The vectorized kernel paths charge through the CostMeter vector
+    # entry points (charge_worker_compute, charge_worker_messages);
     # their loops are bound by the same contract as the scalar
     # engines'.
     "bulk.py",
@@ -211,8 +211,8 @@ def _costed_token(expr: ast.AST) -> str | None:
 
 def _has_accounting(func: ast.AST) -> bool:
     # The "charge_" prefix covers the scalar APIs (charge_compute,
-    # charge_message, ...) and the batched ones (charge_compute_bulk,
-    # charge_messages_bulk) alike; see tests/analysis for the pin.
+    # charge_message, ...) and the vector ones (charge_worker_compute,
+    # charge_worker_messages) alike; see tests/analysis for the pin.
     for node in ast.walk(func):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             attr = node.func.attr

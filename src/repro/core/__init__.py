@@ -14,7 +14,6 @@ The modules here implement the Benchmark Core and its satellites:
 * :mod:`repro.core.results_db` — the Results database;
 * :mod:`repro.core.metrics` — runtime and (k)TEPS metrics;
 * :mod:`repro.core.chokepoints` — choke-point analysis of run profiles;
-* :mod:`repro.core.quality` — code-quality reporting (Section 3.5);
 * :mod:`repro.core.cost` — the simulated-hardware cost model shared by
   every platform simulation;
 * :mod:`repro.core.config` — configuration files for graphs and runs.

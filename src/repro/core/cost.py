@@ -28,6 +28,8 @@ import dataclasses
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.hardware.models import CpuModel, DiskModel, HardwareProfile, NicModel
 
 __all__ = [
@@ -643,55 +645,54 @@ class CostMeter:
         """Cache-missing accesses (pointer chasing, hash probes)."""
         self._require_round().random_accesses_per_worker[worker] += count
 
-    def charge_compute_bulk(
-        self, worker: int, ops: float, random_accesses: float = 0.0
+    def charge_worker_compute(
+        self, ops: np.ndarray, random_accesses: np.ndarray | None = None
     ) -> None:
-        """Batched equivalent of many :meth:`charge_compute` /
-        :meth:`charge_random_access` calls against one worker.
+        """Per-worker op tallies (and random-access tallies), one entry
+        per worker: the vector form of :meth:`charge_compute` and
+        :meth:`charge_random_access`.
 
+        Each non-zero entry is added to its worker as a Python float.
         All charges in this codebase are integer-valued (operation
         counts, access counts), and float64 addition of integers below
-        2**53 is exact, so one bulk charge of a pre-summed total is
-        bit-identical to the equivalent scalar call sequence. Bulk
-        engine paths rely on that exactness; see
-        ``tests/core/test_cost.py``.
+        2**53 is exact, so one pre-summed tally is bit-identical to
+        the scalar call sequence it replaces. Bulk engine paths rely
+        on that exactness; see ``tests/core/test_cost.py``.
         """
         record = self._require_round()
-        record.ops_per_worker[worker] += ops
-        if random_accesses:
-            record.random_accesses_per_worker[worker] += random_accesses
+        for worker in np.flatnonzero(ops).tolist():
+            record.ops_per_worker[worker] += float(ops[worker])
+        if random_accesses is not None:
+            tallies = record.random_accesses_per_worker
+            for worker in np.flatnonzero(random_accesses).tolist():
+                tallies[worker] += float(random_accesses[worker])
 
-    def charge_messages_bulk(
-        self, src_worker: int, dst_worker: int, count: int, payload_bytes: float
+    def charge_worker_messages(
+        self,
+        src_workers: np.ndarray,
+        dst_workers: np.ndarray,
+        payload_bytes: float,
     ) -> None:
-        """Batched equivalent of ``count`` :meth:`charge_message` calls
-        between one (src, dst) worker pair with a common payload size.
+        """One message per ``(src_workers[i], dst_workers[i])`` element,
+        all with the same payload size.
 
-        Local delivery (``src == dst``) costs no network, exactly as in
-        the scalar API; remote delivery charges
-        ``count * (payload_bytes + MESSAGE_OVERHEAD_BYTES)`` bytes,
-        which is exact for the integer-valued payloads the engines use.
+        Tallies the elements per worker pair and makes one
+        :meth:`charge_message` call with ``count=`` per non-zero pair,
+        in ascending ``src * num_workers + dst`` order. Sinks and the
+        fault injector therefore see the events, and draw the random
+        numbers, of that per-pair loop.
         """
-        record = self._require_round()
-        if src_worker == dst_worker:
-            record.local_messages += count
-        else:
-            if self.faults is not None:
-                self._consult_faults(
-                    self.faults.on_messages,
-                    src_worker, dst_worker, len(self.profile.rounds), count,
-                )
-            record.remote_messages += count
-            record.remote_bytes += count * (
-                payload_bytes + self.MESSAGE_OVERHEAD_BYTES
-            )
-        if self.sinks:
-            self._emit_charge(
-                "message",
-                src_worker=src_worker,
-                dst_worker=dst_worker,
-                count=count,
-                payload_bytes=payload_bytes,
+        self._require_round()
+        num_workers = self.spec.num_workers
+        pair_counts = np.bincount(
+            src_workers * num_workers + dst_workers,
+            minlength=num_workers * num_workers,
+        )
+        for pair in np.flatnonzero(pair_counts).tolist():
+            src_worker, dst_worker = divmod(pair, num_workers)
+            self.charge_message(
+                src_worker, dst_worker, payload_bytes,
+                count=int(pair_counts[pair]),
             )
 
     def charge_message(

@@ -31,6 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.graph.kernels import csr_gather, group_reduce
+
 __all__ = ["Graph", "GraphBuilder"]
 
 #: On-disk layout version for :meth:`Graph.save` (unweighted graphs).
@@ -292,19 +294,10 @@ class Graph:
                 keys.sort()
                 keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
             else:
-                # Weighted dedup keeps the minimum weight per edge:
-                # argsort (not an in-place key sort) so weights can be
-                # gathered into edge order, then a segmented min.
-                order = np.argsort(keys, kind="stable")
-                sorted_keys = keys[order]
-                boundary = np.r_[
-                    True, sorted_keys[1:] != sorted_keys[:-1]
-                ]
-                starts = np.flatnonzero(boundary)
-                weight_array = np.minimum.reduceat(
-                    weight_array[order], starts
+                # Weighted dedup keeps the minimum weight per edge.
+                keys, weight_array = group_reduce(
+                    np.minimum, keys, weight_array
                 )
-                keys = sorted_keys[boundary]
             src_idx, dst_idx = np.divmod(keys, n)
         self._weight_list = weight_array
         if dense_ids:
@@ -564,16 +557,7 @@ class Graph:
         ``len(frontier)`` per-vertex ``neighbors()`` CSR slices — the
         core primitive of the bulk BFS/CONN kernels.
         """
-        idx = self.indices_of(frontier)
-        starts = self._offsets[idx]
-        counts = self._offsets[idx + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        # Standard CSR gather: positions[i] walks each slice in turn.
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
+        positions, _ = csr_gather(self._offsets, self.indices_of(frontier))
         return self._vertex_ids[self._targets[positions]]
 
     # -- derived graphs -----------------------------------------------

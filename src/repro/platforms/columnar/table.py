@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.kernels import hash_worker, hash_workers
 from repro.platforms.columnar.columns import CompressedColumn, FloatColumn
 
 __all__ = ["ColumnTable", "PartitionedHashTable"]
-
-_KNUTH = 2654435761
 
 
 class ColumnTable:
@@ -107,11 +106,11 @@ class PartitionedHashTable:
 
     def partition_of(self, value: int) -> int:
         """Partition owning a value (stable hash)."""
-        return ((int(value) * _KNUTH) & 0xFFFFFFFF) % self.num_partitions
+        return hash_worker(int(value), self.num_partitions)
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Exchange operator: split a vector into per-partition vectors."""
-        parts = (values.astype(np.int64) * _KNUTH & 0xFFFFFFFF) % self.num_partitions
+        parts = hash_workers(values, self.num_partitions)
         return [values[parts == p] for p in range(self.num_partitions)]
 
     def insert_new(self, partition: int, values: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ calls per incident arc and per active vertex, with one ``CostMeter``
 charge per event. For programs whose phases are elementwise numpy
 expressions with a ``min`` gather sum — BFS distance pulling and
 HashMin label propagation — a whole round collapses into a handful of
-CSR array operations, with per-worker tallies computed by
-``np.bincount`` and charged through the batched
-:meth:`~repro.core.cost.CostMeter.charge_compute_bulk` /
-:meth:`~repro.core.cost.CostMeter.charge_messages_bulk` APIs.
+CSR array operations (the :mod:`repro.graph.kernels` gather,
+group-reduce and ordered group-sum), with per-worker tallies charged
+through :meth:`~repro.core.cost.CostMeter.charge_worker_compute` /
+:meth:`~repro.core.cost.CostMeter.charge_worker_messages`. This module
+keeps only the GAS charge policy.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -39,6 +40,7 @@ import abc
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
+from repro.graph.kernels import csr_gather, group_reduce, ordered_group_sum
 
 __all__ = [
     "GASBulkKernel",
@@ -199,6 +201,7 @@ class BulkRoundRunner:
 
     def __init__(self, engine, program, kernel: GASBulkKernel):
         self.engine = engine
+        self.meter = engine.meter
         self.program = program
         self.kernel = kernel
         graph = engine.graph
@@ -216,7 +219,7 @@ class BulkRoundRunner:
         """Execute to quiescence; returns a scalar-identical result."""
         from repro.platforms.gas.engine import GASResult
 
-        meter, program, kernel = self.engine.meter, self.program, self.kernel
+        meter, program, kernel = self.meter, self.program, self.kernel
         values = kernel.initial_values(self.ids)
         active = kernel.initially_active(self.ids, values)
 
@@ -227,7 +230,7 @@ class BulkRoundRunner:
             # Gather: one op per incident arc, on the edge's worker,
             # contributing or not.
             arc_ops = np.bincount(arc_owner, minlength=self.num_workers)
-            self._charge_ops(arc_ops)
+            meter.charge_worker_compute(arc_ops)
             mask, contributions = kernel.gather_arcs(values[arc_neighbor])
             gathered_vertices, gathered = self._exchange_partials(
                 np.repeat(active, arc_counts)[mask], arc_owner[mask], contributions
@@ -240,14 +243,14 @@ class BulkRoundRunner:
             gathered_full[slots] = gathered
             # Apply: one op per active vertex on its master; broadcast
             # changed values to the mirrors.
-            self._charge_ops(
+            meter.charge_worker_compute(
                 np.bincount(self.masters[active], minlength=self.num_workers)
             )
             old_values = values[active]
             new_values = kernel.apply(active, old_values, gathered_mask, gathered_full)
             self._broadcast_changes(active[new_values != old_values])
             # Scatter: one op per incident arc on the edge's worker.
-            self._charge_ops(arc_ops)
+            meter.charge_worker_compute(arc_ops)
             flags = kernel.scatter_flags(old_values, new_values)
             next_active = np.unique(arc_neighbor[np.repeat(flags, arc_counts)])
             values[active] = new_values
@@ -278,15 +281,7 @@ class BulkRoundRunner:
         grouped by active vertex — the same arc enumeration the scalar
         gather and scatter loops walk.
         """
-        starts = self.offsets[active]
-        counts = self.offsets[active + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, counts
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
+        positions, counts = csr_gather(self.offsets, active)
         return self.arc_workers[positions], self.targets[positions], counts
 
     def _exchange_partials(
@@ -297,72 +292,44 @@ class BulkRoundRunner:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Combine contributions per (vertex, worker), sync to masters.
 
-        Charges one ``gather_bytes`` message per partial held off its
-        vertex's master and one combine op per partial on the master,
-        exactly like the scalar mirror→master exchange. Returns the
-        sorted vertices that gathered anything and their combined
-        values.
+        Returns the sorted vertices that gathered anything and their
+        combined values.
         """
-        if len(contrib_vertices) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        key = contrib_vertices * self.num_workers + contrib_workers
-        order = np.argsort(key, kind="stable")
-        pair_keys, first = np.unique(key[order], return_index=True)
-        partials = self.kernel.reduce.reduceat(contributions[order], first)
+        pair_keys, partials = group_reduce(
+            self.kernel.reduce,
+            contrib_vertices * self.num_workers + contrib_workers,
+            contributions,
+        )
+        pair_vertex = self._sync_partials(pair_keys)
+        return group_reduce(self.kernel.reduce, pair_vertex, partials)
+
+    def _sync_partials(self, pair_keys: np.ndarray) -> np.ndarray:
+        """Charge the mirror→master sync of ``vertex * W + worker`` partials.
+
+        One ``gather_bytes`` message per partial held off its vertex's
+        master and one combine op per partial on the master, exactly
+        like the scalar exchange. Returns each partial's vertex.
+        """
         pair_vertex = pair_keys // self.num_workers
         pair_worker = pair_keys % self.num_workers
         pair_master = self.masters[pair_vertex]
         remote = pair_worker != pair_master
-        self._charge_pair_messages(
+        self.meter.charge_worker_messages(
             pair_worker[remote], pair_master[remote], self.gather_payload
         )
-        # One combine op on the master per per-worker partial.
-        self._charge_ops(np.bincount(pair_master, minlength=self.num_workers))
-        gathered_vertices, vertex_first = np.unique(pair_vertex, return_index=True)
-        gathered = self.kernel.reduce.reduceat(partials, vertex_first)
-        return gathered_vertices, gathered
+        self.meter.charge_worker_compute(
+            np.bincount(pair_master, minlength=self.num_workers)
+        )
+        return pair_vertex
 
     def _broadcast_changes(self, changed: np.ndarray) -> None:
         """Master→mirror value messages for every changed vertex."""
-        if len(changed) == 0:
-            return
-        starts = self.mirror_offsets[changed]
-        counts = self.mirror_offsets[changed + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
-        self._charge_pair_messages(
+        positions, counts = csr_gather(self.mirror_offsets, changed)
+        self.meter.charge_worker_messages(
             np.repeat(self.masters[changed], counts),
             self.mirror_workers[positions],
             self.value_payload,
         )
-
-    # -- charging helpers ---------------------------------------------
-
-    def _charge_ops(self, ops_per_worker: np.ndarray) -> None:
-        """Charge precomputed per-worker op tallies in bulk."""
-        meter = self.engine.meter
-        for worker in np.nonzero(ops_per_worker)[0]:
-            meter.charge_compute_bulk(int(worker), float(ops_per_worker[worker]))
-
-    def _charge_pair_messages(
-        self, src_workers: np.ndarray, dst_workers: np.ndarray, payload: float
-    ) -> None:
-        """Bulk-charge one message per (src, dst) worker-pair member."""
-        meter = self.engine.meter
-        pair = src_workers * self.num_workers + dst_workers
-        pair_counts = np.bincount(pair, minlength=self.num_workers ** 2)
-        for index in np.nonzero(pair_counts)[0]:
-            meter.charge_messages_bulk(
-                int(index) // self.num_workers,
-                int(index) % self.num_workers,
-                int(pair_counts[index]),
-                payload,
-            )
 
 
 class GASPageRankBulkRunner(BulkRoundRunner):
@@ -386,7 +353,7 @@ class GASPageRankBulkRunner(BulkRoundRunner):
         """Execute ``iterations`` synchronous rounds; scalar-identical."""
         from repro.platforms.gas.engine import GASResult
 
-        meter, program = self.engine.meter, self.program
+        meter, program = self.meter, self.program
         n = self.n
         damping, iterations = program.damping, program.iterations
         values = np.full(n, 1.0 / n if n else 0.0, dtype=np.float64)
@@ -404,20 +371,20 @@ class GASPageRankBulkRunner(BulkRoundRunner):
             meter.begin_round(f"gas-{rounds}")
             arc_owner, arc_neighbor, arc_counts = self._expand_arcs(active)
             arc_ops = np.bincount(arc_owner, minlength=self.num_workers)
-            self._charge_ops(arc_ops)  # gather: one op per incident arc
+            meter.charge_worker_compute(arc_ops)  # gather: one op per incident arc
             contributions = values[arc_neighbor] / degrees[arc_neighbor]
             gathered = self._exchange_sum_partials(
                 np.repeat(active, arc_counts), arc_owner, contributions, active
             )
             # Apply on the masters; every vertex's (rank, iteration)
             # value changes, so every mirror hears about it.
-            self._charge_ops(
+            meter.charge_worker_compute(
                 np.bincount(self.masters[active], minlength=self.num_workers)
             )
             values[active] = base + damping * gathered
             applied[active] += 1
             self._broadcast_changes(active)
-            self._charge_ops(arc_ops)  # scatter: one op per incident arc
+            meter.charge_worker_compute(arc_ops)  # scatter: one op per incident arc
             meter.end_round(active_vertices=len(active))
             rounds += 1
             if rounds < iterations:
@@ -443,33 +410,20 @@ class GASPageRankBulkRunner(BulkRoundRunner):
         """Float-sum partials per (vertex, worker), sync to masters.
 
         Same charge structure as :meth:`BulkRoundRunner._exchange_partials`
-        but with order-preserving summation: ``np.add.at`` folds each
-        pair's contributions in arc order (the scalar per-worker
-        accumulation) and then folds the pairs per vertex in
-        first-contributing-arc order (the scalar dict-insertion merge).
-        Returns a dense gather sum aligned with ``active`` (0.0 where
-        nothing gathered, which is exactly what the PageRank apply
-        uses for a ``None`` gather).
+        but with order-preserving summation: each pair's contributions
+        fold in arc order (the scalar per-worker accumulation), then
+        the pairs fold per vertex in first-contributing-arc order (the
+        scalar dict-insertion merge). Returns a dense gather sum
+        aligned with ``active`` (0.0 where nothing gathered, which is
+        exactly what the PageRank apply uses for a ``None`` gather).
         """
-        gathered = np.zeros(len(active), dtype=np.float64)
-        if len(contrib_vertices) == 0:
-            return gathered
-        key = contrib_vertices * self.num_workers + contrib_workers
-        pair_keys, first, inverse = np.unique(
-            key, return_index=True, return_inverse=True
+        pair_keys, first, pair_partials = ordered_group_sum(
+            contrib_vertices * self.num_workers + contrib_workers,
+            contributions,
         )
-        pair_partials = np.zeros(len(pair_keys), dtype=np.float64)
-        np.add.at(pair_partials, inverse, contributions)
-        pair_vertex = pair_keys // self.num_workers
-        pair_worker = pair_keys % self.num_workers
-        pair_master = self.masters[pair_vertex]
-        remote = pair_worker != pair_master
-        self._charge_pair_messages(
-            pair_worker[remote], pair_master[remote], self.gather_payload
-        )
-        # One combine op on the master per per-worker partial.
-        self._charge_ops(np.bincount(pair_master, minlength=self.num_workers))
+        pair_vertex = self._sync_partials(pair_keys)
         slots = np.searchsorted(active, pair_vertex)
         insertion = np.argsort(first, kind="stable")
+        gathered = np.zeros(len(active), dtype=np.float64)
         np.add.at(gathered, slots[insertion], pair_partials[insertion])
         return gathered

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.cost import ClusterSpec, CostMeter
 from repro.graph.graph import Graph
+from repro.graph.kernels import _KNUTH, hash_worker, hash_workers
 
 __all__ = ["GASProgram", "GASEngine", "GASResult", "edge_partition_of"]
 
@@ -38,8 +39,6 @@ __all__ = ["GASProgram", "GASEngine", "GASResult", "edge_partition_of"]
 REPLICA_BYTES = 48.0
 #: Per-edge storage on the owning worker.
 EDGE_BYTES = 16.0
-
-_KNUTH = 2654435761
 
 
 def edge_partition_of(source: int, target: int, num_workers: int) -> int:
@@ -169,15 +168,12 @@ class GASEngine:
 
         # The vertex cut, computed vectorized over the CSR arrays.
         # For non-negative ids, uint64 wraparound preserves the low 32
-        # bits of each product, so these equal the scalar
-        # :func:`edge_partition_of` / master hash element-wise.
+        # bits of each product, so the cut equals the scalar
+        # :func:`edge_partition_of` element-wise.
         workers = np.uint64(spec.num_workers)
         ids = undirected.vertices
         n = undirected.num_vertices
-        hashed = ids.astype(np.uint64) * np.uint64(_KNUTH)
-        self._masters = (
-            (hashed & np.uint64(0xFFFFFFFF)) % workers
-        ).astype(np.int64)
+        self._masters = hash_workers(ids, spec.num_workers)
         arc_source = np.repeat(
             np.arange(n, dtype=np.int64), undirected.out_degrees()
         )
@@ -275,7 +271,7 @@ class GASEngine:
         """Materialize the scalar path's edge/replica dictionaries."""
         self._topology = {
             v: _VertexTopology(
-                master=(v * _KNUTH & 0xFFFFFFFF) % self.spec.num_workers
+                master=hash_worker(v, self.spec.num_workers)
             )
             for v in self.adjacency
         }

@@ -10,13 +10,13 @@ offsets (the CSR convention used by :class:`repro.graph.graph.Graph`),
 and the per-record scalar state as named numpy columns.
 
 The batch executor in :class:`~repro.platforms.mapreduce.engine.
-MapReduceEngine` replaces dict-of-lists grouping with
-``np.argsort``/``np.minimum.reduceat``, per-tuple ``record_size`` with
-closed-form element counts, and per-key partitioning with one vector
-modulo — while charging the :class:`~repro.core.cost.CostMeter`
+MapReduceEngine` replaces dict-of-lists grouping with the
+:mod:`repro.graph.kernels` group-reduce, per-tuple ``record_size``
+with closed-form element counts, and per-key partitioning with one
+vector modulo — while charging the :class:`~repro.core.cost.CostMeter`
 bit-identically to the scalar path (the charges are integer-valued
 floats, so pre-summed bulk totals equal the per-record accumulation
-exactly; see ``CostMeter.charge_compute_bulk``).
+exactly; see ``CostMeter.charge_worker_compute``).
 
 This module also hosts the vectorized CRC32 used by the reduce
 partitioner's string-key fast path: one table-driven pass over an
@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from repro.graph.kernels import csr_gather, group_reduce
 
 __all__ = [
     "RecordBatch",
@@ -166,17 +168,7 @@ class RecordBatch:
         ``for neighbor in adj: yield neighbor, (tag, value)`` loop.
         """
         rows = np.nonzero(emitters)[0]
-        starts = self.adj_offsets[rows]
-        counts = self.adj_offsets[rows + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
+        positions, counts = csr_gather(self.adj_offsets, rows)
         return self.adj_targets[positions], np.repeat(values[rows], counts)
 
     def reorder(self, permutation: np.ndarray) -> "RecordBatch":
@@ -191,22 +183,13 @@ class RecordBatch:
             return self
         inverse = np.empty(n, dtype=np.int64)
         inverse[permutation] = np.arange(n, dtype=np.int64)
-        counts = self.degrees[permutation]
+        positions, counts = csr_gather(self.adj_offsets, permutation)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        starts = self.adj_offsets[permutation]
-        total = self.total_adjacency
-        if total:
-            bounds = np.cumsum(counts)
-            positions = np.arange(total, dtype=np.int64)
-            positions += np.repeat(starts - (bounds - counts), counts)
-            targets = inverse[self.adj_targets[positions]]
-        else:
-            targets = self.adj_targets
         return RecordBatch(
             keys=self.keys[permutation],
             adj_offsets=offsets,
-            adj_targets=targets,
+            adj_targets=inverse[self.adj_targets[positions]],
             columns={
                 name: column[permutation]
                 for name, column in self.columns.items()
@@ -217,7 +200,7 @@ class RecordBatch:
 def combine_min_messages(
     num_rows: int, targets: np.ndarray, payloads: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row minimum over delivered messages (sort + reduceat).
+    """Per-row minimum over delivered messages (a sorted group-reduce).
 
     Returns ``(min_message, has_message)`` arrays over all rows; rows
     with no message keep an undefined minimum and a ``False`` flag.
@@ -227,16 +210,9 @@ def combine_min_messages(
     """
     minimum = np.zeros(num_rows, dtype=np.int64)
     has_message = np.zeros(num_rows, dtype=bool)
-    if targets.size:
-        order = np.argsort(targets, kind="stable")
-        sorted_targets = targets[order]
-        sorted_payloads = payloads[order]
-        boundaries = np.nonzero(
-            np.r_[True, sorted_targets[1:] != sorted_targets[:-1]]
-        )[0]
-        group_keys = sorted_targets[boundaries]
-        minimum[group_keys] = np.minimum.reduceat(sorted_payloads, boundaries)
-        has_message[group_keys] = True
+    rows, minima = group_reduce(np.minimum, targets, payloads)
+    minimum[rows] = minima
+    has_message[rows] = True
     return minimum, has_message
 
 

@@ -87,7 +87,7 @@ def record_bytes_total(records: list[tuple[Any, Any]]) -> float:
     per-record constants once at the end. Exact, not approximate:
     every term is an integer-valued float below 2**53, so
     ``RECORD_BYTES * n + ELEMENT_BYTES * elements`` is bit-identical
-    to the scalar per-record sum (see ``CostMeter.charge_compute_bulk``
+    to the scalar per-record sum (see ``CostMeter.charge_worker_compute``
     for the argument).
     """
     elements = 0
@@ -282,10 +282,7 @@ class MapReduceEngine:
         if combined:
             sort_ops = len(combined) * max(1.0, math.log2(len(combined))) * 2.0
             for worker in range(spec.num_workers):
-                if self.bulk:
-                    meter.charge_compute_bulk(worker, sort_ops / spec.num_workers)
-                else:
-                    meter.charge_compute(worker, sort_ops / spec.num_workers)
+                meter.charge_compute(worker, sort_ops / spec.num_workers)
         meter.end_round()
 
         # ---- reduce phase ---------------------------------------------------
@@ -402,7 +399,7 @@ class MapReduceEngine:
                 combined_count * max(1.0, math.log2(combined_count)) * 2.0
             )
             for worker in range(spec.num_workers):
-                meter.charge_compute_bulk(worker, sort_ops / spec.num_workers)
+                meter.charge_compute(worker, sort_ops / spec.num_workers)
         meter.end_round()
 
         # ---- reduce phase ---------------------------------------------------
@@ -469,13 +466,10 @@ class MapReduceEngine:
         """Charge per-record CPU for a batch grouped by worker.
 
         Integer record counts sum exactly under float64 regardless of
-        order, so one bulk charge per worker is bit-identical to the
-        scalar per-record accumulation.
+        order, so one charge per worker is bit-identical to the scalar
+        per-record accumulation.
         """
-        per_worker = np.bincount(
-            workers, weights=records, minlength=self.spec.num_workers
+        self.meter.charge_worker_compute(
+            RECORD_CPU_OPS
+            * np.bincount(workers, weights=records, minlength=self.spec.num_workers)
         )
-        for worker in np.nonzero(per_worker)[0]:
-            self.meter.charge_compute_bulk(
-                int(worker), float(per_worker[worker]) * RECORD_CPU_OPS
-            )

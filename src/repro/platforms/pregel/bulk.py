@@ -5,10 +5,11 @@ and one ``CostMeter`` charge per vertex/message. For data-parallel
 programs whose per-vertex kernel is a pure function of the merged
 inbox — BFS frontier expansion and HashMin label propagation — the
 whole superstep can instead run as a handful of numpy operations over
-the CSR arrays, with per-worker op/message tallies computed by
-``np.bincount`` and charged through the batched
-:meth:`~repro.core.cost.CostMeter.charge_compute_bulk` /
-:meth:`~repro.core.cost.CostMeter.charge_messages_bulk` APIs.
+the CSR arrays (the :mod:`repro.graph.kernels` gather and
+group-reduce), with per-worker op/message tallies charged through
+:meth:`~repro.core.cost.CostMeter.charge_worker_compute` /
+:meth:`~repro.core.cost.CostMeter.charge_worker_messages`. This module
+keeps only the Pregel charge policy and queued-message memory.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -39,6 +40,7 @@ import abc
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
+from repro.graph.kernels import csr_gather, group_reduce
 
 __all__ = [
     "BulkVertexKernel",
@@ -161,6 +163,7 @@ class BulkSuperstepRunner:
         from repro.platforms.pregel.engine import MESSAGE_BYTES
 
         self.engine = engine
+        self.meter = engine.meter
         self.program = program
         self.kernel = kernel
         graph = engine.graph
@@ -177,11 +180,13 @@ class BulkSuperstepRunner:
         """Execute to halting; returns a scalar-identical result."""
         from repro.platforms.pregel.engine import PregelResult
 
-        engine, meter, program = self.engine, self.engine.meter, self.program
+        engine, meter, program = self.engine, self.meter, self.program
         values = self.kernel.initial_values(self.ids)
 
         meter.begin_round("init")
-        self._charge_ops(np.bincount(self.workers, minlength=self.num_workers))
+        meter.charge_worker_compute(
+            np.bincount(self.workers, minlength=self.num_workers)
+        )
         meter.end_round(active_vertices=self.n)
 
         frontier = np.arange(self.n, dtype=np.int64)
@@ -223,13 +228,7 @@ class BulkSuperstepRunner:
             aggregated={},
         )
 
-    # -- charging helpers ---------------------------------------------
-
-    def _charge_ops(self, ops_per_worker: np.ndarray) -> None:
-        """Charge precomputed per-worker op tallies in bulk."""
-        meter = self.engine.meter
-        for worker in np.nonzero(ops_per_worker)[0]:
-            meter.charge_compute_bulk(int(worker), float(ops_per_worker[worker]))
+    # -- charge policy ------------------------------------------------
 
     def _charge_compute(
         self, frontier: np.ndarray, central: bool, messages: int
@@ -242,7 +241,7 @@ class BulkSuperstepRunner:
             ops = np.bincount(
                 self.workers[frontier], minlength=self.num_workers
             ) * (1 + messages)
-        self._charge_ops(ops)
+        self.meter.charge_worker_compute(ops)
 
     def _deliver(
         self, senders: np.ndarray, send_values: np.ndarray, central: bool
@@ -251,23 +250,15 @@ class BulkSuperstepRunner:
 
         Returns the next superstep's ``(frontier, merged)``.
         """
-        if len(senders):
-            starts = self.offsets[senders]
-            counts = self.offsets[senders + 1] - starts
-            total = int(counts.sum())
-        else:
-            total = 0
-        if total == 0:
+        positions, counts = csr_gather(self.offsets, senders)
+        if len(positions) == 0:
             self._barrier_memory(np.empty(0, dtype=np.int64), central)
             return np.empty(0, dtype=np.int64), None
 
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
         flat_dst = self.targets[positions]
         flat_values = np.repeat(send_values, counts)
         if central:
-            flat_src_w = np.zeros(total, dtype=np.int64)
+            flat_src_w = np.zeros(len(positions), dtype=np.int64)
         else:
             flat_src_w = np.repeat(self.workers[senders], counts)
 
@@ -282,41 +273,26 @@ class BulkSuperstepRunner:
             if central
             else self.workers[pair_dst]
         )
-        self._charge_messages(pair_src_w, pair_dst_w)
-        extra = np.bincount(
-            pair_src_w,
-            weights=(group_sizes - 1).astype(np.float64),
-            minlength=self.num_workers,
+        self.meter.charge_worker_messages(pair_src_w, pair_dst_w, self.payload)
+        self.meter.charge_worker_compute(
+            np.bincount(
+                pair_src_w,
+                weights=(group_sizes - 1).astype(np.float64),
+                minlength=self.num_workers,
+            )
         )
-        self._charge_ops(extra)
         self._queue_memory(pair_dst_w)
 
         # Receiver-side merge: reduce all values aimed at each target.
-        order = np.argsort(flat_dst, kind="stable")
-        sorted_dst = flat_dst[order]
-        new_frontier, first = np.unique(sorted_dst, return_index=True)
-        merged = self.kernel.reduce.reduceat(flat_values[order], first)
+        new_frontier, merged = group_reduce(
+            self.kernel.reduce, flat_dst, flat_values
+        )
         self._barrier_memory(new_frontier, central)
         return new_frontier, merged
 
-    def _charge_messages(
-        self, src_workers: np.ndarray, dst_workers: np.ndarray
-    ) -> None:
-        """Bulk-charge one message per (src, dst) worker-pair member."""
-        meter = self.engine.meter
-        pair = src_workers * self.num_workers + dst_workers
-        pair_counts = np.bincount(pair, minlength=self.num_workers ** 2)
-        for index in np.nonzero(pair_counts)[0]:
-            meter.charge_messages_bulk(
-                int(index) // self.num_workers,
-                int(index) % self.num_workers,
-                int(pair_counts[index]),
-                self.payload,
-            )
-
     def _queue_memory(self, dst_workers: np.ndarray) -> None:
         """Allocate queued-message buffers on the receiving workers."""
-        engine, meter = self.engine, self.engine.meter
+        engine, meter = self.engine, self.meter
         per_worker = (
             np.bincount(dst_workers, minlength=self.num_workers)
             * self.message_memory
@@ -338,7 +314,7 @@ class BulkSuperstepRunner:
 
     def _release_queued(self) -> None:
         """Release all queued message memory (scalar barrier step)."""
-        engine, meter = self.engine, self.engine.meter
+        engine, meter = self.engine, self.meter
         for worker in range(self.num_workers):
             meter.release_memory(worker, engine._message_bytes_queued[worker])
             engine._message_bytes_queued[worker] = 0.0
@@ -367,12 +343,12 @@ class PageRankBulkRunner(BulkSuperstepRunner):
         """Execute ``iterations`` update rounds; scalar-identical."""
         from repro.platforms.pregel.engine import PregelResult
 
-        engine, meter, program = self.engine, self.engine.meter, self.program
+        engine, meter, program = self.engine, self.meter, self.program
         n, num_workers = self.n, self.num_workers
         damping, iterations = program.damping, program.iterations
 
         meter.begin_round("init")
-        self._charge_ops(np.bincount(self.workers, minlength=num_workers))
+        meter.charge_worker_compute(np.bincount(self.workers, minlength=num_workers))
         meter.end_round(active_vertices=n)
         if n == 0:
             return PregelResult(values={}, supersteps=0, aggregated={})
@@ -396,17 +372,19 @@ class PageRankBulkRunner(BulkSuperstepRunner):
         for superstep in range(iterations + 1):
             meter.begin_round(f"superstep-{superstep}", barrier=True)
             if superstep == 0:
-                self._charge_ops(vertex_ops)
+                meter.charge_worker_compute(vertex_ops)
             else:
                 # One op per vertex plus one per digested message
                 # (each vertex receives exactly its in-degree shares).
-                self._charge_ops(vertex_ops + message_ops)
+                meter.charge_worker_compute(vertex_ops + message_ops)
                 accumulated = np.zeros(n, dtype=np.float64)
                 np.add.at(accumulated, flat_dst, shares)
                 values = base + damping * accumulated
             if superstep < iterations:
                 shares = values[flat_src] / degrees_float[flat_src]
-                self._charge_messages(src_workers, dst_workers)
+                meter.charge_worker_messages(
+                    src_workers, dst_workers, self.payload
+                )
                 self._queue_memory(dst_workers)  # outbox during compute
                 self._release_queued()  # barrier: inbox + outbox
                 self._queue_memory(dst_workers)  # re-account new inbox

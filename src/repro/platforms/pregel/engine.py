@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.cost import ClusterSpec, CostMeter
 from repro.graph.graph import Graph
+from repro.graph.kernels import hash_worker, hash_workers
 
 __all__ = ["VertexProgram", "VertexContext", "PregelEngine", "partition_of"]
 
@@ -37,12 +38,8 @@ EDGE_BYTES = 24.0
 #: Queued message overhead on top of the payload.
 MESSAGE_BYTES = 16.0
 
-_KNUTH = 2654435761
-
-
-def partition_of(vertex: int, num_workers: int) -> int:
-    """Giraph-style hash partitioning of vertices onto workers."""
-    return ((vertex * _KNUTH) & 0xFFFFFFFF) % num_workers
+#: Giraph-style hash partitioning of vertices onto workers.
+partition_of = hash_worker
 
 
 class VertexProgram(abc.ABC):
@@ -226,14 +223,8 @@ class PregelEngine:
         vertex_ids = self.graph.vertices
         if partition is None:
             # Giraph's default hash partitioning; alternatives live in
-            # :mod:`repro.platforms.pregel.partitioning`. Computed
-            # vectorized: for non-negative ids, unsigned wraparound
-            # preserves the low 32 bits of the product, so this equals
-            # :func:`partition_of` element-wise.
-            hashed = vertex_ids.astype(np.uint64) * np.uint64(_KNUTH)
-            self._worker_array = (
-                (hashed & np.uint64(0xFFFFFFFF)) % np.uint64(spec.num_workers)
-            ).astype(np.int64)
+            # :mod:`repro.platforms.pregel.partitioning`.
+            self._worker_array = hash_workers(vertex_ids, spec.num_workers)
             self._partition_dict: dict[int, int] | None = None
         else:
             missing = set(int(v) for v in vertex_ids) - set(partition)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.graph.graph import Graph
+from repro.graph.kernels import hash_worker
 
 __all__ = [
     "hash_partition",
@@ -34,16 +35,14 @@ __all__ = [
     "partition_balance",
 ]
 
-_KNUTH = 2654435761
-
 
 def hash_partition(graph: Graph, num_workers: int) -> dict[int, int]:
     """Giraph's default: multiplicative hash of the vertex id."""
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
     return {
-        int(v): ((int(v) * _KNUTH) & 0xFFFFFFFF) % num_workers
-        for v in graph.to_undirected().vertices
+        v: hash_worker(v, num_workers)
+        for v in graph.to_undirected().vertices.tolist()
     }
 
 

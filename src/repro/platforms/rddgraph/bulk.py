@@ -3,9 +3,12 @@
 The scalar path runs BFS and CONN through the real RDD substrate: one
 Python closure call and one dict operation per record per stage. For
 these two algorithms every stage's *records* are fixed-shape integer
-pairs, so the whole loop collapses into numpy array operations — while
+pairs, so the whole loop collapses into numpy array operations (the
+:mod:`repro.graph.kernels` group-reduce and ordered group-sum) — while
 the :class:`~repro.core.cost.CostMeter` event sequence is replayed
-verbatim from per-worker record counts.
+verbatim from per-worker record counts through
+:meth:`~repro.core.cost.CostMeter.charge_worker_compute`. This module
+keeps only the GraphX charge policy and its per-worker RDD memory.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -40,6 +43,7 @@ import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
 from repro.graph.graph import Graph
+from repro.graph.kernels import group_reduce, hash_workers, ordered_group_sum
 from repro.platforms.rddgraph.graphx import GraphXGraph
 from repro.platforms.rddgraph.rdd import RECORD_CPU_OPS
 
@@ -53,8 +57,6 @@ __all__ = [
     "graphx_conn_bulk",
     "graphx_pagerank_bulk",
 ]
-
-_KNUTH = 2654435761
 
 #: Cached bytes of one ``(id, int)`` record (``RECORD_MEMORY_BYTES``).
 _PAIR_BYTES = 48.0
@@ -129,11 +131,7 @@ class RDDBulkKernel(abc.ABC):
         semantics); kernels with non-associative float merges override
         it to reproduce the scalar ``reduce_by_key`` fold order.
         """
-        order = np.argsort(message_targets, kind="stable")
-        targets, first = np.unique(message_targets[order], return_index=True)
-        if len(targets) == 0:
-            return targets, np.empty(0, dtype=np.int64)
-        return targets, self.reduce.reduceat(payloads[order], first)
+        return group_reduce(self.reduce, message_targets, payloads)
 
 
 class RDDBFSBulkKernel(RDDBulkKernel):
@@ -257,17 +255,15 @@ class RDDPageRankBulkKernel(RDDBulkKernel):
         # Level 1 — map-side combine: one partial per (target, source
         # worker), accumulated in arc-stream order, which within any
         # one worker's slots is exactly that partition's record order.
-        key = message_targets * num_workers + message_workers
-        pair_keys, inverse = np.unique(key, return_inverse=True)
-        pair_partials = np.zeros(len(pair_keys), dtype=np.float64)
-        np.add.at(pair_partials, inverse, payloads)
+        pair_keys, _, pair_partials = ordered_group_sum(
+            message_targets * num_workers + message_workers, payloads
+        )
         # Level 2 — reducer fold: pair_keys sort as (target, worker),
-        # so adding in slot order folds each target's partials in
+        # so folding in slot order adds each target's partials in
         # source-worker-ascending order, as ``_shuffle_pairs`` does.
-        pair_target = pair_keys // num_workers
-        targets = np.unique(pair_target)
-        incoming = np.zeros(len(targets), dtype=np.float64)
-        np.add.at(incoming, np.searchsorted(targets, pair_target), pair_partials)
+        targets, _, incoming = ordered_group_sum(
+            pair_keys // num_workers, pair_partials
+        )
         return targets, incoming
 
     def absorb(self, values, changed, targets, incoming):
@@ -292,12 +288,8 @@ class BulkPregelRunner:
         undirected = graph.to_undirected()
         self.ids = undirected.vertices
         self.num_workers = self.context.spec.num_workers
-        workers = np.uint64(self.num_workers)
-        hashed = self.ids.astype(np.uint64) * np.uint64(_KNUTH)
         #: ``_key_partition`` of every vertex id, vectorized.
-        self.vertex_workers = (
-            (hashed & np.uint64(0xFFFFFFFF)) % workers
-        ).astype(np.int64)
+        self.vertex_workers = hash_workers(self.ids, self.num_workers)
         degrees = undirected.out_degrees()
         self.arc_source = np.repeat(
             np.arange(len(self.ids), dtype=np.int64), degrees
@@ -328,8 +320,9 @@ class BulkPregelRunner:
             # triplets = edges ⋈ vertices: a full edge-RDD scan.
             self._begin_stage("triplets")
             meter.charge_shuffle(0.0, count=0)  # vertex side, all local
-            self._charge_counts(2 * arcs + vertices)
-            self._charge_probes(arcs)
+            meter.charge_worker_compute(
+                RECORD_CPU_OPS * (2 * arcs + vertices), random_accesses=arcs
+            )
             meter.end_round(active_vertices=int(arcs.sum()))
             self._allocate(_JOINED_BYTES * arcs)
             # sendMsg: one flat_map over every triplet.
@@ -345,7 +338,7 @@ class BulkPregelRunner:
             # mergeMsg: map-side combine, shuffle home, final reduce.
             payloads = kernel.arc_messages(values, self.arc_source[arc_mask])
             self._begin_stage("mergeMsg")
-            self._charge_counts(messages)
+            meter.charge_worker_compute(RECORD_CPU_OPS * messages)
             pair_keys = np.unique(
                 message_targets * self.num_workers + message_workers
             )
@@ -360,7 +353,7 @@ class BulkPregelRunner:
             received = np.bincount(
                 self.vertex_workers[pair_target], minlength=self.num_workers
             )
-            self._charge_counts(received)
+            meter.charge_worker_compute(RECORD_CPU_OPS * received)
             targets, incoming = kernel.merge_messages(
                 payloads, message_targets, message_workers, self.num_workers
             )
@@ -377,8 +370,10 @@ class BulkPregelRunner:
             # vprog: left-outer-join the merged messages, map the program.
             self._begin_stage("vprog-join")
             meter.charge_shuffle(0.0, count=0)  # vertex side, all local
-            self._charge_counts(2 * vertices + merged)
-            self._charge_probes(vertices)
+            meter.charge_worker_compute(
+                RECORD_CPU_OPS * (2 * vertices + merged),
+                random_accesses=vertices,
+            )
             meter.end_round(active_vertices=total_vertices)
             self._allocate(_JOINED_BYTES * vertices)
             self._narrow_stage("vprog", vertices, vertices, total_vertices)
@@ -398,7 +393,7 @@ class BulkPregelRunner:
         """Replay :meth:`RDD.collect`'s charges for the final RDD."""
         meter = self.meter
         meter.begin_round(f"collect-{name}")
-        self._charge_counts(self.vertices_per_worker)
+        meter.charge_worker_compute(RECORD_CPU_OPS * self.vertices_per_worker)
         total = int(self.vertices_per_worker.sum())
         meter.charge_shuffle(total * record_wire_bytes, count=total)
         meter.end_round(active_vertices=total)
@@ -428,22 +423,8 @@ class BulkPregelRunner:
     ) -> None:
         """One narrow transformation: per-record CPU in and out."""
         self._begin_stage(suffix)
-        self._charge_counts(in_counts + out_counts)
+        self.meter.charge_worker_compute(RECORD_CPU_OPS * (in_counts + out_counts))
         self.meter.end_round(active_vertices=produced)
-
-    def _charge_counts(self, records_per_worker: np.ndarray) -> None:
-        """Charge ``records * RECORD_CPU_OPS`` per worker, batched."""
-        for worker in np.nonzero(records_per_worker)[0]:
-            self.meter.charge_compute_bulk(
-                int(worker), float(records_per_worker[worker]) * RECORD_CPU_OPS
-            )
-
-    def _charge_probes(self, probes_per_worker: np.ndarray) -> None:
-        """Charge hash-join probes as random accesses, batched."""
-        for worker in np.nonzero(probes_per_worker)[0]:
-            self.meter.charge_compute_bulk(
-                int(worker), 0.0, random_accesses=float(probes_per_worker[worker])
-            )
 
     def _allocate(self, bytes_per_worker: np.ndarray) -> None:
         """Materialize an RDD: cached bytes on every worker."""

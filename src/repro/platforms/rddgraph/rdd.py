@@ -30,6 +30,7 @@ import zlib
 from typing import Any, Callable, Iterable
 
 from repro.core.cost import ClusterSpec, CostMeter
+from repro.graph.kernels import hash_worker
 
 __all__ = ["RDDContext", "RDD"]
 
@@ -47,8 +48,6 @@ SHUFFLE_RECORD_BYTES = 24.0
 #: Serialized bytes per element of a collection-valued record.
 SHUFFLE_ELEMENT_BYTES = 8.0
 
-_KNUTH = 2654435761
-
 
 def _key_partition(key: Any, num_partitions: int) -> int:
     """Deterministic hash partitioning (stable across runs).
@@ -59,7 +58,7 @@ def _key_partition(key: Any, num_partitions: int) -> int:
     parallel suite runner requires identical placement everywhere.
     """
     if isinstance(key, int):
-        return ((key * _KNUTH) & 0xFFFFFFFF) % num_partitions
+        return hash_worker(key, num_partitions)
     return (zlib.crc32(repr(key).encode("utf-8")) & 0x7FFFFFFF) % num_partitions
 
 

@@ -143,18 +143,18 @@ class TestCostAccounting:
         assert _rules(code, ENGINE_PATH) == []
 
     def test_bulk_charges_count_as_accounting(self):
-        # The batched CostMeter APIs discharge the contract exactly
-        # like their scalar counterparts.
+        # The CostMeter vector entry points discharge the contract
+        # exactly like their scalar counterparts.
         code = """
         def expand(self, meter):
-            for worker, ops in enumerate(self.frontier_ops):
-                meter.charge_compute_bulk(worker, ops)
+            for ops in self.frontier_ops:
+                meter.charge_worker_compute(ops)
         """
         assert _rules(code, ENGINE_PATH) == []
         code = """
         def exchange(self, meter):
             for pair in self.message_pairs:
-                meter.charge_messages_bulk(pair[0], pair[1], 10, 8.0)
+                meter.charge_worker_messages(pair[0], pair[1], 8.0)
         """
         assert _rules(code, ENGINE_PATH) == []
 
@@ -166,6 +166,6 @@ class TestCostAccounting:
         code = """
         def expand(self, meter):
             for chunk in self.frontier_chunks:
-                meter.charge_compute_bulk(0, float(chunk.size))
+                meter.charge_worker_compute(chunk.ops)
         """
         assert _rules(code, bulk_path) == []

@@ -1,8 +1,12 @@
 """Unit tests for the cost model (ClusterSpec, CostMeter, RunProfile)."""
 
+import numpy as np
 import pytest
 
 from repro.core.cost import ClusterSpec, CostMeter, MemoryBudgetExceeded
+from repro.observability import TraceSink
+from repro.robustness.errors import SimulatedMessageLoss
+from repro.robustness.faults import FaultInjector, FaultPlan
 
 
 class TestClusterSpec:
@@ -155,8 +159,38 @@ class TestMemoryTracking:
         assert meter.memory_in_use(0) == 0.0
 
 
+class _RecordingSink(TraceSink):
+    """Keeps every charge and fault event, in emission order."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_charge(self, kind, round_index, fields):
+        self.events.append(("charge", kind, round_index, fields))
+
+    def on_fault(self, kind, round_index, detail):
+        self.events.append(("fault", kind, round_index, detail))
+
+
+def _message_arrays(num_workers, seed, size=400):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(0, num_workers, size=size),
+        rng.integers(0, num_workers, size=size),
+    )
+
+
+def _charge_pairs_in_a_loop(meter, src_workers, dst_workers, payload):
+    """The per-pair ``charge_message`` loop the vector entry replaces."""
+    counts = {}
+    for pair in zip(src_workers.tolist(), dst_workers.tolist()):
+        counts[pair] = counts.get(pair, 0) + 1
+    for (src, dst), count in sorted(counts.items()):
+        meter.charge_message(src, dst, payload, count=count)
+
+
 class TestBulkCharges:
-    """Bulk charges must be *exactly* equivalent to scalar sequences.
+    """Vector charges must be *exactly* equivalent to scalar sequences.
 
     This invariant is what lets the vectorized engine paths claim
     bit-identical cost profiles (ISSUE 2 tentpole part 1).
@@ -176,9 +210,14 @@ class TestBulkCharges:
 
     def _bulk_round(self, meter):
         meter.begin_round("bulk")
-        meter.charge_compute_bulk(0, 137 * 3, random_accesses=41 * 2)
-        meter.charge_messages_bulk(1, 2, 29, 8.0)
-        meter.charge_messages_bulk(2, 2, 17, 8.0)
+        ops = np.zeros(meter.spec.num_workers, dtype=np.int64)
+        ops[0] = 137 * 3
+        accesses = np.zeros(meter.spec.num_workers, dtype=np.int64)
+        accesses[0] = 41 * 2
+        meter.charge_worker_compute(ops, random_accesses=accesses)
+        meter.charge_worker_messages(
+            np.array([2] * 17 + [1] * 29), np.full(46, 2), 8.0
+        )
         return meter.end_round(active_vertices=137)
 
     def test_bulk_round_equals_scalar_round_exactly(self, cluster_spec):
@@ -210,7 +249,7 @@ class TestBulkCharges:
     def test_local_bulk_messages_cost_no_network(self, cluster_spec):
         meter = CostMeter(cluster_spec)
         meter.begin_round("local")
-        meter.charge_messages_bulk(3, 3, 12, 8.0)
+        meter.charge_worker_messages(np.full(12, 3), np.full(12, 3), 8.0)
         record = meter.end_round()
         assert record.local_messages == 12
         assert record.remote_messages == 0
@@ -219,9 +258,49 @@ class TestBulkCharges:
     def test_bulk_charge_outside_round_rejected(self, cluster_spec):
         meter = CostMeter(cluster_spec)
         with pytest.raises(RuntimeError):
-            meter.charge_compute_bulk(0, 10)
+            meter.charge_worker_compute(np.ones(cluster_spec.num_workers))
         with pytest.raises(RuntimeError):
-            meter.charge_messages_bulk(0, 1, 2, 8.0)
+            meter.charge_worker_messages(np.array([0, 0]), np.array([1, 1]), 8.0)
+
+    def test_vector_messages_emit_the_per_pair_loop_events(self, cluster_spec):
+        src, dst = _message_arrays(cluster_spec.num_workers, seed=5)
+        vector_sink, loop_sink = _RecordingSink(), _RecordingSink()
+        vector = CostMeter(cluster_spec, sinks=(vector_sink,))
+        vector.begin_round("messages")
+        vector.charge_worker_messages(src, dst, 8.0)
+        loop = CostMeter(cluster_spec, sinks=(loop_sink,))
+        loop.begin_round("messages")
+        _charge_pairs_in_a_loop(loop, src, dst, 8.0)
+        assert vector_sink.events == loop_sink.events
+        # Plain Python numbers, so serialized traces match too.
+        assert all(
+            type(fields["count"]) is int and type(fields["src_worker"]) is int
+            for _event, _kind, _round, fields in vector_sink.events
+        )
+        assert vector.end_round() == loop.end_round()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_vector_messages_lose_the_same_pair_as_the_loop(
+        self, cluster_spec, seed
+    ):
+        plan = FaultPlan(message_loss_rate=0.01, seed=seed)
+        src, dst = _message_arrays(cluster_spec.num_workers, seed=seed)
+        losses, sinks = [], []
+        for charge in (
+            lambda meter: meter.charge_worker_messages(src, dst, 8.0),
+            lambda meter: _charge_pairs_in_a_loop(meter, src, dst, 8.0),
+        ):
+            injector = FaultInjector(plan, "giraph")
+            injector.begin_attempt()
+            sink = _RecordingSink()
+            meter = CostMeter(cluster_spec, faults=injector, sinks=(sink,))
+            meter.begin_round("lossy")
+            with pytest.raises(SimulatedMessageLoss) as loss:
+                charge(meter)
+            losses.append((loss.value.src_worker, loss.value.dst_worker))
+            sinks.append(sink.events)
+        assert losses[0] == losses[1]
+        assert sinks[0] == sinks[1]
 
 
 class TestRunProfile:
@@ -277,7 +356,7 @@ class TestHardwarePhysicsFixes:
         # parallel across the ten workers.
         meter = CostMeter(cluster_spec)
         meter.begin_round("msgs", barrier=False)
-        meter.charge_messages_bulk(0, 1, 1000, 84.0)
+        meter.charge_message(0, 1, 84.0, count=1000)
         record = meter.end_round()
         nic = cluster_spec.hardware.nic
         workers = cluster_spec.num_workers

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.core.quality import (
+from repro.analysis import (
     QualityReport,
     analyze_file,
     analyze_source,

@@ -28,7 +28,7 @@ def _metered_run(cluster_spec, sinks=()):
     meter.charge_compute(0, 10_000)
     meter.charge_random_access(1, 5_000)
     meter.charge_message(0, 1, 8.0)
-    meter.charge_messages_bulk(1, 1, 10, 8.0)
+    meter.charge_message(1, 1, 8.0, count=10)
     meter.charge_shuffle(2048.0, count=4)
     meter.charge_disk_write(1, 2e5)
     meter.release_memory(0, 2048.0)

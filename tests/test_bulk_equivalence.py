@@ -5,8 +5,8 @@ The vectorized bulk paths (``pregel/bulk.py``, ``gas/bulk.py``,
 promise *bit-identical* results to the scalar per-record paths — not
 approximately equal. The charges they batch are all integer-valued
 floats, and float64 addition of integers below 2**53 is exact, so one
-bulk charge of a pre-summed total equals the scalar call sequence
-bit for bit (see ``CostMeter.charge_compute_bulk``).
+vector charge of pre-summed per-worker totals equals the scalar call
+sequence bit for bit (see ``CostMeter.charge_worker_compute``).
 
 These tests hold every platform to that contract on *every*
 algorithm, discovered from the ``Algorithm`` enum rather than
@@ -15,7 +15,9 @@ and PR have them today) is automatically held to the bar, and an
 algorithm without one must still produce identical results and
 profiles by running the same scalar path under both flags. The sweep
 covers a directed graph, an undirected graph, and a graph with sparse
-vertex ids plus an isolated vertex. "Identical" means the algorithm
+vertex ids plus an isolated vertex, on the 10-worker cluster; one
+graph also runs on the single-node cluster, where every message is
+local and there is one worker pair. "Identical" means the algorithm
 outputs, the per-round charge structure, and the profile totals
 (``simulated_seconds``, ``total_messages``, peak memory) all compare
 equal with ``==``.
@@ -93,10 +95,16 @@ def profile_key(profile):
     )
 
 
-def _run(platform_cls, bulk: bool, graph: Graph, algorithm: Algorithm):
+def _run(
+    platform_cls,
+    bulk: bool,
+    graph: Graph,
+    algorithm: Algorithm,
+    cluster: ClusterSpec | None = None,
+):
     if algorithm is Algorithm.SSSP and not graph.is_weighted:
         graph = graph.with_uniform_weights(seed=3)
-    platform = platform_cls(ClusterSpec.paper_distributed(), bulk=bulk)
+    platform = platform_cls(cluster or ClusterSpec.paper_distributed(), bulk=bulk)
     handle = platform.upload_graph("equivalence", graph)
     run = platform.run_algorithm(handle, algorithm, AlgorithmParams())
     return run.output, profile_key(run.profile)
@@ -111,6 +119,21 @@ def test_bulk_path_is_bit_identical(platform_cls, algorithm, graph_name):
     graph = GRAPHS[graph_name]()
     bulk_output, bulk_profile = _run(platform_cls, True, graph, algorithm)
     scalar_output, scalar_profile = _run(platform_cls, False, graph, algorithm)
+    assert bulk_output == scalar_output
+    assert bulk_profile == scalar_profile
+
+
+@pytest.mark.parametrize("algorithm", BULK_ALGORITHMS, ids=lambda a: a.value)
+@pytest.mark.parametrize(
+    "platform_cls", CONVERTED_PLATFORMS, ids=lambda cls: cls.name
+)
+def test_single_node_bulk_path_is_bit_identical(platform_cls, algorithm):
+    graph = GRAPHS["rmat-directed"]()
+    single = ClusterSpec.paper_single_node()
+    bulk_output, bulk_profile = _run(platform_cls, True, graph, algorithm, single)
+    scalar_output, scalar_profile = _run(
+        platform_cls, False, graph, algorithm, single
+    )
     assert bulk_output == scalar_output
     assert bulk_profile == scalar_profile
 
