@@ -12,29 +12,21 @@ neighbor pairs once; vertices with ``k < 2`` score ``0.0``, matching
 :func:`repro.graph.properties.local_clustering_coefficient` and the
 networkx convention.
 
-Cross-platform float identity: every platform counts the integer
-``links`` and then calls :func:`lcc_value`, so the resulting floats
-are bitwise identical and the validator compares LCC outputs exactly.
+Cross-platform float identity: every platform and the reference count
+the integer ``links`` and then call :func:`lcc_value`, so the resulting
+floats are bitwise identical and the validator compares LCC outputs
+exactly. The reference counts with
+:func:`repro.graph.kernels.triangle_links`; the platforms count from
+shipped neighbor lists with :func:`repro.graph.properties.received_links`.
 """
 
 from __future__ import annotations
 
 from repro.graph.graph import Graph
+from repro.graph.kernels import triangle_links
+from repro.graph.properties import lcc_value
 
 __all__ = ["lcc", "lcc_value"]
-
-
-def lcc_value(links: int, degree: int) -> float:
-    """Coefficient from the integer pair count and the degree.
-
-    ``links`` is the number of *unordered* connected neighbor pairs
-    (each triangle through the vertex counts once). Using one shared
-    float expression across the reference and all eight platforms
-    keeps the outputs bit-for-bit comparable.
-    """
-    if degree < 2:
-        return 0.0
-    return 2.0 * links / (degree * (degree - 1))
 
 
 def lcc(graph: Graph) -> dict[int, float]:
@@ -43,17 +35,12 @@ def lcc(graph: Graph) -> dict[int, float]:
     Returns ``{vertex: coefficient}`` over the undirected view.
     """
     undirected = graph.to_undirected()
-    neighbor_sets = {
-        int(v): set(int(u) for u in undirected.neighbors(int(v)))
-        for v in undirected.vertices
+    links = triangle_links(*undirected.csr())
+    return {
+        vertex: lcc_value(vertex_links, degree)
+        for vertex, vertex_links, degree in zip(
+            undirected.vertices.tolist(),
+            links.tolist(),
+            undirected.out_degrees().tolist(),
+        )
     }
-    out: dict[int, float] = {}
-    for vertex, neighbors in neighbor_sets.items():
-        links = 0
-        for u in neighbors:
-            # Each connected pair {u, w} counted once via u < w.
-            links += sum(
-                1 for w in neighbor_sets[u] if w > u and w in neighbors
-            )
-        out[vertex] = lcc_value(links, len(neighbors))
-    return out

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.graph.kernels import triangle_links
 
 __all__ = ["RewiringResult", "rewire_to_target"]
 
@@ -46,11 +47,13 @@ class RewiringResult:
 class _RewiringState:
     """Mutable adjacency with incremental avg-CC and assortativity.
 
-    Tracks, per vertex, ``closed[v]`` — the number of edges among v's
-    neighbors — so the average clustering coefficient is
-    ``mean(2 * closed[v] / (deg_v * (deg_v - 1)))``. Because swaps
-    preserve degrees, the assortativity denominator is constant and
-    only ``sum over edges of deg(u) * deg(v)`` needs maintenance.
+    Tracks ``cc_sum``, the sum over vertices of
+    ``2 * closed[v] / (deg_v * (deg_v - 1))``, where ``closed[v]`` is
+    the number of edges among v's neighbors (counted once, up front,
+    by :func:`~repro.graph.kernels.triangle_links`); each edge swap
+    then adjusts it by deltas. Because swaps preserve degrees, the
+    assortativity denominator is constant and only ``sum over edges of
+    deg(u) * deg(v)`` needs maintenance.
     """
 
     def __init__(self, graph: Graph):
@@ -66,17 +69,13 @@ class _RewiringState:
         self.m = len(self.edges)
 
         # Clustering bookkeeping.
-        self.closed: dict[int, int] = {v: 0 for v in self.adjacency}
-        for u, v in self.edges:
-            common = self.adjacency[u] & self.adjacency[v]
-            for w in common:
-                self.closed[w] += 1
+        closed = triangle_links(*undirected.csr()).tolist()
         self._inv_pairs = {
             v: (2.0 / (d * (d - 1)) if d >= 2 else 0.0)
             for v, d in self.degree.items()
         }
         self.cc_sum = sum(
-            self.closed[v] * self._inv_pairs[v] for v in self.adjacency
+            links * self._inv_pairs[v] for v, links in zip(self.adjacency, closed)
         )
 
         # Assortativity bookkeeping (degrees are invariant under swaps).

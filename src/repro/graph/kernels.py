@@ -2,9 +2,10 @@
 
 Option-free numpy primitives over CSR arrays and grouped keys: the
 CSR range gather, a sorted group-reduce, an order-preserving float
-group-sum, and the multiplicative vertex-placement hash. None of them
-touches a :class:`~repro.core.cost.CostMeter`; the engines decide
-what each array means, what to charge and to which worker, and
+group-sum, the multiplicative vertex-placement hash, and the
+per-vertex triangle count behind the STATS and LCC references. None
+of them touches a :class:`~repro.core.cost.CostMeter`; the engines
+decide what each array means, what to charge and to which worker, and
 charge per-worker tallies through
 :meth:`~repro.core.cost.CostMeter.charge_worker_compute` and
 :meth:`~repro.core.cost.CostMeter.charge_worker_messages`.
@@ -20,10 +21,15 @@ __all__ = [
     "ordered_group_sum",
     "hash_worker",
     "hash_workers",
+    "triangle_links",
 ]
 
 #: Knuth's multiplicative-hash constant (2^32 / golden ratio).
 _KNUTH = 2654435761
+
+#: Wedges :func:`triangle_links` probes at once; bounds its per-block
+#: temporaries to a few MB however many wedges the graph has.
+_WEDGE_BLOCK = 1 << 16
 
 
 def hash_worker(vertex: int, num_workers: int) -> int:
@@ -100,3 +106,53 @@ def ordered_group_sum(
     sums = np.zeros(len(unique_keys), dtype=np.float64)
     np.add.at(sums, inverse, values)
     return unique_keys, first, sums
+
+
+def triangle_links(offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Edges among each vertex's neighbors on a symmetric, sorted CSR.
+
+    Entry ``i`` counts the edges ``{u, w}`` whose endpoints are both
+    neighbors of row ``i``, i.e. the triangles through ``i``. Each
+    edge is oriented toward its higher-(degree, id) endpoint; every
+    wedge of two out-arcs of one vertex is probed against the sorted
+    arc keys with ``np.searchsorted``, which finds each triangle
+    exactly once, from its lowest corner, and the triangle is counted
+    onto all three corners. Wedges are probed ``_WEDGE_BLOCK`` at a
+    time, so memory grows with the edge count, not the wedge count.
+    Self-loops are ignored.
+    """
+    n = len(offsets) - 1
+    degrees = np.diff(offsets)
+    # rank[v] is v's position in (degree, id) order; arcs and wedges
+    # live in rank space until the counts are mapped back.
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(degrees, kind="stable")] = np.arange(n)
+    sources = rank[np.repeat(np.arange(n), degrees)]
+    dests = rank[targets]
+    upward = sources < dests
+    keys = np.sort(sources[upward] * n + dests[upward])
+    heads, tails = np.divmod(keys, n)
+    # An arc's wedges pair it with each later arc of the same head.
+    row_ends = np.cumsum(np.bincount(heads, minlength=n))[heads]
+    per_arc = row_ends - np.arange(len(keys)) - 1
+    through = np.cumsum(per_arc)
+    links = np.zeros(n, dtype=np.int64)
+    start = 0
+    while start < len(keys):
+        limit = through[start] - per_arc[start] + _WEDGE_BLOCK
+        stop = max(int(np.searchsorted(through, limit, side="right")), start + 1)
+        counts = per_arc[start:stop]
+        bounds = np.cumsum(counts)
+        firsts = np.repeat(np.arange(start, stop), counts)
+        seconds = np.arange(bounds[-1]) + np.repeat(
+            np.arange(start + 1, stop + 1) - (bounds - counts), counts
+        )
+        probes = tails[firsts] * n + tails[seconds]
+        hits = np.searchsorted(keys, probes)
+        closed = keys[np.minimum(hits, len(keys) - 1)] == probes
+        corners = np.concatenate(
+            [heads[firsts[closed]], tails[firsts[closed]], tails[seconds[closed]]]
+        )
+        links += np.bincount(corners, minlength=n)
+        start = stop
+    return links[rank]

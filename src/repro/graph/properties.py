@@ -7,18 +7,30 @@ histograms used by the distribution-fitting module.
 
 All functions operate on the undirected view of the graph, matching
 how the paper characterizes its datasets.
+
+Every clustering number rests on one integer per vertex: the edges
+among its neighbors. The references count it for the whole graph
+with :func:`~repro.graph.kernels.triangle_links`; the platform
+engines count it per vertex from shipped neighbor lists with
+:func:`received_links`. The two stay separate code because the
+references are the oracle the validator holds the engines to. Both
+sides turn the count into a coefficient with :func:`lcc_value`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.graph.kernels import triangle_links
 
 __all__ = [
     "GraphCharacteristics",
+    "lcc_value",
+    "received_links",
     "local_clustering_coefficient",
     "average_clustering_coefficient",
     "global_clustering_coefficient",
@@ -52,20 +64,39 @@ class GraphCharacteristics:
         )
 
 
-def _neighbor_sets(graph: Graph) -> dict[int, set[int]]:
-    """Per-vertex neighbor sets on the undirected view.
+def lcc_value(links: int, degree: int) -> float:
+    """Coefficient from the integer pair count and the degree.
 
-    Uses one bulk :meth:`Graph.frontier_neighbors` CSR gather instead
-    of ``num_vertices`` per-vertex ``neighbors()`` slices.
+    ``links`` is the number of *unordered* connected neighbor pairs
+    (each triangle through the vertex counts once). Using one shared
+    float expression across the reference and all eight platforms
+    keeps the outputs bit-for-bit comparable.
     """
+    if degree < 2:
+        return 0.0
+    return 2.0 * links / (degree * (degree - 1))
+
+
+def received_links(
+    neighbors: Iterable[int], neighbor_lists: Iterable[Iterable[int]]
+) -> int:
+    """Edges among a vertex's neighbors, from the lists shipped to it.
+
+    ``neighbor_lists`` are the adjacency lists the vertex's neighbors
+    sent it. An edge ``{u, w}`` among ``neighbors`` arrives twice, as
+    ``w`` in ``u``'s list and as ``u`` in ``w``'s, so the matches are
+    halved. The platform engines count with this; the references use
+    :func:`~repro.graph.kernels.triangle_links` instead.
+    """
+    own = set(neighbors)
+    return sum(len(own.intersection(lst)) for lst in neighbor_lists) // 2
+
+
+def _links_and_degrees(graph: Graph) -> tuple[Graph, list[int], list[int]]:
+    """The undirected view, its per-vertex links, and its degrees."""
     undirected = graph.to_undirected()
-    vertices = undirected.vertices
-    flat = undirected.frontier_neighbors(vertices)
-    bounds = np.cumsum(undirected.out_degrees())[:-1]
-    return {
-        int(v): set(chunk.tolist())
-        for v, chunk in zip(vertices, np.split(flat, bounds))
-    }
+    links = triangle_links(*undirected.csr())
+    return undirected, links.tolist(), undirected.out_degrees().tolist()
 
 
 def local_clustering_coefficient(graph: Graph, vertex: int) -> float:
@@ -74,19 +105,9 @@ def local_clustering_coefficient(graph: Graph, vertex: int) -> float:
     Vertices with degree < 2 have coefficient 0, following the common
     convention (and networkx).
     """
-    undirected = graph.to_undirected()
-    neighbors = [int(u) for u in undirected.neighbors(int(vertex))]
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    neighbor_set = set(neighbors)
-    links = 0
-    for u in neighbors:
-        for w in undirected.neighbors(u):
-            w = int(w)
-            if w > u and w in neighbor_set:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+    undirected, links, degrees = _links_and_degrees(graph)
+    (index,) = undirected.indices_of([int(vertex)]).tolist()
+    return lcc_value(links[index], degrees[index])
 
 
 def average_clustering_coefficient(graph: Graph) -> float:
@@ -95,34 +116,18 @@ def average_clustering_coefficient(graph: Graph) -> float:
     This is the "Avg. CC" column of Table 1 and the statistic the
     STATS algorithm reports.
     """
-    undirected = graph.to_undirected()
+    undirected, links, degrees = _links_and_degrees(graph)
     if undirected.num_vertices == 0:
         return 0.0
-    sets = _neighbor_sets(undirected)
     total = 0.0
-    for vertex, neighbors in sets.items():
-        k = len(neighbors)
-        if k < 2:
-            continue
-        links = 0
-        for u in neighbors:
-            # Count each connected neighbor pair once.
-            links += sum(1 for w in sets[u] if w > u and w in neighbors)
-        total += 2.0 * links / (k * (k - 1))
+    for vertex_links, degree in zip(links, degrees):
+        total += lcc_value(vertex_links, degree)
     return total / undirected.num_vertices
 
 
 def count_triangles(graph: Graph) -> int:
     """Number of triangles in the undirected view."""
-    sets = _neighbor_sets(graph)
-    triangles = 0
-    for vertex, neighbors in sets.items():
-        for u in neighbors:
-            if u <= vertex:
-                continue
-            # Triangles (vertex, u, w) with vertex < u < w counted once.
-            triangles += sum(1 for w in sets[u] if w > u and w in neighbors)
-    return triangles
+    return int(triangle_links(*graph.to_undirected().csr()).sum()) // 3
 
 
 def global_clustering_coefficient(graph: Graph) -> float:

@@ -269,13 +269,13 @@ class HardwareProfile:
     ) -> RoundTimes:
         """Derive one round's per-device seconds from its charges.
 
-        ``charges`` is duck-typed (any object shaped like
-        :class:`~repro.core.cost.RoundRecord`): per-worker ops and
-        random accesses, remote bytes/messages, striped and
-        per-worker disk bytes, the live-set high-water mark, and the
-        barrier flag. This is the *single* costing function — the
-        meter's ``end_round`` and the what-if re-coster both call it,
-        so a re-costed profile cannot drift from a fresh run.
+        ``charges`` is a :class:`~repro.core.cost.RoundRecord`:
+        per-worker ops and random accesses, remote bytes/messages,
+        striped and per-worker disk bytes, the live-set high-water
+        mark, and the barrier flag. This is the *single* costing
+        function — the meter's ``end_round`` and the what-if re-coster
+        both call it, so a re-costed profile cannot drift from a fresh
+        run.
         """
         compute = max(
             self.cpu.worker_seconds(ops, rand)
@@ -283,9 +283,7 @@ class HardwareProfile:
                 charges.ops_per_worker, charges.random_accesses_per_worker
             )
         )
-        pressure = self.memory_pressure_multiplier(
-            getattr(charges, "live_memory_bytes", 0.0)
-        )
+        pressure = self.memory_pressure_multiplier(charges.live_memory_bytes)
         if pressure != 1.0:
             compute *= pressure
         if straggler_penalty_seconds:
@@ -295,12 +293,10 @@ class HardwareProfile:
         )
         queueing = self.nic.queueing_seconds(transfer + latency, compute)
         disk = self.disk.round_seconds(
-            getattr(charges, "striped_disk_read_bytes", charges.disk_read_bytes),
-            getattr(
-                charges, "striped_disk_write_bytes", charges.disk_write_bytes
-            ),
-            getattr(charges, "disk_bytes_per_worker", []),
-            getattr(charges, "disk_random_bytes_per_worker", []),
+            charges.striped_disk_read_bytes,
+            charges.striped_disk_write_bytes,
+            charges.disk_bytes_per_worker,
+            charges.disk_random_bytes_per_worker,
             num_workers,
         )
         barrier = (

@@ -64,7 +64,9 @@ class TraceAttempt:
 
 def _record_from_span(span: dict) -> RoundRecord:
     # Hardware-layer fields use ``.get`` defaults so traces written
-    # before the HardwareProfile refactor still replay.
+    # before the HardwareProfile refactor still replay. Before the
+    # disk split all disk bytes were pooled, so a span without the
+    # striped fields counts its round totals as striped.
     record = RoundRecord(
         name=span["name"],
         ops_per_worker=list(span["ops_per_worker"]),
@@ -74,8 +76,12 @@ def _record_from_span(span: dict) -> RoundRecord:
         remote_bytes=span["remote_bytes"],
         disk_read_bytes=span["disk_read_bytes"],
         disk_write_bytes=span["disk_write_bytes"],
-        striped_disk_read_bytes=span.get("striped_disk_read_bytes", 0.0),
-        striped_disk_write_bytes=span.get("striped_disk_write_bytes", 0.0),
+        striped_disk_read_bytes=span.get(
+            "striped_disk_read_bytes", span["disk_read_bytes"]
+        ),
+        striped_disk_write_bytes=span.get(
+            "striped_disk_write_bytes", span["disk_write_bytes"]
+        ),
         disk_bytes_per_worker=list(span.get("disk_bytes_per_worker", [])),
         disk_random_bytes_per_worker=list(
             span.get("disk_random_bytes_per_worker", [])

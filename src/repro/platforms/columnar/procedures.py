@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.lcc import lcc_value
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.graph.properties import lcc_value, received_links
 from repro.platforms.columnar.table import ColumnTable
 
 __all__ = [
@@ -153,34 +153,15 @@ def connected_components(
 def clustering_statistics(
     table: ColumnTable, vertices: list[int]
 ) -> tuple[tuple[int, int, float], ProcedureStats]:
-    """(vertices, edges, mean local clustering) via sorted-range merges.
+    """(vertices, edges, mean local clustering) from one clustering pass.
 
-    Neighbor lists come out of the sorted edge table already ordered,
-    so counting the links among a vertex's neighbors is a sorted-set
-    intersection per neighbor — the access pattern a column store is
-    good at.
+    The table reads and work counters of :func:`local_clustering`,
+    with the coefficients folded into their mean.
     """
-    stats = ProcedureStats()
-    reader = _EdgeReader(table, stats)
-    neighbor_cache = {
-        vertex: reader.out_neighbors(vertex) for vertex in vertices
-    }
+    coefficients, total_arcs, stats = _clustering_pass(table, vertices)
     clustering_sum = 0.0
-    total_arcs = 0
-    for vertex in vertices:
-        neighbors = neighbor_cache[vertex]
-        degree = int(neighbors.size)
-        total_arcs += degree
-        if degree < 2:
-            continue
-        links_twice = 0
-        for neighbor in neighbors.tolist():
-            other = neighbor_cache[int(neighbor)]
-            stats.endpoints_visited += int(other.size)
-            links_twice += int(
-                np.intersect1d(neighbors, other, assume_unique=True).size
-            )
-        clustering_sum += links_twice / (degree * (degree - 1))
+    for coefficient in coefficients.values():
+        clustering_sum += coefficient
     mean = clustering_sum / len(vertices) if vertices else 0.0
     return (len(vertices), total_arcs // 2, mean), stats
 
@@ -299,35 +280,42 @@ def sssp_distances(
     return distances, stats
 
 
-def local_clustering(
+def _clustering_pass(
     table: ColumnTable, vertices: list[int]
-) -> tuple[dict[int, float], ProcedureStats]:
-    """Per-vertex LCC via sorted-range intersections.
+) -> tuple[dict[int, float], int, ProcedureStats]:
+    """Per-vertex coefficients, the arcs read, and the work counters.
 
-    Same access pattern as :func:`clustering_statistics`, but emitting
-    the coefficient per vertex instead of the mean.
+    Every vertex's neighbor vector is read from the table once; each
+    vertex of degree two or more then scans every neighbor's vector
+    and counts the edges among its neighbors.
     """
     stats = ProcedureStats()
     reader = _EdgeReader(table, stats)
     neighbor_cache = {
-        vertex: reader.out_neighbors(vertex) for vertex in vertices
+        vertex: reader.out_neighbors(vertex).tolist() for vertex in vertices
     }
     out: dict[int, float] = {}
+    total_arcs = 0
     for vertex in vertices:
         neighbors = neighbor_cache[vertex]
-        degree = int(neighbors.size)
+        degree = len(neighbors)
+        total_arcs += degree
         if degree < 2:
             out[vertex] = 0.0
             continue
-        links_twice = 0
-        for neighbor in neighbors.tolist():
-            other = neighbor_cache[int(neighbor)]
-            stats.endpoints_visited += int(other.size)
-            links_twice += int(
-                np.intersect1d(neighbors, other, assume_unique=True).size
-            )
-        out[vertex] = lcc_value(links_twice // 2, degree)
-    return out, stats
+        neighbor_lists = [neighbor_cache[neighbor] for neighbor in neighbors]
+        for other in neighbor_lists:
+            stats.endpoints_visited += len(other)
+        out[vertex] = lcc_value(received_links(neighbors, neighbor_lists), degree)
+    return out, total_arcs, stats
+
+
+def local_clustering(
+    table: ColumnTable, vertices: list[int]
+) -> tuple[dict[int, float], ProcedureStats]:
+    """Per-vertex LCC over the table-read neighbor vectors."""
+    coefficients, _total_arcs, stats = _clustering_pass(table, vertices)
+    return coefficients, stats
 
 
 def forest_fire(

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.lcc import lcc_value
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
+from repro.graph.properties import lcc_value, received_links
 from repro.platforms.dataflow.engine import DataflowEngine
 
 __all__ = [
@@ -145,37 +145,12 @@ def dataflow_cd(
 
 
 def dataflow_stats(engine: DataflowEngine) -> GraphStats:
-    """STATS as one expand + aggregate pipeline (no iteration)."""
+    """STATS: the :func:`dataflow_lcc` pipeline, folded into one mean."""
     adjacency = engine.adjacency
-
-    def step(flow: DataflowEngine, workset):
-        shipped = flow.expand(
-            workset,
-            emit=lambda vertex, adj, neighbor: [(neighbor, (adj,))]
-            if len(adj) >= 2
-            else [],
-        )
-        lists = flow.aggregate(shipped, combine=lambda a, b: a + b)
-
-        def accept(key, current, neighbor_lists):
-            own = set(adjacency[key])
-            degree = len(own)
-            if degree < 2:
-                return None
-            links_twice = sum(
-                1 for lst in neighbor_lists for w in lst if w in own
-            )
-            return links_twice / (degree * (degree - 1))
-
-        flow.update_solution(flow.join_solution(lists, accept))
-        return []
-
-    initial = {vertex: 0.0 for vertex in adjacency}
-    workset = [(vertex, adjacency[vertex]) for vertex in sorted(adjacency)]
-    engine.delta_iteration(initial, workset, step)
+    coefficients = dataflow_lcc(engine)
     num_vertices = len(adjacency)
     num_edges = sum(len(adj) for adj in adjacency.values()) // 2
-    clustering_sum = sum(engine.solution.values())
+    clustering_sum = sum(coefficients.values())
     return GraphStats(
         num_vertices=num_vertices,
         num_edges=num_edges,
@@ -273,8 +248,8 @@ def dataflow_sssp(
 def dataflow_lcc(engine: DataflowEngine) -> dict[int, float]:
     """LCC as one expand + aggregate pipeline (no iteration).
 
-    Same neighbor-list broadcast as :func:`dataflow_stats`, but the
-    solution set keeps the coefficient per vertex instead of the mean.
+    Every vertex of degree two or more ships its neighbor list to its
+    neighbors; the solution set keeps each vertex's coefficient.
     Vertices with degree below two keep their initial 0.0.
     """
     adjacency = engine.adjacency
@@ -289,14 +264,11 @@ def dataflow_lcc(engine: DataflowEngine) -> dict[int, float]:
         lists = flow.aggregate(shipped, combine=lambda a, b: a + b)
 
         def accept(key, current, neighbor_lists):
-            own = set(adjacency[key])
+            own = adjacency[key]
             degree = len(own)
             if degree < 2:
                 return None
-            links_twice = sum(
-                1 for lst in neighbor_lists for w in lst if w in own
-            )
-            return lcc_value(links_twice // 2, degree)
+            return lcc_value(received_links(own, neighbor_lists), degree)
 
         flow.update_solution(flow.join_solution(lists, accept))
         return []

@@ -15,7 +15,6 @@ from repro.platforms.gas.programs import (
     GASCDProgram,
     GASConnProgram,
     GASEvoProgram,
-    GASLCCProgram,
     GASPageRankProgram,
     GASSSSPProgram,
     GASStatsProgram,
@@ -94,7 +93,7 @@ class GraphLabPlatform(Platform):
                 hop_attenuation=params.cd_hop_attenuation,
                 node_preference=params.cd_node_preference,
             )
-        if algorithm is Algorithm.STATS:
+        if algorithm in (Algorithm.STATS, Algorithm.LCC):
             return GASStatsProgram(adjacency)
         if algorithm is Algorithm.PR:
             return GASPageRankProgram(
@@ -108,8 +107,6 @@ class GraphLabPlatform(Platform):
                 handle.graph.weighted_adjacency(),
                 num_vertices=handle.graph.num_vertices,
             )
-        if algorithm is Algorithm.LCC:
-            return GASLCCProgram(adjacency)
         if algorithm is Algorithm.EVO:
             existing = sorted(adjacency)
             next_id = existing[-1] + 1

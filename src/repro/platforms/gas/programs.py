@@ -12,8 +12,8 @@ from typing import Any
 
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.lcc import lcc_value
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.graph.properties import lcc_value, received_links
 from repro.platforms.gas.bulk import GASBFSBulkKernel, GASConnBulkKernel
 from repro.platforms.gas.engine import GASProgram
 
@@ -25,7 +25,6 @@ __all__ = [
     "GASEvoProgram",
     "GASPageRankProgram",
     "GASSSSPProgram",
-    "GASLCCProgram",
 ]
 
 
@@ -318,11 +317,14 @@ class GASCDProgram(GASProgram):
 
 
 class GASStatsProgram(GASProgram):
-    """STATS: one gather round shipping neighbor adjacency lists.
+    """STATS and LCC: one gather round shipping neighbor adjacency lists.
 
-    The vertex value becomes its local clustering coefficient; the
-    driver aggregates counts and the mean. Adjacency comes from the
-    loaded graph (GAS gathers can read edge-adjacent state).
+    The vertex value becomes its local clustering coefficient, derived
+    from the integer link count through the shared
+    :func:`~repro.graph.properties.lcc_value`, so LCC outputs match the
+    reference bit for bit; for STATS the driver aggregates counts and
+    the mean. Adjacency comes from the loaded graph (GAS gathers can
+    read edge-adjacent state).
     """
 
     def __init__(self, adjacency: dict[int, tuple[int, ...]]):
@@ -349,43 +351,16 @@ class GASStatsProgram(GASProgram):
         return 8.0 * sum(len(adj) for adj in partial)
 
     def apply(self, vertex, value, gathered):
-        """Count edges among neighbors (each reported twice)."""
+        """Count the edges among the neighbors, then the coefficient."""
         own = self.adjacency[vertex]
         degree = len(own)
         if degree < 2 or gathered is None:
             return 0.0
-        own_set = set(own)
-        links_twice = sum(
-            1 for neighbor_list in gathered for w in neighbor_list if w in own_set
-        )
-        return links_twice / (degree * (degree - 1))
+        return lcc_value(received_links(own, gathered), degree)
 
     def scatter(self, vertex, old_value, new_value, neighbor):
         """One round only."""
         return False
-
-
-class GASLCCProgram(GASStatsProgram):
-    """LCC: per-vertex local clustering via adjacency-list exchange.
-
-    Identical round structure to :class:`GASStatsProgram` — each edge
-    ships the neighbor's adjacency list — but the vertex value is the
-    coefficient derived from the integer link count through the shared
-    :func:`~repro.algorithms.lcc.lcc_value`, so outputs match the
-    reference bit for bit.
-    """
-
-    def apply(self, vertex, value, gathered):
-        """Count each triangle edge twice, then derive the coefficient."""
-        own = self.adjacency[vertex]
-        degree = len(own)
-        if degree < 2 or gathered is None:
-            return 0.0
-        own_set = set(own)
-        links_twice = sum(
-            1 for neighbor_list in gathered for w in neighbor_list if w in own_set
-        )
-        return lcc_value(links_twice // 2, degree)
 
 
 class GASEvoProgram(GASProgram):

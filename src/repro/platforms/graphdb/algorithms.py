@@ -12,9 +12,9 @@ import heapq
 
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.lcc import lcc_value
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
+from repro.graph.properties import lcc_value, received_links
 from repro.platforms.graphdb.store import GraphStore
 from repro.platforms.graphdb.traversal import TraversalDescription
 
@@ -105,20 +105,11 @@ def db_cd(
 
 
 def db_stats(store: GraphStore) -> GraphStats:
-    """STATS: store scan plus per-node neighborhood intersection."""
-    nodes = store.node_ids()
-    neighbor_sets = {node: set(store.neighbors(node)) for node in nodes}
+    """STATS: the :func:`db_lcc` scans, folded into one mean."""
+    coefficients = db_lcc(store)
     clustering_sum = 0.0
-    for node in nodes:
-        neighbors = neighbor_sets[node]
-        k = len(neighbors)
-        if k < 2:
-            continue
-        links_twice = 0
-        for u in neighbors:
-            links_twice += sum(1 for w in neighbor_sets[u] if w in neighbors)
-            store._charge_scan(len(neighbor_sets[u]))
-        clustering_sum += links_twice / (k * (k - 1))
+    for coefficient in coefficients.values():
+        clustering_sum += coefficient
     num_nodes = store.num_nodes
     return GraphStats(
         num_vertices=num_nodes,
@@ -183,7 +174,11 @@ def db_sssp(store: GraphStore, source: int) -> dict[int, float]:
 
 
 def db_lcc(store: GraphStore) -> dict[int, float]:
-    """LCC: per-node neighborhood intersections over the store."""
+    """LCC: per-node neighborhood intersections over the store.
+
+    Every neighbor's relationship chain is scanned (and charged) once
+    per node of degree two or more.
+    """
     nodes = store.node_ids()
     neighbor_sets = {node: set(store.neighbors(node)) for node in nodes}
     out: dict[int, float] = {}
@@ -193,11 +188,10 @@ def db_lcc(store: GraphStore) -> dict[int, float]:
         if degree < 2:
             out[node] = 0.0
             continue
-        links_twice = 0
         for u in neighbors:
-            links_twice += sum(1 for w in neighbor_sets[u] if w in neighbors)
             store._charge_scan(len(neighbor_sets[u]))
-        out[node] = lcc_value(links_twice // 2, degree)
+        links = received_links(neighbors, (neighbor_sets[u] for u in neighbors))
+        out[node] = lcc_value(links, degree)
     return out
 
 

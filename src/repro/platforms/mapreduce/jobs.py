@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.lcc import lcc_value
+from repro.graph.properties import lcc_value, received_links
 from repro.platforms.mapreduce.engine import MapReduceJob
 
 __all__ = [
@@ -223,9 +223,9 @@ class StatsTriangleJob(MapReduceJob):
     """STATS phase 1: adjacency broadcast and local clustering.
 
     Every vertex ships its adjacency list to each neighbor; the
-    reducer intersects received lists with the vertex's own list and
-    emits the per-vertex local clustering coefficient along with the
-    global count contributions.
+    reducer counts the edges among the vertex's neighbors in the
+    received lists and emits the per-vertex local clustering
+    coefficient along with the global count contributions.
     """
 
     name = "stats-triangles"
@@ -238,8 +238,9 @@ class StatsTriangleJob(MapReduceJob):
             for neighbor in adj:
                 yield neighbor, ("N", adj)
 
-    def reduce(self, key: Any, values: list, counters: dict) -> Iterable[tuple[Any, Any]]:
-        """Reduce one grouped key (see :class:`MapReduceJob`)."""
+    @staticmethod
+    def _own_and_shipped(values: list) -> tuple[tuple, list]:
+        """The vertex's own adjacency and the lists shipped to it."""
         own: tuple = ()
         neighbor_lists = []
         for value in values:
@@ -247,18 +248,17 @@ class StatsTriangleJob(MapReduceJob):
                 own = value[1]
             else:
                 neighbor_lists.append(value[1])
+        return own, neighbor_lists
+
+    def reduce(self, key: Any, values: list, counters: dict) -> Iterable[tuple[Any, Any]]:
+        """Reduce one grouped key (see :class:`MapReduceJob`)."""
+        own, neighbor_lists = self._own_and_shipped(values)
         degree = len(own)
         yield "vertices", 1
         yield "edges", degree
         if degree >= 2 and neighbor_lists:
-            own_set = set(own)
-            links_twice = sum(
-                1
-                for neighbor_list in neighbor_lists
-                for w in neighbor_list
-                if w in own_set
-            )
-            yield "clustering_sum", links_twice / (degree * (degree - 1))
+            links = received_links(own, neighbor_lists)
+            yield "clustering_sum", lcc_value(links, degree)
 
 
 class StatsAggregationJob(MapReduceJob):
@@ -377,45 +377,20 @@ class SSSPIterationJob(MapReduceJob):
         yield key, (wadj, dist, changed)
 
 
-class LCCJob(MapReduceJob):
+class LCCJob(StatsTriangleJob):
     """Per-vertex local clustering coefficients in one job.
 
-    The STATS triangle pass, but the reducer emits every vertex's
-    coefficient (via the shared :func:`~repro.algorithms.lcc.
-    lcc_value` expression) instead of global sum contributions.
+    The STATS triangle pass (same map and reduce-side parse), but the
+    reducer emits every vertex's coefficient instead of global sum
+    contributions.
     """
 
     name = "lcc-triangles"
 
-    def map(self, key: Any, value: Any, counters: dict) -> Iterable[tuple[Any, Any]]:
-        """Emit intermediate records (see :class:`MapReduceJob`)."""
-        adj = value
-        yield key, ("A", adj)
-        if len(adj) >= 2:
-            for neighbor in adj:
-                yield neighbor, ("N", adj)
-
     def reduce(self, key: Any, values: list, counters: dict) -> Iterable[tuple[Any, Any]]:
         """Reduce one grouped key (see :class:`MapReduceJob`)."""
-        own: tuple = ()
-        neighbor_lists = []
-        for value in values:
-            if value[0] == "A":
-                own = value[1]
-            else:
-                neighbor_lists.append(value[1])
-        degree = len(own)
-        if degree < 2 or not neighbor_lists:
-            yield key, 0.0
-            return
-        own_set = set(own)
-        links_twice = sum(
-            1
-            for neighbor_list in neighbor_lists
-            for w in neighbor_list
-            if w in own_set
-        )
-        yield key, lcc_value(links_twice // 2, degree)
+        own, neighbor_lists = self._own_and_shipped(values)
+        yield key, lcc_value(received_links(own, neighbor_lists), len(own))
 
 
 class EvoHopJob(MapReduceJob):

@@ -25,8 +25,8 @@ from typing import Any
 
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.lcc import lcc_value
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.graph.properties import lcc_value, received_links
 from repro.platforms.pregel.bulk import BFSBulkKernel, ConnBulkKernel
 from repro.platforms.pregel.engine import VertexContext, VertexProgram
 
@@ -189,10 +189,10 @@ class StatsProgram(VertexProgram):
     Superstep 0: every vertex ships its adjacency list to each
     neighbor (the expensive, network-heavy phase — this workload
     stresses the "excessive network utilization" choke point).
-    Superstep 1: each vertex intersects received lists with its own
-    neighbor set; each edge among its neighbors is reported twice
-    (once from each endpoint), giving the local clustering
-    coefficient. Counts are published through aggregators.
+    Superstep 1: each vertex counts the edges among its neighbors in
+    the received lists (:func:`~repro.graph.properties.received_links`;
+    each is reported twice, once from each endpoint), giving the local
+    clustering coefficient. Counts are published through aggregators.
     """
 
     value_bytes = 16.0
@@ -220,11 +220,8 @@ class StatsProgram(VertexProgram):
         else:
             degree = ctx.degree()
             if degree >= 2 and messages:
-                own = set(ctx.neighbors())
-                links_twice = 0
-                for neighbor_list in messages:
-                    links_twice += sum(1 for w in neighbor_list if w in own)
-                local_cc = links_twice / (degree * (degree - 1))
+                links = received_links(ctx.neighbors(), messages)
+                local_cc = lcc_value(links, degree)
                 ctx.value = local_cc
                 ctx.aggregate("clustering_sum", local_cc)
         ctx.vote_to_halt()
@@ -328,10 +325,11 @@ class LCCProgram(VertexProgram):
 
     Superstep 0 ships each vertex's neighbor list to its neighbors
     (vertices of degree < 2 skip the send — their lists cannot close a
-    triangle); superstep 1 intersects the received lists with the own
-    neighbor set. Each triangle edge is reported twice, and the float
-    is derived from the integer count through the shared
-    :func:`~repro.algorithms.lcc.lcc_value`, so outputs match the
+    triangle); superstep 1 counts the edges among the own neighbors in
+    the received lists with
+    :func:`~repro.graph.properties.received_links`, and the float is
+    derived from that integer through the shared
+    :func:`~repro.graph.properties.lcc_value`, so outputs match the
     reference bit for bit.
     """
 
@@ -352,11 +350,8 @@ class LCCProgram(VertexProgram):
         else:
             degree = ctx.degree()
             if degree >= 2 and messages:
-                own = set(ctx.neighbors())
-                links_twice = 0
-                for neighbor_list in messages:
-                    links_twice += sum(1 for w in neighbor_list if w in own)
-                ctx.value = lcc_value(links_twice // 2, degree)
+                links = received_links(ctx.neighbors(), messages)
+                ctx.value = lcc_value(links, degree)
         ctx.vote_to_halt()
 
 

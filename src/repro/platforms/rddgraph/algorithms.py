@@ -12,9 +12,9 @@ from typing import Any
 
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.lcc import lcc_value
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
+from repro.graph.properties import lcc_value, received_links
 from repro.platforms.rddgraph.graphx import GraphXGraph
 
 __all__ = [
@@ -187,15 +187,16 @@ def graphx_sssp(
     return {v: value[0] for v, value in result.collect()}
 
 
-def graphx_lcc(
-    graph: GraphXGraph, adjacency: dict[int, tuple[int, ...]]
-) -> dict[int, float]:
-    """LCC via one ``aggregate_messages`` neighbor-list exchange.
+def _neighbor_list_join(
+    graph: GraphXGraph, adjacency: dict[int, tuple[int, ...]], name: str
+):
+    """Ship every adjacency list across its edges; join it to the vertex.
 
-    The STATS triangle pass, but emitting every vertex's coefficient
-    instead of folding them into one mean; the shared
-    :func:`~repro.algorithms.lcc.lcc_value` expression keeps the
-    floats bitwise identical across platforms.
+    One ``aggregate_messages`` pass (vertices of degree < 2 send
+    nothing: their lists cannot close a triangle), then a left outer
+    join of each vertex's own list with the lists it received. Returns
+    ``(with_adjacency, neighbor_lists, joined)`` for the caller to fold
+    and unpersist.
     """
     with_adjacency = graph.map_vertices(lambda v, _old: adjacency[v])
 
@@ -208,20 +209,35 @@ def graphx_lcc(
         return a + b
 
     neighbor_lists = with_adjacency.aggregate_messages(send, merge)
-    joined = with_adjacency.vertices.left_outer_join(
-        neighbor_lists, name="lcc-join"
+    joined = with_adjacency.vertices.left_outer_join(neighbor_lists, name=name)
+    return with_adjacency, neighbor_lists, joined
+
+
+def _local_clustering(record) -> float:
+    """Coefficient of one joined ``(vertex, (own, lists))`` record."""
+    _vertex, (own, lists) = record
+    degree = len(own)
+    if degree < 2 or not lists:
+        return 0.0
+    return lcc_value(received_links(own, lists), degree)
+
+
+def graphx_lcc(
+    graph: GraphXGraph, adjacency: dict[int, tuple[int, ...]]
+) -> dict[int, float]:
+    """LCC via one ``aggregate_messages`` neighbor-list exchange.
+
+    The STATS triangle pass, but emitting every vertex's coefficient
+    instead of folding them into one mean; the shared
+    :func:`~repro.graph.properties.lcc_value` expression keeps the
+    floats bitwise identical across platforms.
+    """
+    with_adjacency, neighbor_lists, joined = _neighbor_list_join(
+        graph, adjacency, "lcc-join"
     )
-
-    def vertex_lcc(record) -> tuple[int, float]:
-        vertex, (own, lists) = record
-        degree = len(own)
-        if degree < 2 or not lists:
-            return (vertex, 0.0)
-        own_set = set(own)
-        links_twice = sum(1 for lst in lists for w in lst if w in own_set)
-        return (vertex, lcc_value(links_twice // 2, degree))
-
-    coefficients = joined.map(vertex_lcc, name="local-lcc")
+    coefficients = joined.map(
+        lambda record: (record[0], _local_clustering(record)), name="local-lcc"
+    )
     output = dict(coefficients.collect())
     coefficients.unpersist()
     joined.unpersist()
@@ -241,31 +257,11 @@ def graphx_stats(
     """
     num_vertices = graph.num_vertices()
     num_edges = graph.num_edges() // 2  # symmetric arcs
-
-    with_adjacency = graph.map_vertices(lambda v, _old: adjacency[v])
-
-    def send(src: int, src_value, dst: int) -> list[tuple[int, Any]]:
-        if len(src_value) >= 2:
-            return [(dst, (src_value,))]
-        return []
-
-    def merge(a: tuple, b: tuple) -> tuple:
-        return a + b
-
-    neighbor_lists = with_adjacency.aggregate_messages(send, merge)
-    joined = with_adjacency.vertices.left_outer_join(neighbor_lists, name="cc-join")
-
-    def local_clustering(record) -> float:
-        _vertex, (own, lists) = record
-        degree = len(own)
-        if degree < 2 or not lists:
-            return 0.0
-        own_set = set(own)
-        links_twice = sum(1 for lst in lists for w in lst if w in own_set)
-        return links_twice / (degree * (degree - 1))
-
+    with_adjacency, neighbor_lists, joined = _neighbor_list_join(
+        graph, adjacency, "cc-join"
+    )
     contributions = joined.map(
-        lambda record: ("cc", local_clustering(record)), name="local-cc"
+        lambda record: ("cc", _local_clustering(record)), name="local-cc"
     )
     total = contributions.reduce_by_key(lambda a, b: a + b, name="cc-sum").collect()
     joined.unpersist()

@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 
 import pytest
 
 from repro.core.cost import ClusterSpec
 from repro.graph.graph import Graph
 from repro.graph.generators import rmat_graph
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def src_quality_report():
+    """The static analysis of ``src/``, run once per test session.
+
+    Whole-tree analysis is the slowest step of the suite; every gate
+    test that judges the shipped tree reads this one report.
+    """
+    from repro.analysis import analyze_tree
+
+    return analyze_tree(ROOT / "src")
 
 
 @pytest.fixture

@@ -125,10 +125,10 @@ class TestTreeAnalysis:
         report = analyze_file(path)
         assert report.path == str(path)
 
-    def test_own_codebase_is_clean(self):
+    def test_own_codebase_is_clean(self, src_quality_report):
         # The paper's point: reference implementations ship with
         # quality reports. Ours must have no potential-bug findings.
-        report = analyze_tree("src/repro")
+        report = src_quality_report
         findings = [
             (f.path, finding.rule)
             for f in report.files

@@ -1,16 +1,28 @@
-"""Property tests: the array kernels against plain Python loops."""
+"""Property tests: the array kernels against plain Python loops.
 
+The two triangle counts, the references' :func:`triangle_links` and
+the engines' :func:`received_links`, are held to networkx instead.
+"""
+
+import math
+
+import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import kernels
+from repro.graph.graph import Graph
 from repro.graph.kernels import (
     csr_gather,
     group_reduce,
     hash_worker,
     hash_workers,
     ordered_group_sum,
+    triangle_links,
 )
+from repro.graph.properties import received_links
 
 #: Row lengths of a CSR, zero-degree rows included.
 degree_lists = st.lists(st.integers(0, 6), min_size=1, max_size=30)
@@ -84,3 +96,75 @@ def test_hash_forms_agree_elementwise(ids, num_workers):
     vectorized = hash_workers(np.array(ids, dtype=np.int64), num_workers)
     assert vectorized.dtype == np.int64
     assert vectorized.tolist() == [hash_worker(v, num_workers) for v in ids]
+
+
+@st.composite
+def simple_graphs(draw) -> Graph:
+    """Undirected simple graphs, some built as directed and symmetrized."""
+    n = draw(st.integers(0, 14))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=60)
+    )
+    edges = [(u, v) for u, v in pairs if u != v and u < n and v < n]
+    directed = draw(st.booleans())
+    return Graph(range(n), edges, directed=directed).to_undirected()
+
+
+def _networkx_triangles(graph: Graph) -> list[int]:
+    reference = nx.Graph()
+    reference.add_nodes_from(graph.vertices.tolist())
+    reference.add_edges_from(graph.edges.tolist())
+    triangles = nx.triangles(reference)
+    return [triangles[vertex] for vertex in graph.vertices.tolist()]
+
+
+def _received(graph: Graph) -> list[int]:
+    """Each vertex's count from the lists all its neighbors ship it."""
+    adjacency = graph.adjacency()
+    return [
+        received_links(adjacency[v], [adjacency[u] for u in adjacency[v]])
+        for v in graph.vertices.tolist()
+    ]
+
+
+NAMED_GRAPHS = {
+    "empty": Graph([], []),
+    "isolated": Graph(range(5), []),
+    "star": Graph.from_edges([(0, leaf) for leaf in range(1, 9)]),
+    "directed": Graph(
+        range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)], directed=True
+    ).to_undirected(),
+    "complete-100": Graph.from_edges(
+        [(u, v) for u in range(100) for v in range(u + 1, 100)]
+    ),
+}
+
+
+def _assert_both_counts_match_networkx(graph: Graph) -> None:
+    expected = _networkx_triangles(graph)
+    assert triangle_links(*graph.csr()).tolist() == expected
+    assert _received(graph) == expected
+
+
+@given(simple_graphs())
+@settings(max_examples=150, deadline=None)
+def test_both_triangle_counts_match_networkx(graph):
+    _assert_both_counts_match_networkx(graph)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
+def test_both_triangle_counts_match_networkx_on_named_graphs(name):
+    _assert_both_counts_match_networkx(NAMED_GRAPHS[name])
+
+
+def test_complete_graph_spans_several_wedge_blocks():
+    # Oriented by (degree, id), K_100 has C(100, 3) wedges, so the
+    # complete-100 case above crosses block boundaries.
+    assert math.comb(100, 3) > 2 * kernels._WEDGE_BLOCK
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 40])
+def test_wedge_block_size_does_not_change_the_counts(monkeypatch, block):
+    monkeypatch.setattr(kernels, "_WEDGE_BLOCK", block)
+    for graph in NAMED_GRAPHS.values():
+        assert triangle_links(*graph.csr()).tolist() == _networkx_triangles(graph)

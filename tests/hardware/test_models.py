@@ -17,6 +17,7 @@ from repro.hardware.models import (
     NicModel,
     RoundTimes,
 )
+from repro.observability.replay import _record_from_span
 
 
 def make_profile(**overrides) -> HardwareProfile:
@@ -258,19 +259,27 @@ class TestHardwareProfileRoundTimes:
         assert slowed.compute_seconds == base.compute_seconds + 2.5
 
     def test_legacy_records_without_striped_fields(self):
-        # Replayed traces predating the disk split fall back to the
-        # round-total byte counters.
-        class LegacyRecord:
-            ops_per_worker = [0.0]
-            random_accesses_per_worker = [0.0]
-            remote_bytes = 0.0
-            remote_messages = 0
-            disk_read_bytes = 1e8
-            disk_write_bytes = 1e8
-            barrier = False
-
+        # Replayed trace spans predating the disk split fall back to
+        # the round-total byte counters.
+        legacy_span = {
+            "name": "r0",
+            "ops_per_worker": [0.0],
+            "random_accesses_per_worker": [0.0],
+            "local_messages": 0,
+            "remote_messages": 0,
+            "remote_bytes": 0.0,
+            "disk_read_bytes": 1e8,
+            "disk_write_bytes": 1e8,
+            "active_vertices": 0,
+            "barrier": False,
+            "compute_seconds": 0.0,
+            "network_seconds": 0.0,
+            "disk_seconds": 0.0,
+            "barrier_seconds": 0.0,
+        }
         profile = make_profile()
-        times = profile.round_times(LegacyRecord(), num_workers=2)
+        record = _record_from_span(legacy_span)
+        times = profile.round_times(record, num_workers=2)
         assert times.disk_seconds == (1e8 + 1e8) / (2 * 1e8)
 
 

@@ -84,25 +84,24 @@ def test_version_consistent_with_pyproject():
     assert repro.__version__ == match.group(1)
 
 
-def test_static_analysis_gate_is_clean():
-    """The analyzer's own verdict on src/repro: no error findings.
+def test_static_analysis_gate_is_clean(src_quality_report):
+    """The analyzer's own verdict on src/: no error findings.
 
     This is the Section 3.5 commit gate in-tree: determinism,
     cost-accounting, and BSP-race violations (all error severity) fail
     the build, and the committed baseline pins the warning counts.
     """
-    from repro.analysis import analyze_tree, load_baseline, quality_gate
+    from repro.analysis import load_baseline, quality_gate
 
-    report = analyze_tree(ROOT / "src" / "repro")
     errors = [
         f"{file_report.path}:{finding.line}: [{finding.rule}] {finding.message}"
-        for file_report, finding in report.error_findings()
+        for file_report, finding in src_quality_report.error_findings()
     ]
     assert errors == []
 
     baseline_path = ROOT / ".quality-baseline.json"
     assert baseline_path.exists(), "commit .quality-baseline.json"
-    gate = quality_gate(analyze_tree(ROOT / "src"), load_baseline(baseline_path))
+    gate = quality_gate(src_quality_report, load_baseline(baseline_path))
     assert gate.passed, [str(r) for r in gate.regressions]
 
 
