@@ -73,9 +73,9 @@ def test_ablation_chokepoints(
     for name, report in reports.items():
         lines.append(
             f"{name:<14}{report.total_remote_bytes / 2**20:>9.2f}"
-            f"{report.network_time_share:>10.2f}{report.mean_skew:>7.2f}"
+            f"{report.breakdown.share('network'):>10.2f}{report.mean_skew:>7.2f}"
             f"{report.tail_rounds:>6}{report.random_access_share:>11.2f}"
-            f"{report.dominant():>10}"
+            f"{report.breakdown.dominant():>10}"
         )
     print_table("Choke-point indicators per run", lines)
 
@@ -84,7 +84,7 @@ def test_ablation_chokepoints(
         reports["stats-g500"].total_remote_bytes
         > 20 * reports["bfs-g500"].total_remote_bytes
     )
-    assert reports["stats-g500"].dominant() == "network"
+    assert reports["stats-g500"].breakdown.dominant() == "network"
 
     # Skew: the hub-heavy R-MAT graph beats the Patents graph on the
     # round doing the most work (the tail rounds of a tiny graph are
@@ -97,7 +97,7 @@ def test_ablation_chokepoints(
     # Convergence tail: CONN has low-activity final rounds (under 5%
     # of the peak frontier) where barriers dominate the useful work.
     assert reports["conn-g500"].tail_rounds >= 1
-    assert reports["conn-g500"].barrier_time_share > 0.05
+    assert reports["conn-g500"].breakdown.share("barrier") > 0.05
 
     # Locality: pointer chasing vs streaming.
     assert reports["db-bfs"].random_access_share > 0.9

@@ -31,8 +31,8 @@ def _variable_runtime(platform_name, spec, graph, algorithm):
         run = platform.run_algorithm(handle, algorithm, AlgorithmParams())
     finally:
         platform.delete_graph(handle)
-    profile = run.profile
-    fixed = profile.startup_seconds + sum(r.barrier_seconds for r in profile.rounds)
+    breakdown = run.profile.breakdown()
+    fixed = breakdown.startup + breakdown.barrier
     return run.simulated_seconds - fixed
 
 

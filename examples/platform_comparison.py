@@ -2,8 +2,9 @@
 
 Benchmarks all four platforms on Graph500-style, Patents-style, and
 SNB-style graphs, prints the runtime matrix and the CONN kTEPS table,
-and then explains each run through the Section 2.1 choke points —
-which technical challenge (network, memory, locality, skew) dominated.
+and then explains each run through the Section 2.1 choke points: where
+its simulated seconds went (compute, locality, skew, memory, network,
+disk, barrier, startup) and which part dominated.
 
 Run with::
 
@@ -41,18 +42,18 @@ def main() -> None:
     print()
     print(generator.kteps_matrix(suite, Algorithm.CONN))
 
-    print("\nChoke-point analysis (dominant challenge per run):")
+    print("\nChoke-point analysis (largest part of each run's time):")
     print(
         f"{'platform':<12}{'algorithm':<8}{'graph':<14}"
-        f"{'dominant':<10}{'net-share':>10}{'skew':>7}{'tail':>6}"
+        f"{'dominant':<10}{'skew':>7}{'tail':>6}  time"
     )
     for result in suite.successes():
         report = analyze_profile(result.run.profile)
         print(
             f"{result.platform:<12}{result.algorithm.value:<8}"
-            f"{result.graph_name:<14}{report.dominant():<10}"
-            f"{report.network_time_share:>10.2f}{report.mean_skew:>7.2f}"
-            f"{report.tail_rounds:>6}"
+            f"{result.graph_name:<14}{report.breakdown.dominant():<10}"
+            f"{report.mean_skew:>7.2f}{report.tail_rounds:>6}"
+            f"  {report.breakdown.describe()}"
         )
 
 

@@ -18,8 +18,10 @@ command implements that workflow:
   configs, results databases, traces), sharing the quality gate's
   reporters, baseline, and ``--check`` semantics;
 * ``graphalytics trace`` — summarize a structured JSONL run trace
-  (written by ``run --trace DIR``): attempts, rounds, faults, and the
-  dominant choke point;
+  (written by ``run --trace DIR``): attempts, rounds, faults, and
+  where the simulated time went, split into compute, locality, skew,
+  memory, network, disk, barrier and startup (the dominant choke
+  point is the largest part);
 * ``graphalytics analyze`` — compare two runs (traces, results
   databases, or submission documents) and flag regressions in time,
   network bytes, rounds, and dominant choke point;
@@ -669,7 +671,6 @@ def _command_perf(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
-    from repro.core.chokepoints import analyze_profile
     from repro.observability import parse_trace, read_trace
 
     try:
@@ -687,14 +688,15 @@ def _command_trace(args: argparse.Namespace) -> int:
         )
         if attempt.complete:
             profile = attempt.to_profile()
-            report = analyze_profile(profile)
+            breakdown = profile.breakdown()
             print(
                 f"  rounds={profile.num_rounds} "
                 f"simulated={profile.simulated_seconds:.2f} s "
                 f"net={profile.total_remote_bytes / 2**20:.2f} MiB "
                 f"peak-mem={profile.peak_memory / 2**20:.2f} MiB "
-                f"dominant={report.dominant()}"
+                f"dominant={breakdown.dominant()}"
             )
+            print(f"  time {breakdown.describe()}")
         if args.rounds:
             for record in attempt.rounds:
                 print(

@@ -12,35 +12,36 @@ how far these scenarios cover the identified choke points"):
   budget;
 * **poor access locality** — random (cache-missing) accesses versus
   sequential operations;
-* **skewed execution intensity** — per-round max/mean worker load,
-  plus the convergence tail: the fraction of rounds with almost no
-  active vertices, where barrier latency dominates useful work.
+* **skewed execution intensity** — per-round busiest/mean worker busy
+  time, plus the convergence tail: the fraction of rounds with almost
+  no active vertices, where barrier latency dominates useful work.
+
+Which choke point a run stresses is answered by one split of its
+simulated seconds, :meth:`~repro.hardware.models.HardwareProfile.attribute`
+summed over rounds plus startup: the dominant letter is the largest
+part, and the time shares and skew ratios here read the same parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cost import RoundRecord, RunProfile
+from repro.core.cost import RunProfile
+from repro.hardware.models import TimeBreakdown
 
-__all__ = ["ChokePointReport", "DOMINANT_LETTERS", "analyze_profile"]
-
-#: One-letter labels for report matrix cells (N/M/L/S).
-DOMINANT_LETTERS = {
-    "network": "N",
-    "memory": "M",
-    "locality": "L",
-    "skew": "S",
-}
+__all__ = ["ChokePointReport", "analyze_profile"]
 
 
 @dataclass(frozen=True)
 class ChokePointReport:
     """Quantified choke-point indicators for one run."""
 
+    #: The run's simulated seconds by part (C/L/S/M/N/D/B/F): its
+    #: ``dominant()`` is the run's choke point, and its ``share()`` of
+    #: network and barrier time are the network and tail indicators.
+    breakdown: TimeBreakdown
     # Excessive network utilization
     total_remote_bytes: float
-    network_time_share: float
     #: Share of network time that is per-message overhead (NIC latency
     #: plus queueing delay) rather than byte transfer. This is the
     #: hardware-sensitive half of the network choke point: swapping the
@@ -54,7 +55,7 @@ class ChokePointReport:
     random_accesses: float
     sequential_ops: float
     random_access_share: float
-    # Skewed execution intensity
+    # Skewed execution intensity: busiest over mean worker busy time.
     mean_skew: float
     max_skew: float
     #: Skew of the round doing the most work — robust to the noisy
@@ -63,26 +64,6 @@ class ChokePointReport:
     busiest_round_skew: float
     tail_rounds: int
     tail_round_share: float
-    barrier_time_share: float
-
-    def dominant(self) -> str:
-        """The single most-stressed choke point for this run."""
-        scores = {
-            "network": self.network_time_share,
-            "memory": self.memory_budget_share,
-            "locality": self.random_access_share,
-            "skew": max(self.mean_skew - 1.0, 0.0) + self.barrier_time_share,
-        }
-        return max(scores, key=scores.get)
-
-    def dominant_letter(self) -> str:
-        """One-letter label of :meth:`dominant` for matrix cells."""
-        return DOMINANT_LETTERS[self.dominant()]
-
-
-def _combined_work(record: RoundRecord) -> float:
-    """Sequential ops plus random accesses, summed over workers."""
-    return record.total_ops + sum(record.random_accesses_per_worker)
 
 
 def analyze_profile(
@@ -100,26 +81,22 @@ def analyze_profile(
         "many of such final iterations with little work").
     """
     rounds = profile.rounds
-    total_time = profile.simulated_seconds
-    network_time = sum(r.network_seconds for r in rounds)
+    parts = list(map(profile.cluster.hardware.attribute, rounds))
+    breakdown = sum(parts, TimeBreakdown(startup=profile.startup_seconds))
     network_overhead = sum(
         r.network_latency_seconds + r.network_queueing_seconds
         for r in rounds
     )
-    barrier_time = sum(r.barrier_seconds for r in rounds)
 
     sequential_ops = sum(sum(r.ops_per_worker) for r in rounds)
     random_accesses = profile.total_random_accesses
     accesses = sequential_ops + random_accesses
 
-    # Skew is defined over *combined* per-worker work (RoundRecord.skew
-    # counts sequential ops plus random accesses), so the sample filter
-    # and the busiest-round pick must use the same measure — filtering
-    # on total_ops alone dropped rounds whose work is purely random
-    # accesses (e.g. pointer-chasing traversal rounds).
-    skews = [r.skew for r in rounds if _combined_work(r) > 0]
-    busiest = max(rounds, key=_combined_work, default=None)
-    busiest_skew = busiest.skew if busiest is not None else 1.0
+    # A round's work is its mean worker's busy time (compute plus
+    # locality), so rounds of pure random accesses count as work too.
+    skews = [p.worker_skew for p in parts if p.compute + p.locality > 0]
+    busiest = max(parts, key=lambda p: p.compute + p.locality, default=None)
+    busiest_skew = busiest.worker_skew if busiest is not None else 1.0
     max_active = max((r.active_vertices for r in rounds), default=0)
     tail_rounds = sum(
         1
@@ -127,13 +104,13 @@ def analyze_profile(
         if max_active > 0 and r.active_vertices < tail_threshold * max_active
     )
 
-    budget = profile.cluster.memory_bytes_per_worker
+    budget = profile.cluster.hardware.memory_bytes_per_worker
 
     return ChokePointReport(
+        breakdown=breakdown,
         total_remote_bytes=profile.total_remote_bytes,
-        network_time_share=network_time / total_time if total_time else 0.0,
         network_overhead_share=(
-            network_overhead / network_time if network_time else 0.0
+            network_overhead / breakdown.network if breakdown.network else 0.0
         ),
         peak_memory_bytes=profile.peak_memory,
         memory_budget_share=profile.peak_memory / budget if budget else 0.0,
@@ -145,5 +122,4 @@ def analyze_profile(
         busiest_round_skew=busiest_skew,
         tail_rounds=tail_rounds,
         tail_round_share=tail_rounds / len(rounds) if rounds else 0.0,
-        barrier_time_share=barrier_time / total_time if total_time else 0.0,
     )

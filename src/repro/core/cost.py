@@ -24,13 +24,18 @@ the choke-point analysis (Section 2.1) consumes:
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hardware.models import CpuModel, DiskModel, HardwareProfile, NicModel
+from repro.hardware.models import (
+    CpuModel,
+    DiskModel,
+    HardwareProfile,
+    NicModel,
+    TimeBreakdown,
+)
 
 __all__ = [
     "ClusterSpec",
@@ -67,23 +72,6 @@ class MemoryBudgetExceeded(Exception):
         )
 
 
-#: Flat spec field -> (hardware sub-model attribute, model field name);
-#: sub-model ``None`` means a direct :class:`HardwareProfile` field.
-_FLAT_HARDWARE_FIELDS: dict[str, tuple[str | None, str]] = {
-    "cores_per_worker": ("cpu", "cores"),
-    "cpu_ops_per_second": ("cpu", "ops_per_second"),
-    "random_access_seconds": ("cpu", "random_access_seconds"),
-    "network_bandwidth": ("nic", "bandwidth"),
-    "nic_message_latency_seconds": ("nic", "message_latency_seconds"),
-    "nic_queueing_factor": ("nic", "queueing_factor"),
-    "disk_bandwidth": ("disk", "seq_bandwidth"),
-    "disk_random_bandwidth": ("disk", "random_bandwidth"),
-    "memory_bytes_per_worker": (None, "memory_bytes_per_worker"),
-    "memory_pressure_factor": (None, "memory_pressure_factor"),
-    "barrier_seconds": (None, "barrier_seconds"),
-    "startup_seconds": (None, "startup_seconds"),
-}
-
 #: Trailing scale suffix appended by :meth:`ClusterSpec.scaled`.
 _SCALE_SUFFIX = re.compile(r"^(?P<base>.*)/s(?P<factor>[0-9.eE+-]+)$")
 
@@ -94,12 +82,8 @@ class ClusterSpec:
 
     A deployment shape (``num_workers`` identical machines) bound to a
     :class:`~repro.hardware.models.HardwareProfile` describing each
-    machine's devices. The historical flat constants
-    (``cpu_ops_per_second``, ``network_bandwidth``, ...) remain
-    available as read-only properties delegating into the profile, so
-    cost formulas and engine code read exactly as before; construction
-    sites that used the flat field list use :meth:`flat`, and
-    field-level overrides go through :meth:`replace`.
+    machine's devices; cost formulas read the devices through
+    ``spec.hardware``.
     """
 
     name: str
@@ -110,107 +94,7 @@ class ClusterSpec:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
 
-    # -- legacy flat views ------------------------------------------------
-
-    @property
-    def cores_per_worker(self) -> int:
-        """Cores used per machine."""
-        return self.hardware.cpu.cores
-
-    @property
-    def cpu_ops_per_second(self) -> float:
-        """Simple-operation throughput per core."""
-        return self.hardware.cpu.ops_per_second
-
-    @property
-    def random_access_seconds(self) -> float:
-        """Cost of one cache-missing random memory access."""
-        return self.hardware.cpu.random_access_seconds
-
-    @property
-    def memory_bytes_per_worker(self) -> float:
-        """RAM budget per machine; exceeding it is a platform failure."""
-        return self.hardware.memory_bytes_per_worker
-
-    @property
-    def network_bandwidth(self) -> float:
-        """Per-machine network bandwidth, bytes/second."""
-        return self.hardware.nic.bandwidth
-
-    @property
-    def barrier_seconds(self) -> float:
-        """Cost of one global synchronization barrier."""
-        return self.hardware.barrier_seconds
-
-    @property
-    def disk_bandwidth(self) -> float:
-        """Per-machine sequential disk bandwidth, bytes/second."""
-        return self.hardware.disk.seq_bandwidth
-
-    @property
-    def startup_seconds(self) -> float:
-        """Fixed job submission/scheduling overhead per run."""
-        return self.hardware.startup_seconds
-
-    @property
-    def worker_ops_per_second(self) -> float:
-        """Aggregate simple-operation throughput of one worker."""
-        return self.hardware.cpu.worker_ops_per_second
-
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def flat(
-        cls,
-        name: str,
-        num_workers: int,
-        cores_per_worker: int,
-        cpu_ops_per_second: float,
-        random_access_seconds: float,
-        memory_bytes_per_worker: float,
-        network_bandwidth: float,
-        barrier_seconds: float,
-        disk_bandwidth: float,
-        startup_seconds: float,
-        nic_message_latency_seconds: float = 0.0,
-        nic_queueing_factor: float = 0.0,
-        disk_random_bandwidth: float | None = None,
-        memory_pressure_factor: float = 0.0,
-    ) -> "ClusterSpec":
-        """Build a spec from the historical flat constant list.
-
-        The positional order matches the pre-profile ``ClusterSpec``
-        fields; the keyword tail exposes the new component parameters
-        (defaults reproduce the old physics: no per-message latency,
-        no queueing, random I/O at sequential rate, no memory
-        pressure).
-        """
-        hardware = HardwareProfile(
-            name=name,
-            cpu=CpuModel(
-                cores=cores_per_worker,
-                ops_per_second=cpu_ops_per_second,
-                random_access_seconds=random_access_seconds,
-            ),
-            nic=NicModel(
-                bandwidth=network_bandwidth,
-                message_latency_seconds=nic_message_latency_seconds,
-                queueing_factor=nic_queueing_factor,
-            ),
-            disk=DiskModel(
-                seq_bandwidth=disk_bandwidth,
-                random_bandwidth=(
-                    disk_bandwidth
-                    if disk_random_bandwidth is None
-                    else disk_random_bandwidth
-                ),
-            ),
-            memory_bytes_per_worker=memory_bytes_per_worker,
-            memory_pressure_factor=memory_pressure_factor,
-            barrier_seconds=barrier_seconds,
-            startup_seconds=startup_seconds,
-        )
-        return cls(name=name, num_workers=num_workers, hardware=hardware)
 
     @classmethod
     def from_profile(
@@ -239,33 +123,6 @@ class ClusterSpec:
                 else f"{profile.name}/w{num_workers}"
             )
         return cls(name=name, num_workers=num_workers, hardware=profile)
-
-    def replace(self, **changes) -> "ClusterSpec":
-        """`dataclasses.replace` that also accepts flat field names.
-
-        ``spec.replace(memory_bytes_per_worker=2048.0)`` routes the
-        override into the nested hardware profile; ``name``,
-        ``num_workers`` and ``hardware`` replace directly.
-        """
-        name = changes.pop("name", self.name)
-        num_workers = changes.pop("num_workers", self.num_workers)
-        hardware = changes.pop("hardware", self.hardware)
-        if changes:
-            grouped: dict[str | None, dict[str, object]] = {}
-            for key, value in changes.items():
-                if key not in _FLAT_HARDWARE_FIELDS:
-                    raise TypeError(f"unknown ClusterSpec field {key!r}")
-                model, attribute = _FLAT_HARDWARE_FIELDS[key]
-                grouped.setdefault(model, {})[attribute] = value
-            profile_changes = grouped.pop(None, {})
-            for model, model_changes in grouped.items():
-                profile_changes[model] = dataclasses.replace(
-                    getattr(hardware, model), **model_changes
-                )
-            hardware = dataclasses.replace(hardware, **profile_changes)
-        return ClusterSpec(
-            name=name, num_workers=num_workers, hardware=hardware
-        )
 
     # -- transformation ---------------------------------------------------
 
@@ -321,14 +178,33 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
-        """Inverse of :meth:`to_dict`; accepts legacy flat dicts too."""
+        """Inverse of :meth:`to_dict`.
+
+        Also reads the ten flat constants that traces carried before
+        specs nested a hardware profile, with that era's physics: no
+        per-message latency or queueing, random I/O at the sequential
+        rate, no memory pressure.
+        """
         if "hardware" in data:
-            return cls(
+            hardware = HardwareProfile.from_dict(data["hardware"])
+        else:
+            hardware = HardwareProfile(
                 name=data["name"],
-                num_workers=data["num_workers"],
-                hardware=HardwareProfile.from_dict(data["hardware"]),
+                cpu=CpuModel(
+                    cores=data["cores_per_worker"],
+                    ops_per_second=data["cpu_ops_per_second"],
+                    random_access_seconds=data["random_access_seconds"],
+                ),
+                nic=NicModel(bandwidth=data["network_bandwidth"]),
+                disk=DiskModel(
+                    seq_bandwidth=data["disk_bandwidth"],
+                    random_bandwidth=data["disk_bandwidth"],
+                ),
+                memory_bytes_per_worker=data["memory_bytes_per_worker"],
+                barrier_seconds=data["barrier_seconds"],
+                startup_seconds=data["startup_seconds"],
             )
-        return cls.flat(**data)
+        return cls(data["name"], data["num_workers"], hardware)
 
     # -- paper testbeds ---------------------------------------------------
 
@@ -401,20 +277,6 @@ class RoundRecord:
         """Sequential operations summed over workers."""
         return sum(self.ops_per_worker)
 
-    @property
-    def skew(self) -> float:
-        """max/mean per-worker compute — 1.0 is perfectly balanced."""
-        total = self.total_ops + sum(self.random_accesses_per_worker)
-        workers = len(self.ops_per_worker)
-        if total == 0 or workers == 0:
-            return 1.0
-        per_worker = [
-            ops + rand
-            for ops, rand in zip(self.ops_per_worker, self.random_accesses_per_worker)
-        ]
-        mean = total / workers
-        return max(per_worker) / mean if mean > 0 else 1.0
-
 
 @dataclass
 class RunProfile:
@@ -423,12 +285,29 @@ class RunProfile:
     cluster: ClusterSpec
     rounds: list[RoundRecord] = field(default_factory=list)
     peak_memory_per_worker: list[float] = field(default_factory=list)
+    #: ``launches`` times the profile's startup constant; written only
+    #: by :meth:`CostMeter.charge_startup`.
     startup_seconds: float = 0.0
+    #: Platform launches and job submissions charged during the run.
+    launches: int = 0
 
     @property
     def simulated_seconds(self) -> float:
         """Total simulated runtime, startup included."""
         return self.startup_seconds + sum(record.seconds for record in self.rounds)
+
+    def breakdown(self) -> TimeBreakdown:
+        """The run's seconds by part, summing to :attr:`simulated_seconds`.
+
+        Each round is split by the cluster's
+        :meth:`~repro.hardware.models.HardwareProfile.attribute`; the
+        startup part is the launches' recorded startup.
+        """
+        attribute = self.cluster.hardware.attribute
+        return sum(
+            map(attribute, self.rounds),
+            TimeBreakdown(startup=self.startup_seconds),
+        )
 
     @property
     def total_remote_bytes(self) -> float:
@@ -544,10 +423,19 @@ class CostMeter:
     # -- rounds ----------------------------------------------------------
 
     def charge_startup(self) -> None:
-        """Fixed job-submission overhead (charged once per run)."""
-        self.profile.startup_seconds += self.spec.startup_seconds
+        """One platform launch or job submission.
+
+        The only writer of the profile's startup: it counts the launch
+        and records ``launches * startup_seconds``, so re-costing
+        multiplies the count by another profile's constant. Platforms
+        launch once per run; MapReduce submits once per chained job.
+        """
+        startup_seconds = self.spec.hardware.startup_seconds
+        profile = self.profile
+        profile.launches += 1
+        profile.startup_seconds = profile.launches * startup_seconds
         if self.sinks:
-            self._emit_charge("startup", seconds=self.spec.startup_seconds)
+            self._emit_charge("startup", seconds=startup_seconds)
 
     @property
     def in_round(self) -> bool:
@@ -600,8 +488,8 @@ class CostMeter:
             straggler_penalty = self.faults.straggler_penalty_seconds(
                 record.ops_per_worker,
                 record.random_accesses_per_worker,
-                spec.worker_ops_per_second,
-                spec.random_access_seconds,
+                spec.hardware.cpu.worker_ops_per_second,
+                spec.hardware.cpu.random_access_seconds,
             )
         # All per-round seconds derive from the active hardware
         # profile; see HardwareProfile.round_times for the physics
@@ -818,11 +706,12 @@ class CostMeter:
                 delta_bytes=num_bytes,
                 in_use_bytes=self._memory[worker],
             )
-        if self.enforce_memory and self._memory[worker] > self.spec.memory_bytes_per_worker:
+        budget = self.spec.hardware.memory_bytes_per_worker
+        if self.enforce_memory and self._memory[worker] > budget:
             budget_violation = MemoryBudgetExceeded(
                 worker,
                 self._memory[worker],
-                self.spec.memory_bytes_per_worker,
+                budget,
                 round_name=self._current.name if self._current else None,
             )
             if self.sinks:

@@ -36,13 +36,13 @@ def edge_file_bytes(num_edges: int) -> float:
 
 def distributed_read_seconds(num_bytes: float, spec: ClusterSpec) -> float:
     """Reading the input in parallel from distributed storage."""
-    return num_bytes / (spec.num_workers * spec.disk_bandwidth)
+    return num_bytes / (spec.num_workers * spec.hardware.disk.seq_bandwidth)
 
 
 def parse_seconds(records: float, ops_per_record: float, spec: ClusterSpec) -> float:
     """Deserializing/parsing records across all cores."""
     return (records * ops_per_record) / (
-        spec.num_workers * spec.worker_ops_per_second
+        spec.num_workers * spec.hardware.cpu.worker_ops_per_second
     )
 
 
@@ -51,18 +51,19 @@ def partition_shuffle_seconds(num_bytes: float, spec: ClusterSpec) -> float:
     if spec.num_workers <= 1:
         return 0.0
     remote = num_bytes * (spec.num_workers - 1) / spec.num_workers
-    return remote / (spec.num_workers * spec.network_bandwidth)
+    return remote / (spec.num_workers * spec.hardware.nic.bandwidth)
 
 
 def replicated_write_seconds(
     num_bytes: float, replication: int, spec: ClusterSpec
 ) -> float:
     """Writing with N-way replication (replicas also cross the wire)."""
-    disk = num_bytes * replication / (spec.num_workers * spec.disk_bandwidth)
+    hardware = spec.hardware
+    disk = num_bytes * replication / (spec.num_workers * hardware.disk.seq_bandwidth)
     if spec.num_workers <= 1 or replication <= 1:
         return disk
     network = (
-        num_bytes * (replication - 1) / (spec.num_workers * spec.network_bandwidth)
+        num_bytes * (replication - 1) / (spec.num_workers * hardware.nic.bandwidth)
     )
     return disk + network
 
@@ -71,7 +72,7 @@ def sequential_insert_seconds(
     records: float, accesses_per_record: float, spec: ClusterSpec
 ) -> float:
     """Pointer-updating inserts (graph-database store building)."""
-    return records * accesses_per_record * spec.random_access_seconds
+    return records * accesses_per_record * spec.hardware.cpu.random_access_seconds
 
 
 def sort_seconds(records: float, spec: ClusterSpec) -> float:
@@ -81,4 +82,4 @@ def sort_seconds(records: float, spec: ClusterSpec) -> float:
     if records < 2:
         return 0.0
     ops = records * math.log2(records) * 2.0
-    return ops / (spec.num_workers * spec.worker_ops_per_second)
+    return ops / (spec.num_workers * spec.hardware.cpu.worker_ops_per_second)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.cost import RoundRecord, RunProfile
+from repro.hardware.models import HardwareProfile
 
 __all__ = ["UtilizationSample", "SystemMonitor", "sample_from_record"]
 
@@ -35,13 +36,17 @@ class UtilizationSample:
     skew: float
 
 
-def sample_from_record(record: RoundRecord, clock: float) -> UtilizationSample:
+def sample_from_record(
+    record: RoundRecord, clock: float, hardware: HardwareProfile
+) -> UtilizationSample:
     """One utilization sample from one round record.
 
     CPU utilization is the mean worker busy fraction within the
     round: with BSP barriers, stragglers leave other workers idle,
-    so utilization is (mean work) / (max work) — directly exposing
-    the skewed-execution-intensity choke point. ``clock`` is the
+    so utilization is (mean busy time) / (busiest busy time), read
+    from the round's :meth:`~HardwareProfile.attribute` split under
+    the ``hardware`` that costed it — directly exposing the
+    skewed-execution-intensity choke point. ``clock`` is the
     simulated time at which the round *ends*.
 
     This is the single sample-construction path: the profile-based
@@ -49,22 +54,16 @@ def sample_from_record(record: RoundRecord, clock: float) -> UtilizationSample:
     :class:`repro.observability.MonitorSink` both build their series
     here, so the CSV export cannot drift from the trace stream.
     """
-    per_worker = [
-        ops + rand
-        for ops, rand in zip(
-            record.ops_per_worker, record.random_accesses_per_worker
-        )
-    ]
-    busiest = max(per_worker) if per_worker else 0.0
-    mean = sum(per_worker) / len(per_worker) if per_worker else 0.0
-    utilization = (mean / busiest) if busiest > 0 else 0.0
+    parts = hardware.attribute(record)
+    mean = parts.compute + parts.locality
+    busiest = mean + parts.skew
     return UtilizationSample(
         round_name=record.name,
         timestamp=clock,
-        cpu_utilization=utilization,
+        cpu_utilization=mean / busiest if busiest > 0 else 0.0,
         network_bytes=record.remote_bytes,
         active_vertices=record.active_vertices,
-        skew=record.skew,
+        skew=parts.worker_skew,
     )
 
 

@@ -8,6 +8,10 @@ Reports are plain text (rendered to the console or a file): a runtime
 matrix in the layout of the paper's Figure 4 (algorithms × graphs ×
 platforms, failures shown as missing), a kTEPS table (Figure 5), and
 per-run detail sections with choke-point indicators.
+
+Each measured cell carries the letter of the largest part of its
+simulated seconds (:data:`~repro.hardware.models.PART_LEGEND`), and
+each detail line lists every part's share.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 from repro.core.benchmark import BenchmarkSuiteResult
 from repro.core.chokepoints import ChokePointReport, analyze_profile
 from repro.core.workload import Algorithm
+from repro.hardware.models import PART_LEGEND
 
 __all__ = ["ReportGenerator"]
 
@@ -130,8 +135,9 @@ class ReportGenerator:
                         chokepoints = _cell_chokepoints(result)
                         if chokepoints is not None:
                             # Figure 4 plus the Section 2.1 lens: every
-                            # cell names its dominant choke point.
-                            cell = f"{cell} {chokepoints.dominant_letter()}"
+                            # cell names its largest part of time.
+                            letter = chokepoints.breakdown.dominant_letter()
+                            cell = f"{cell} {letter}"
                         cells.append(f"{cell:>12}")
                     else:
                         cells.append(f"{_failure_label(result):>12}")
@@ -179,22 +185,20 @@ class ReportGenerator:
         lines = ["Run details (choke-point indicators):"]
         for result in suite.successes():
             profile = result.run.profile
-            max_skew = max((r.skew for r in profile.rounds), default=1.0)
             chokepoints = _cell_chokepoints(result)
-            dominant = ""
-            if chokepoints is not None:
-                dominant = f" dominant={chokepoints.dominant()}"
-                if chokepoints.network_overhead_share:
-                    dominant += (
-                        " net-overhead="
-                        f"{chokepoints.network_overhead_share:.0%}"
-                    )
+            overhead = ""
+            if chokepoints.network_overhead_share:
+                overhead = (
+                    f" net-overhead={chokepoints.network_overhead_share:.0%}"
+                )
             lines.append(
                 f"  {result.platform:<12} {result.algorithm.value:<6} "
                 f"{result.graph_name:<16} rounds={profile.num_rounds:<4} "
                 f"net={profile.total_remote_bytes / 2**20:8.2f} MiB "
                 f"peak-mem={profile.peak_memory / 2**20:8.2f} MiB "
-                f"max-skew={max_skew:5.2f}{dominant}"
+                f"max-skew={chokepoints.max_skew:5.2f} "
+                f"dominant={chokepoints.breakdown.dominant()}{overhead} "
+                f"time {chokepoints.breakdown.describe()}"
             )
         return "\n".join(lines)
 
@@ -266,8 +270,8 @@ class ReportGenerator:
             "labeled OOM / T/O / CRASH / LOST / INV / FAIL by cause)"
         )
         sections.append(
-            "(cell letters mark the dominant choke point: "
-            "N=network, M=memory, L=locality, S=skew)"
+            f"(cell letters mark the largest part of simulated time: "
+            f"{PART_LEGEND})"
         )
         sections.append(self.runtime_matrix(suite))
         sections.append("")
@@ -325,15 +329,15 @@ class ReportGenerator:
                                 )
                             chokepoints = _cell_chokepoints(result)
                             if chokepoints is not None:
-                                dominant = chokepoints.dominant()
                                 hints.append(
-                                    f"dominant choke point: {dominant}"
+                                    "dominant choke point: "
+                                    + chokepoints.breakdown.describe()
                                 )
                                 title = _escape("; ".join(hints))
+                                letter = chokepoints.breakdown.dominant_letter()
                                 cells.append(
                                     f'<td title="{title}">{runtime} '
-                                    f"<sup>{chokepoints.dominant_letter()}"
-                                    "</sup></td>"
+                                    f"<sup>{letter}</sup></td>"
                                 )
                             elif hints:
                                 title = _escape("; ".join(hints))
@@ -385,8 +389,8 @@ td.failure {{ background: #fdd; text-align: center; }}
 <table><tbody>{config_rows}</tbody></table>
 <h2>Runtime [s] per algorithm, graph, and platform</h2>
 <p>Failed cells (highlighted) are labeled by cause; hover for the
-full failure reason. Superscript letters mark each cell's dominant
-choke point (N=network, M=memory, L=locality, S=skew).</p>
+full failure reason. Superscript letters mark the largest part of
+each cell's simulated time ({PART_LEGEND}).</p>
 <table>
 <thead><tr><th>algorithm</th><th>graph</th>{header_cells}</tr></thead>
 <tbody>

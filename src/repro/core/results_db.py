@@ -94,7 +94,9 @@ class StoredResult:
             failure_reason=result.failure_reason,
             cluster=cluster,
             dominant_chokepoint=(
-                chokepoints.dominant() if chokepoints is not None else None
+                chokepoints.breakdown.dominant()
+                if chokepoints is not None
+                else None
             ),
             num_rounds=num_rounds,
             remote_bytes=remote_bytes,

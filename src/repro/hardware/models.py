@@ -30,6 +30,10 @@ Physics, per synchronization round:
   :data:`MEMORY_PRESSURE_THRESHOLD` of its RAM, compute is multiplied
   by ``1 + memory_pressure_factor * overshoot`` (GC/paging drag).
 
+:meth:`HardwareProfile.attribute` splits a costed round back into a
+:class:`TimeBreakdown` whose parts sum to the round's seconds; every
+choke-point label and time share reads that one split.
+
 Every term is guarded so that a zeroed parameter contributes exactly
 nothing: with ``message_latency_seconds == 0``, ``queueing_factor ==
 0`` and ``memory_pressure_factor == 0`` the formulas reduce
@@ -50,7 +54,10 @@ __all__ = [
     "NicModel",
     "DiskModel",
     "HardwareProfile",
+    "PART_LEGEND",
+    "PART_LETTERS",
     "RoundTimes",
+    "TimeBreakdown",
     "RHO_CAP",
     "MEMORY_PRESSURE_THRESHOLD",
 ]
@@ -228,6 +235,106 @@ class RoundTimes:
         return network
 
 
+#: One-letter label of each :class:`TimeBreakdown` part, in field order
+#: (which also breaks ties): startup is the run's fixed overhead, ``F``.
+PART_LETTERS = {
+    "compute": "C",
+    "locality": "L",
+    "skew": "S",
+    "memory": "M",
+    "network": "N",
+    "disk": "D",
+    "barrier": "B",
+    "startup": "F",
+}
+
+#: The letters spelled out, for report and sweep legends.
+PART_LEGEND = " ".join(
+    f"{letter}={name}" for name, letter in PART_LETTERS.items()
+)
+
+
+@dataclass(frozen=True)
+class TimeBreakdown:
+    """Simulated seconds split into parts that sum to the total.
+
+    A round's parts come from :meth:`HardwareProfile.attribute`; a
+    run's breakdown (:meth:`repro.core.cost.RunProfile.breakdown`)
+    adds up its rounds plus its launches' startup. Choke-point
+    letters, time shares, skew ratios and what-if cells all read this
+    one split.
+    """
+
+    #: The mean worker's sequential operations.
+    compute: float = 0.0
+    #: The mean worker's cache-missing random accesses.
+    locality: float = 0.0
+    #: The busiest worker's lead over the mean worker, plus any
+    #: injected straggler penalty.
+    skew: float = 0.0
+    #: The memory-pressure surcharge on the busiest worker.
+    memory: float = 0.0
+    #: NIC transfer, per-message latency and queueing.
+    network: float = 0.0
+    disk: float = 0.0
+    barrier: float = 0.0
+    #: Launches times the profile's startup constant (runs only).
+    startup: float = 0.0
+
+    def parts(self) -> dict[str, float]:
+        """Seconds per part name, in :data:`PART_LETTERS` order."""
+        return {name: getattr(self, name) for name in PART_LETTERS}
+
+    @property
+    def seconds(self) -> float:
+        """The parts' sum: the round's or run's simulated seconds."""
+        return sum(self.parts().values())
+
+    def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
+        return TimeBreakdown(
+            compute=self.compute + other.compute,
+            locality=self.locality + other.locality,
+            skew=self.skew + other.skew,
+            memory=self.memory + other.memory,
+            network=self.network + other.network,
+            disk=self.disk + other.disk,
+            barrier=self.barrier + other.barrier,
+            startup=self.startup + other.startup,
+        )
+
+    def share(self, part: str) -> float:
+        """One part's fraction of the total (0.0 for an empty total)."""
+        total = self.seconds
+        return getattr(self, part) / total if total else 0.0
+
+    def dominant(self) -> str:
+        """The largest part's name (the earliest part wins ties)."""
+        parts = self.parts()
+        return max(parts, key=parts.get)
+
+    def dominant_letter(self) -> str:
+        """One-letter label of :meth:`dominant` for matrix cells."""
+        return PART_LETTERS[self.dominant()]
+
+    @property
+    def worker_skew(self) -> float:
+        """Busiest over mean worker busy time; 1.0 is balanced."""
+        mean = self.compute + self.locality
+        return (mean + self.skew) / mean if mean > 0 else 1.0
+
+    def describe(self) -> str:
+        """Letters with their shares, largest first (zero parts omitted)."""
+        total = self.seconds
+        ranked = sorted(
+            (part for part in self.parts().items() if part[1] > 0),
+            key=lambda part: -part[1],
+        )
+        return " ".join(
+            f"{PART_LETTERS[name]}={seconds / total:.1%}"
+            for name, seconds in ranked
+        )
+
+
 @dataclass(frozen=True)
 class HardwareProfile:
     """A named machine built from component device models."""
@@ -311,6 +418,38 @@ class HardwareProfile:
             network_queueing_seconds=queueing,
             disk_seconds=disk,
             barrier_seconds=barrier,
+        )
+
+    def attribute(self, record) -> TimeBreakdown:
+        """Split one costed round into parts that sum to its seconds.
+
+        Reads only ``record``'s charges and derived seconds plus this
+        profile's CPU and memory-pressure physics, so a trace span and
+        its run's cluster yield the same split as the live record. The
+        mean worker's ops are ``compute`` and its random accesses
+        ``locality``; the busiest worker's pressure surcharge is
+        ``memory``; the rest of the recorded compute seconds, which is
+        the busiest worker's lead plus any straggler penalty, is
+        ``skew``. Network, disk and barrier seconds pass through.
+        """
+        cpu = self.cpu
+        ops = record.ops_per_worker
+        accesses = record.random_accesses_per_worker
+        compute = cpu.worker_seconds(sum(ops) / len(ops), 0.0)
+        locality = cpu.worker_seconds(0.0, sum(accesses) / len(accesses))
+        pressure = self.memory_pressure_multiplier(record.live_memory_bytes)
+        memory = 0.0
+        if pressure != 1.0:
+            busiest = max(map(cpu.worker_seconds, ops, accesses))
+            memory = busiest * (pressure - 1.0)
+        return TimeBreakdown(
+            compute=compute,
+            locality=locality,
+            skew=record.compute_seconds - compute - locality - memory,
+            memory=memory,
+            network=record.network_seconds,
+            disk=record.disk_seconds,
+            barrier=record.barrier_seconds,
         )
 
     # -- transformation -------------------------------------------------

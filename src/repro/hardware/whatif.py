@@ -11,6 +11,10 @@ single costing function ``CostMeter.end_round`` uses. Re-costing the
 base profile therefore reproduces the fresh run bit-for-bit (a test
 pins that), and sweeping N profiles costs one execution, not N.
 
+Each cell's letter is the largest part of its re-costed
+:class:`~repro.hardware.models.TimeBreakdown`, the same split every
+report reads.
+
 Two caveats, both enforced here:
 
 * Only fault-free runs re-cost exactly — straggler penalties from
@@ -28,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.core.cost import ClusterSpec, RunProfile
-from repro.hardware.models import HardwareProfile
+from repro.hardware.models import PART_LEGEND, HardwareProfile, TimeBreakdown
 from repro.hardware.registry import (
     DEFAULT_PROFILE,
     default_workers,
@@ -36,22 +40,11 @@ from repro.hardware.registry import (
 )
 
 __all__ = [
-    "COMPONENTS",
     "WhatIfCell",
     "WhatIfReport",
     "recost",
-    "component_seconds",
-    "dominant_component",
     "run_whatif",
 ]
-
-#: Per-round time components attributed by the sweep, in tie-break
-#: order. Startup is excluded — it is per-run scheduling overhead, not
-#: a choke point any round's physics can shift.
-COMPONENTS = ("compute", "network", "disk", "barrier")
-
-#: One-letter cell tags: Compute, Network, Disk, Barrier.
-_COMPONENT_LETTERS = {c: c[0].upper() for c in COMPONENTS}
 
 
 def recost(
@@ -66,21 +59,11 @@ def recost(
     recomputed from ``hardware``. The barrier is recomputed from the
     profile too, so sweeps see cheaper synchronization on faster
     fabrics — which is why GPU-style per-round barrier overrides are
-    out of scope (see module docstring).
-
-    Platforms may charge startup more than once (MapReduce pays it per
-    chained job), so the recorded total is *rescaled* by the ratio of
-    the profiles' startup constants rather than replaced — and kept
-    bit-identical when the constants agree.
+    out of scope (see module docstring). Startup is the recorded
+    launch count (MapReduce launches once per chained job) times the
+    new profile's constant, exactly as the meter charges it.
     """
     num_workers = profile.cluster.num_workers
-    old_startup = profile.cluster.startup_seconds
-    if hardware.startup_seconds == old_startup or not old_startup:
-        startup = profile.startup_seconds
-    else:
-        startup = (
-            profile.startup_seconds / old_startup
-        ) * hardware.startup_seconds
     spec = ClusterSpec.from_profile(hardware, num_workers=num_workers, name=name)
     rounds = []
     for record in profile.rounds:
@@ -106,24 +89,9 @@ def recost(
         cluster=spec,
         rounds=rounds,
         peak_memory_per_worker=list(profile.peak_memory_per_worker),
-        startup_seconds=startup,
+        startup_seconds=profile.launches * hardware.startup_seconds,
+        launches=profile.launches,
     )
-
-
-def component_seconds(profile: RunProfile) -> dict[str, float]:
-    """Run totals of the four per-round time components."""
-    return {
-        "compute": sum(r.compute_seconds for r in profile.rounds),
-        "network": sum(r.network_seconds for r in profile.rounds),
-        "disk": sum(r.disk_seconds for r in profile.rounds),
-        "barrier": sum(r.barrier_seconds for r in profile.rounds),
-    }
-
-
-def dominant_component(profile: RunProfile) -> str:
-    """The component the run spends the most simulated time in."""
-    totals = component_seconds(profile)
-    return max(COMPONENTS, key=lambda c: totals[c])
 
 
 @dataclass(frozen=True)
@@ -135,21 +103,11 @@ class WhatIfCell:
     algorithm: str
     profile: str
     simulated_seconds: float
-    compute_seconds: float
-    network_seconds: float
-    disk_seconds: float
-    barrier_seconds: float
-    #: Dominant per-round component (``compute``/``network``/``disk``/
-    #: ``barrier``).
-    dominant: str
+    #: The re-costed run's seconds by part.
+    breakdown: TimeBreakdown
     #: Whether the run's peak live set fits the profile's per-worker
     #: RAM; ``False`` cells would OOM on the swept machine.
     fits_memory: bool
-
-    @property
-    def dominant_letter(self) -> str:
-        """One-letter dominant tag for compact tables."""
-        return _COMPONENT_LETTERS[self.dominant]
 
 
 @dataclass(frozen=True)
@@ -184,7 +142,8 @@ class WhatIfReport:
             line = [platform, graph, algorithm]
             for profile in self.profiles:
                 c = self.cell(platform, graph, algorithm, profile)
-                text = f"{c.simulated_seconds:.3f}s {c.dominant_letter}"
+                letter = c.breakdown.dominant_letter()
+                text = f"{c.simulated_seconds:.3f}s {letter}"
                 if not c.fits_memory:
                     text += " OOM"
                 line.append(text)
@@ -198,8 +157,8 @@ class WhatIfReport:
         ]
         lines.insert(1, "-" * len(lines[0]))
         lines.append(
-            "dominant per-round component: C=compute N=network D=disk "
-            "B=barrier; OOM = peak memory exceeds the profile's RAM"
+            f"largest part of simulated time: {PART_LEGEND}; "
+            "OOM = peak memory exceeds the profile's RAM"
         )
         return "\n".join(lines)
 
@@ -212,18 +171,13 @@ def _make_cell(
     recosted: RunProfile,
     hardware: HardwareProfile,
 ) -> WhatIfCell:
-    totals = component_seconds(recosted)
     return WhatIfCell(
         platform=platform,
         graph=graph,
         algorithm=algorithm,
         profile=profile_name,
         simulated_seconds=recosted.simulated_seconds,
-        compute_seconds=totals["compute"],
-        network_seconds=totals["network"],
-        disk_seconds=totals["disk"],
-        barrier_seconds=totals["barrier"],
-        dominant=dominant_component(recosted),
+        breakdown=recosted.breakdown(),
         fits_memory=recosted.peak_memory
         <= hardware.memory_bytes_per_worker,
     )

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.chokepoints import analyze_profile
 from repro.core.stats import RuntimeStats
 from repro.observability.replay import parse_trace, read_trace
 
@@ -114,7 +113,6 @@ def _metrics_from_trace(events: list[dict]) -> list[RunMetrics]:
     for attempt in parse_trace(events):
         if attempt.complete:
             profile = attempt.to_profile()
-            report = analyze_profile(profile)
             metrics.append(
                 RunMetrics(
                     platform=attempt.platform,
@@ -124,7 +122,7 @@ def _metrics_from_trace(events: list[dict]) -> list[RunMetrics]:
                     simulated_seconds=profile.simulated_seconds,
                     remote_bytes=profile.total_remote_bytes,
                     num_rounds=profile.num_rounds,
-                    dominant=report.dominant(),
+                    dominant=profile.breakdown().dominant(),
                 )
             )
         else:

@@ -42,6 +42,7 @@ class TraceAttempt:
     #: truncated trace with no ``run-end`` event.
     status: str = "incomplete"
     startup_seconds: float = 0.0
+    launches: int = 0
     peak_memory_per_worker: list[float] = field(default_factory=list)
     simulated_seconds: float | None = None
 
@@ -59,6 +60,7 @@ class TraceAttempt:
             rounds=list(self.rounds),
             peak_memory_per_worker=list(self.peak_memory_per_worker),
             startup_seconds=self.startup_seconds,
+            launches=self.launches,
         )
 
 
@@ -150,6 +152,7 @@ def parse_trace(events: list[dict]) -> list[TraceAttempt]:
             current.status = event.get("status", "unknown")
             if "simulated_seconds" in event:
                 current.startup_seconds = event.get("startup_seconds", 0.0)
+                current.launches = event.get("launches", 0)
                 current.peak_memory_per_worker = list(
                     event.get("peak_memory_per_worker", [])
                 )
@@ -215,7 +218,8 @@ def verify_replay(path: str | Path, profile: RunProfile) -> list[str]:
 
     Returns a list of human-readable mismatch descriptions; an empty
     list means the replayed profile is bit-identical to the recorded
-    one (same rounds, same charges, same simulated seconds).
+    one (same rounds, same charges, same launches, same simulated
+    seconds).
     """
     replayed = replay_trace(path)
     mismatches: list[str] = []
@@ -242,6 +246,11 @@ def verify_replay(path: str | Path, profile: RunProfile) -> list[str]:
             mismatches.append("peak_memory_per_worker differs")
         if not mismatches:
             mismatches.append("profiles differ (fingerprint mismatch)")
+    if replayed.launches != profile.launches:
+        mismatches.append(
+            f"launches: trace has {replayed.launches}, "
+            f"profile has {profile.launches}"
+        )
     if replayed.simulated_seconds != profile.simulated_seconds:
         mismatches.append(
             f"simulated_seconds: trace replays to "

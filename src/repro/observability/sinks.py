@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.core.cost import ClusterSpec, RoundRecord, RunProfile
 from repro.core.monitor import UtilizationSample, sample_from_record
+from repro.hardware.models import HardwareProfile
 
 __all__ = [
     "TraceSink",
@@ -187,6 +188,7 @@ class JsonlTraceWriter(TraceSink):
     def on_run_end(self, profile, status) -> None:
         event = {"event": "run-end", "status": status}
         if profile is not None:
+            event["launches"] = profile.launches
             event["startup_seconds"] = profile.startup_seconds
             event["peak_memory_per_worker"] = list(
                 profile.peak_memory_per_worker
@@ -261,24 +263,31 @@ class MonitorSink(TraceSink):
     The sample construction is shared with the profile-based path
     (:func:`repro.core.monitor.sample_from_record`), so a live tracing
     run and an after-the-fact ``samples_from_profile`` call produce
-    identical series — the CSV export sits on top of either.
+    identical series — the CSV export sits on top of either. Samples
+    split each round under the hardware that costed it: the
+    ``run-begin`` cluster, or the replayed profile's cluster.
     """
 
     def __init__(self):
         self.samples: list[UtilizationSample] = []
+        self.hardware: HardwareProfile | None = None
         self._clock = 0.0
 
     def on_round_end(self, index, record, straggler_penalty_seconds=0.0) -> None:
         self._clock += record.seconds
-        self.samples.append(sample_from_record(record, self._clock))
+        self.samples.append(
+            sample_from_record(record, self._clock, self.hardware)
+        )
 
     def on_run_begin(self, platform, graph, algorithm, spec) -> None:
         # Each execution gets its own simulated clock.
         self.samples = []
+        self.hardware = spec.hardware
         self._clock = 0.0
 
     def replay_profile(self, profile: RunProfile) -> list[UtilizationSample]:
         """Feed a recorded profile through the same round hook."""
+        self.hardware = profile.cluster.hardware
         for index, record in enumerate(profile.rounds):
             self.on_round_end(index, record)
         return self.samples

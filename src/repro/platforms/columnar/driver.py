@@ -76,7 +76,7 @@ class VirtuosoPlatform(Platform):
         # ETL: bulk load — read, sort by source key, compress columns.
         file_bytes = etl.edge_file_bytes(len(arcs))
         etl_time = (
-            file_bytes / self.cluster.disk_bandwidth
+            file_bytes / self.cluster.hardware.disk.seq_bandwidth
             + etl.sort_seconds(len(arcs), self.cluster)
             + etl.parse_seconds(fields_per_arc * len(arcs), 2.0, self.cluster)
         )

@@ -49,7 +49,7 @@ class StratospherePlatform(Platform):
         )
         file_bytes = etl.edge_file_bytes(undirected.num_edges)
         etl_time = (
-            self.cluster.startup_seconds
+            self.cluster.hardware.startup_seconds
             + etl.distributed_read_seconds(file_bytes, self.cluster)
             + etl.parse_seconds(undirected.num_edges, 5.0, self.cluster)
             + etl.partition_shuffle_seconds(storage, self.cluster)

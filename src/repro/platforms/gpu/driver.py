@@ -43,13 +43,14 @@ class MedusaPlatform(GiraphPlatform):
         meter = CostMeter(self.cluster)
         meter.allocate_memory(0, storage)
         meter.release_memory(0, storage)
-        # ETL: parse on the host, then copy over PCIe (disk_bandwidth
-        # plays the transfer-link role in the device spec).
+        # ETL: parse on the host, then copy over PCIe (the disk's
+        # sequential bandwidth plays the transfer-link role in the
+        # device spec).
         file_bytes = etl.edge_file_bytes(undirected.num_edges)
         etl_time = (
-            self.cluster.startup_seconds
+            self.cluster.hardware.startup_seconds
             + etl.parse_seconds(undirected.num_edges, 4.0, self.cluster)
-            + (file_bytes + storage) / self.cluster.disk_bandwidth
+            + (file_bytes + storage) / self.cluster.hardware.disk.seq_bandwidth
         )
         return GraphHandle(
             name=name,

@@ -201,7 +201,7 @@ class GPUEngine:
             warp = self.thread_order[start : start + WARP_SIZE]
             busiest = max(work_per_vertex.get(vertex, 1.0) for vertex in warp)
             total_lane_ops += WARP_SIZE * busiest
-        self.meter.charge_compute(0, total_lane_ops / self.spec.cores_per_worker)
+        self.meter.charge_compute(0, total_lane_ops / self.spec.hardware.cpu.cores)
 
     def _run_supersteps(self, program: VertexProgram) -> PregelResult:
         meter = self.meter

@@ -70,7 +70,7 @@ class Neo4jPlatform(Platform):
             + etl.sequential_insert_seconds(
                 undirected.num_edges, 3.0, self.cluster
             )
-            + storage / self.cluster.disk_bandwidth
+            + storage / self.cluster.hardware.disk.seq_bandwidth
         )
         return GraphHandle(
             name=name,

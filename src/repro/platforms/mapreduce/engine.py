@@ -197,7 +197,7 @@ class MapReduceEngine:
         self.bulk = bulk
         self.sort_buffer_bytes = min(
             SORT_BUFFER_BYTES,
-            SORT_BUFFER_MEMORY_FRACTION * spec.memory_bytes_per_worker,
+            SORT_BUFFER_MEMORY_FRACTION * spec.hardware.memory_bytes_per_worker,
         )
         # The streaming engine holds only sort buffers in memory.
         for worker in range(spec.num_workers):
@@ -230,7 +230,7 @@ class MapReduceEngine:
         counters: dict = {}
 
         # Job submission (YARN scheduling, container spin-up).
-        meter.profile.startup_seconds += spec.startup_seconds
+        meter.charge_startup()
 
         # ---- map phase ---------------------------------------------------
         meter.begin_round(f"map-{job.name}")
@@ -341,7 +341,7 @@ class MapReduceEngine:
         degrees = batch.degrees
         total_adjacency = batch.total_adjacency
 
-        meter.profile.startup_seconds += spec.startup_seconds
+        meter.charge_startup()
 
         # ---- map phase ---------------------------------------------------
         meter.begin_round(f"map-{job.name}")

@@ -51,7 +51,7 @@ class GiraphPlatform(Platform):
         # ETL: read the edge file from HDFS, parse, hash-partition.
         file_bytes = etl.edge_file_bytes(undirected.num_edges)
         etl_time = (
-            self.cluster.startup_seconds
+            self.cluster.hardware.startup_seconds
             + etl.distributed_read_seconds(file_bytes, self.cluster)
             + etl.parse_seconds(undirected.num_edges, 4.0, self.cluster)
             + etl.partition_shuffle_seconds(storage, self.cluster)

@@ -61,7 +61,7 @@ class GraphXPlatform(Platform):
         # partitioner's layout.
         file_bytes = etl.edge_file_bytes(undirected.num_edges)
         etl_time = (
-            self.cluster.startup_seconds
+            self.cluster.hardware.startup_seconds
             + etl.distributed_read_seconds(file_bytes, self.cluster)
             + etl.parse_seconds(2 * undirected.num_edges, 8.0, self.cluster)
             + etl.partition_shuffle_seconds(storage, self.cluster)

@@ -27,7 +27,7 @@ before the BSP platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.graph.graph import Graph
 
@@ -178,8 +178,8 @@ def estimate_footprint(
 def apply_mem_limit(platform, mem_limit_bytes: float):
     """Pin a platform's simulated per-worker RAM to a budget.
 
-    Rebinds the driver's (frozen) cluster spec with
-    ``memory_bytes_per_worker`` replaced, returning the same platform
+    Rebinds the driver's (frozen) cluster spec to a hardware profile
+    with ``memory_bytes_per_worker`` replaced, returning the same platform
     instance. Every ``allocate_memory`` charge is then checked against
     the budget, so exceeding it raises the cost layer's
     ``MemoryBudgetExceeded``, which the driver API converts into a
@@ -188,7 +188,7 @@ def apply_mem_limit(platform, mem_limit_bytes: float):
     """
     if mem_limit_bytes <= 0:
         raise ValueError("mem limit must be positive")
-    platform.cluster = platform.cluster.replace(
-        memory_bytes_per_worker=float(mem_limit_bytes)
-    )
+    cluster = platform.cluster
+    hardware = replace(cluster.hardware, memory_bytes_per_worker=float(mem_limit_bytes))
+    platform.cluster = replace(cluster, hardware=hardware)
     return platform

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,7 @@ def single_node_spec() -> ClusterSpec:
 @pytest.fixture
 def tiny_memory_spec() -> ClusterSpec:
     """A cluster whose memory budget nothing realistic fits into."""
-    return ClusterSpec.paper_distributed().replace(
-        memory_bytes_per_worker=2048.0
+    spec = ClusterSpec.paper_distributed()
+    return replace(
+        spec, hardware=replace(spec.hardware, memory_bytes_per_worker=2048.0)
     )

@@ -1,6 +1,7 @@
 """Unit and integration tests for the Benchmark Core."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -179,8 +180,9 @@ class TestFailurePaths:
         assert all(r.failure_reason == "time-limit" for r in suite.results)
 
     def test_out_of_memory_failure_end_to_end(self, graphs):
-        spec = ClusterSpec.paper_distributed().replace(
-            memory_bytes_per_worker=64.0
+        spec = ClusterSpec.paper_distributed()
+        spec = replace(
+            spec, hardware=replace(spec.hardware, memory_bytes_per_worker=64.0)
         )
         core = BenchmarkCore([GiraphPlatform(spec)], graphs)
         suite = core.run()

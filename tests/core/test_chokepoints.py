@@ -22,13 +22,14 @@ def test_network_share(cluster_spec):
 
     report = analyze_profile(_profile(cluster_spec, build))
     assert report.total_remote_bytes == 1e9
-    assert report.network_time_share > 0.5
-    assert report.dominant() == "network"
+    assert report.breakdown.share("network") > 0.5
+    assert report.breakdown.dominant() == "network"
 
 
 def test_memory_share(cluster_spec):
     def build(meter):
-        meter.allocate_memory(0, cluster_spec.memory_bytes_per_worker * 0.9)
+        budget = cluster_spec.hardware.memory_bytes_per_worker
+        meter.allocate_memory(0, budget * 0.9)
         meter.begin_round("big")
         meter.charge_compute(0, 1)
         meter.end_round()
@@ -64,7 +65,7 @@ def test_skew_and_tail(cluster_spec):
     # false — 1/1000 = 0.1%, below the 1% threshold).
     assert report.tail_rounds == 8
     assert report.tail_round_share == pytest.approx(8 / 9)
-    assert report.barrier_time_share > 0.5
+    assert report.breakdown.share("barrier") > 0.5
     assert report.max_skew >= report.mean_skew >= 1.0
 
 
@@ -72,7 +73,7 @@ def test_empty_profile(cluster_spec):
     report = analyze_profile(_profile(cluster_spec, lambda meter: None))
     assert report.tail_rounds == 0
     assert report.mean_skew == 1.0
-    assert report.network_time_share == 0.0
+    assert report.breakdown.share("network") == 0.0
 
 
 def test_real_run_tail_detected(cluster_spec, medium_rmat):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost import ClusterSpec, CostMeter, MemoryBudgetExceeded
+from repro.hardware.models import CpuModel
 from repro.observability import TraceSink
 from repro.robustness.errors import SimulatedMessageLoss
 from repro.robustness.faults import FaultInjector, FaultPlan
@@ -13,25 +14,29 @@ class TestClusterSpec:
     def test_paper_specs(self):
         distributed = ClusterSpec.paper_distributed()
         assert distributed.num_workers == 10
-        assert distributed.memory_bytes_per_worker == 24 * 2 ** 30
+        assert distributed.hardware.memory_bytes_per_worker == 24 * 2 ** 30
         single = ClusterSpec.paper_single_node()
         assert single.num_workers == 1
 
     def test_validation(self):
+        hardware = ClusterSpec.paper_distributed().hardware
         with pytest.raises(ValueError):
-            ClusterSpec.flat("x", 0, 1, 1.0, 1e-7, 1.0, 1.0, 0.0, 1.0, 0.0)
+            ClusterSpec(name="x", num_workers=0, hardware=hardware)
         with pytest.raises(ValueError):
-            ClusterSpec.flat("x", 1, 0, 1.0, 1e-7, 1.0, 1.0, 0.0, 1.0, 0.0)
+            CpuModel(cores=0, ops_per_second=1.0, random_access_seconds=1e-7)
 
     def test_scaled_divides_throughputs(self):
-        base = ClusterSpec.paper_distributed()
-        scaled = base.scaled(4.0)
-        assert scaled.cpu_ops_per_second == base.cpu_ops_per_second / 4
-        assert scaled.network_bandwidth == base.network_bandwidth / 4
-        assert scaled.disk_bandwidth == base.disk_bandwidth / 4
+        base = ClusterSpec.paper_distributed().hardware
+        scaled = ClusterSpec.paper_distributed().scaled(4.0).hardware
+        assert scaled.cpu.ops_per_second == base.cpu.ops_per_second / 4
+        assert scaled.nic.bandwidth == base.nic.bandwidth / 4
+        assert scaled.disk.seq_bandwidth == base.disk.seq_bandwidth / 4
         assert scaled.memory_bytes_per_worker == base.memory_bytes_per_worker / 4
         # Random-access latency grows when throughput shrinks.
-        assert scaled.random_access_seconds == base.random_access_seconds * 4
+        assert (
+            scaled.cpu.random_access_seconds
+            == base.cpu.random_access_seconds * 4
+        )
         # Latency constants are untouched.
         assert scaled.barrier_seconds == base.barrier_seconds
         assert scaled.startup_seconds == base.startup_seconds
@@ -39,13 +44,51 @@ class TestClusterSpec:
     def test_scaled_memory_independent(self):
         base = ClusterSpec.paper_distributed()
         scaled = base.scaled(4.0, memory=16.0)
-        assert scaled.memory_bytes_per_worker == base.memory_bytes_per_worker / 16
+        assert (
+            scaled.hardware.memory_bytes_per_worker
+            == base.hardware.memory_bytes_per_worker / 16
+        )
 
     def test_scaled_validation(self):
         with pytest.raises(ValueError):
             ClusterSpec.paper_distributed().scaled(0)
         with pytest.raises(ValueError):
             ClusterSpec.paper_distributed().scaled(2, memory=-1)
+
+    def test_from_dict_reads_flat_legacy_dicts(self):
+        # Traces written before specs nested a hardware profile carry
+        # the ten flat constants; replay must still rebuild the spec.
+        hardware = ClusterSpec.paper_distributed().hardware
+        legacy = {
+            "name": "cluster-10",
+            "num_workers": 10,
+            "cores_per_worker": hardware.cpu.cores,
+            "cpu_ops_per_second": hardware.cpu.ops_per_second,
+            "random_access_seconds": hardware.cpu.random_access_seconds,
+            "memory_bytes_per_worker": hardware.memory_bytes_per_worker,
+            "network_bandwidth": hardware.nic.bandwidth,
+            "barrier_seconds": hardware.barrier_seconds,
+            "disk_bandwidth": hardware.disk.seq_bandwidth,
+            "startup_seconds": hardware.startup_seconds,
+        }
+        spec = ClusterSpec.from_dict(legacy)
+        assert (spec.name, spec.num_workers) == ("cluster-10", 10)
+        assert spec.hardware.name == "cluster-10"
+        assert spec.hardware.cpu == hardware.cpu
+        assert spec.hardware.nic.bandwidth == hardware.nic.bandwidth
+        # The pre-profile physics: no per-message latency, no
+        # queueing, random I/O at the sequential rate, no pressure.
+        assert spec.hardware.nic.message_latency_seconds == 0.0
+        assert spec.hardware.nic.queueing_factor == 0.0
+        assert (
+            spec.hardware.disk.random_bandwidth
+            == hardware.disk.seq_bandwidth
+        )
+        assert spec.hardware.memory_pressure_factor == 0.0
+        for field in (
+            "memory_bytes_per_worker", "barrier_seconds", "startup_seconds"
+        ):
+            assert getattr(spec.hardware, field) == getattr(hardware, field)
 
 
 class TestCostMeter:
@@ -83,8 +126,11 @@ class TestCostMeter:
         assert skewed.compute_seconds == pytest.approx(
             balanced.compute_seconds * cluster_spec.num_workers
         )
-        assert skewed.skew == pytest.approx(cluster_spec.num_workers)
-        assert balanced.skew == pytest.approx(1.0)
+        attribute = cluster_spec.hardware.attribute
+        assert attribute(skewed).worker_skew == pytest.approx(
+            cluster_spec.num_workers
+        )
+        assert attribute(balanced).worker_skew == pytest.approx(1.0)
 
     def test_local_messages_cost_no_network(self, cluster_spec):
         meter = CostMeter(cluster_spec)
@@ -111,14 +157,28 @@ class TestCostMeter:
         with_barrier = meter.end_round()
         meter.begin_round("no-barrier", barrier=False)
         without = meter.end_round()
-        assert with_barrier.barrier_seconds == cluster_spec.barrier_seconds
+        assert with_barrier.barrier_seconds == cluster_spec.hardware.barrier_seconds
         assert without.barrier_seconds == 0.0
 
     def test_startup(self, cluster_spec):
         meter = CostMeter(cluster_spec)
         meter.charge_startup()
-        assert meter.profile.startup_seconds == cluster_spec.startup_seconds
-        assert meter.profile.simulated_seconds == cluster_spec.startup_seconds
+        startup_seconds = cluster_spec.hardware.startup_seconds
+        assert meter.profile.startup_seconds == startup_seconds
+        assert meter.profile.simulated_seconds == startup_seconds
+
+    def test_startup_counts_launches(self, cluster_spec):
+        meter = CostMeter(cluster_spec)
+        assert meter.profile.launches == 0
+        running_sum = 0.0
+        for launches in range(1, 6):
+            meter.charge_startup()
+            running_sum += cluster_spec.hardware.startup_seconds
+            assert meter.profile.launches == launches
+            # Launch count times the constant is the running sum, bit
+            # for bit, for the registered integer/half constants.
+            assert meter.profile.startup_seconds == running_sum
+        assert meter.profile.breakdown().startup == running_sum
 
     def test_random_access_slower_than_sequential(self, cluster_spec):
         meter = CostMeter(cluster_spec)
@@ -328,7 +388,10 @@ class TestScaledNaming:
         twice = base.scaled(2.0).scaled(2.0)
         assert twice.name == f"{base.name}/s4"
         # And the physics composes with the name.
-        assert twice.cpu_ops_per_second == base.cpu_ops_per_second / 4
+        assert (
+            twice.hardware.cpu.ops_per_second
+            == base.hardware.cpu.ops_per_second / 4
+        )
 
     def test_scaled_identity_round_trips(self):
         base = ClusterSpec.paper_distributed()
@@ -421,7 +484,7 @@ class TestHardwarePhysicsFixes:
         assert record.striped_disk_read_bytes == 1e9
         assert record.striped_disk_write_bytes == 5e8
         assert record.disk_seconds == (1e9 + 5e8) / (
-            cluster_spec.num_workers * cluster_spec.disk_bandwidth
+            cluster_spec.num_workers * cluster_spec.hardware.disk.seq_bandwidth
         )
 
     def test_skewed_disk_worker_is_a_straggler(self, cluster_spec):
@@ -433,7 +496,8 @@ class TestHardwarePhysicsFixes:
         meter.charge_disk_write(0, 1e9)
         meter.charge_disk_write(1, 1e8)
         skewed = meter.end_round()
-        assert skewed.disk_seconds == 1e9 / cluster_spec.disk_bandwidth
+        seq_bandwidth = cluster_spec.hardware.disk.seq_bandwidth
+        assert skewed.disk_seconds == 1e9 / seq_bandwidth
         # The same total striped would be nearly num_workers cheaper.
         meter.begin_round("balanced", barrier=False)
         meter.charge_disk_write(None, 1.1e9)
@@ -476,8 +540,8 @@ class TestBarrierPhysics:
         record = meter.end_round()
         spec = cluster_spec
         per_worker = [
-            1_000_000 / spec.worker_ops_per_second,
-            2_000_000 * spec.random_access_seconds,
+            1_000_000 / spec.hardware.cpu.worker_ops_per_second,
+            2_000_000 * spec.hardware.cpu.random_access_seconds,
         ]
         assert record.compute_seconds == pytest.approx(max(per_worker))
         # The old (wrong) charge was the sum of both maxima.
@@ -493,7 +557,7 @@ class TestBarrierPhysics:
         meter.charge_random_access(3, 800_000)
         record = meter.end_round()
         expected = (
-            500_000 / cluster_spec.worker_ops_per_second
-            + 800_000 * cluster_spec.random_access_seconds
+            500_000 / cluster_spec.hardware.cpu.worker_ops_per_second
+            + 800_000 * cluster_spec.hardware.cpu.random_access_seconds
         )
         assert record.compute_seconds == pytest.approx(expected)

@@ -15,7 +15,7 @@ class TestBuildingBlocks:
     def test_distributed_read_scales_with_workers(self, cluster_spec):
         single = ClusterSpec.paper_single_node()
         assert etl.distributed_read_seconds(1e9, cluster_spec) < (
-            1e9 / single.disk_bandwidth
+            1e9 / single.hardware.disk.seq_bandwidth
         )
 
     def test_partition_shuffle_zero_on_single_node(self, single_node_spec):
@@ -27,8 +27,9 @@ class TestBuildingBlocks:
         assert thrice > 2.5 * once
 
     def test_sequential_insert(self, single_node_spec):
+        access = single_node_spec.hardware.cpu.random_access_seconds
         assert etl.sequential_insert_seconds(1e6, 3.0, single_node_spec) == (
-            pytest.approx(3e6 * single_node_spec.random_access_seconds)
+            pytest.approx(3e6 * access)
         )
 
     def test_sort_superlinear(self, cluster_spec):

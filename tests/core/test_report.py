@@ -7,6 +7,7 @@ from repro.core.report import ReportGenerator
 from repro.core.validation import OutputValidator
 from repro.core.workload import Algorithm
 from repro.graph.generators import rmat_graph
+from repro.hardware.models import PART_LEGEND, PART_LETTERS
 from repro.platforms.graphdb.driver import Neo4jPlatform
 from repro.platforms.pregel.driver import GiraphPlatform
 
@@ -127,12 +128,12 @@ def test_runtime_cells_show_dominant_chokepoint(suite):
     # Every successful cell carries its one-letter dominant label.
     cells = re.findall(r"\d+\.\d+ ([A-Z])", matrix)
     assert cells
-    assert set(cells) <= set("NMLS")
+    assert set(cells) <= set(PART_LETTERS.values())
 
 
 def test_render_includes_chokepoint_legend(suite):
     text = ReportGenerator().render(suite)
-    assert "N=network, M=memory, L=locality, S=skew" in text
+    assert PART_LEGEND in text
     assert "dominant=" in text
 
 

@@ -5,17 +5,21 @@ bit-compat guarantee), so the pressure and queueing physics are
 exercised here with custom profiles.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.cost import RoundRecord
 from repro.hardware.models import (
     MEMORY_PRESSURE_THRESHOLD,
+    PART_LETTERS,
     RHO_CAP,
     CpuModel,
     DiskModel,
     HardwareProfile,
     NicModel,
     RoundTimes,
+    TimeBreakdown,
 )
 from repro.observability.replay import _record_from_span
 
@@ -281,6 +285,111 @@ class TestHardwareProfileRoundTimes:
         record = _record_from_span(legacy_span)
         times = profile.round_times(record, num_workers=2)
         assert times.disk_seconds == (1e8 + 1e8) / (2 * 1e8)
+
+
+def costed(profile, record, num_workers=2, **round_times_kwargs):
+    """``record`` with its seconds derived as ``CostMeter.end_round`` does."""
+    times = profile.round_times(record, num_workers, **round_times_kwargs)
+    return dataclasses.replace(
+        record,
+        compute_seconds=times.compute_seconds,
+        network_seconds=times.network_seconds,
+        network_transfer_seconds=times.network_transfer_seconds,
+        network_latency_seconds=times.network_latency_seconds,
+        network_queueing_seconds=times.network_queueing_seconds,
+        disk_seconds=times.disk_seconds,
+        barrier_seconds=times.barrier_seconds,
+    )
+
+
+class TestAttribute:
+    # Worker 0 runs 8e6 ops (2 s at 4 cores x 1e6 ops/s) plus 1e6
+    # random accesses (1 s); worker 1 idles. The mean worker is 1 s of
+    # compute and 0.5 s of locality; the busiest leads it by 1.5 s.
+    def _record(self, **overrides):
+        return make_record(
+            ops_per_worker=[8e6, 0.0],
+            random_accesses_per_worker=[1e6, 0.0],
+            remote_bytes=2e6,
+            remote_messages=10,
+            striped_disk_read_bytes=2e8,
+            **overrides,
+        )
+
+    def test_parts_split_the_mean_and_the_busiest_worker(self):
+        profile = make_profile()
+        record = costed(profile, self._record())
+        parts = profile.attribute(record)
+        assert (parts.compute, parts.locality, parts.skew) == (1.0, 0.5, 1.5)
+        assert parts.memory == 0.0
+        assert parts.network == record.network_seconds > 0.0
+        assert parts.disk == record.disk_seconds == 1.0
+        assert parts.barrier == record.barrier_seconds == 0.1
+        assert parts.startup == 0.0
+        assert parts.seconds == pytest.approx(record.seconds, rel=1e-15)
+        assert parts.worker_skew == 2.0
+
+    def test_pressure_surcharge_is_memory(self):
+        profile = make_profile(memory_pressure_factor=1.0)
+        record = costed(
+            profile,
+            self._record(
+                live_memory_bytes=0.75 * profile.memory_bytes_per_worker
+            ),
+        )
+        parts = profile.attribute(record)
+        # 1.5x pressure on the 3 s busiest worker: 1.5 s surcharge.
+        assert (parts.compute, parts.locality, parts.skew) == (1.0, 0.5, 1.5)
+        assert parts.memory == 1.5
+        assert parts.seconds == pytest.approx(record.seconds, rel=1e-15)
+
+    def test_straggler_penalty_is_skew(self):
+        profile = make_profile()
+        record = costed(
+            profile, self._record(), straggler_penalty_seconds=2.5
+        )
+        parts = profile.attribute(record)
+        assert (parts.compute, parts.locality) == (1.0, 0.5)
+        assert parts.skew == 1.5 + 2.5
+        assert parts.worker_skew == pytest.approx((1.5 + 4.0) / 1.5)
+
+    def test_idle_round_is_all_barrier(self):
+        profile = make_profile()
+        parts = profile.attribute(costed(profile, make_record()))
+        assert parts == TimeBreakdown(barrier=0.1)
+        assert parts.worker_skew == 1.0
+        assert parts.dominant_letter() == "B"
+
+
+class TestTimeBreakdown:
+    def test_letters_are_distinct_and_startup_is_fixed_overhead(self):
+        assert len(set(PART_LETTERS.values())) == len(PART_LETTERS)
+        assert list(PART_LETTERS) == [
+            f.name for f in dataclasses.fields(TimeBreakdown)
+        ]
+        assert PART_LETTERS["startup"] == "F"
+
+    def test_dominant_is_the_largest_part(self):
+        parts = TimeBreakdown(network=2.0, barrier=1.0, startup=3.0)
+        assert parts.dominant() == "startup"
+        assert parts.dominant_letter() == "F"
+        assert parts.share("network") == pytest.approx(2.0 / 6.0)
+
+    def test_ties_go_to_the_earlier_part(self):
+        assert TimeBreakdown(network=1.0, startup=1.0).dominant() == "network"
+        assert TimeBreakdown().dominant() == "compute"
+        assert TimeBreakdown().share("barrier") == 0.0
+
+    def test_addition_is_per_part(self):
+        total = TimeBreakdown(compute=1.0, skew=0.5) + TimeBreakdown(
+            compute=2.0, startup=10.0
+        )
+        assert total == TimeBreakdown(compute=3.0, skew=0.5, startup=10.0)
+        assert total.seconds == 13.5
+
+    def test_describe_ranks_nonzero_shares(self):
+        parts = TimeBreakdown(network=1.0, barrier=1.0, startup=2.0)
+        assert parts.describe() == "F=50.0% N=25.0% B=25.0%"
 
 
 class TestProfileTransforms:

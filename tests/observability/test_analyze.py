@@ -109,7 +109,7 @@ class TestLoadMetrics:
         entry = metrics[("giraph", "tiny", "BFS")]
         assert entry.simulated_seconds == run.profile.simulated_seconds
         assert entry.num_rounds == run.profile.num_rounds
-        assert entry.dominant in {"network", "memory", "locality", "skew"}
+        assert entry.dominant == run.profile.breakdown().dominant()
 
     def test_load_from_results_db(self, tmp_path):
         rows = [

@@ -67,4 +67,4 @@ def test_chokepoints_attached_to_every_cell(traced_and_untraced):
     untraced, _traced = traced_and_untraced
     for result in untraced.results:
         assert result.chokepoints is not None
-        assert result.chokepoints.dominant_letter() in set("NMLS")
+        assert result.chokepoints.breakdown == result.run.profile.breakdown()

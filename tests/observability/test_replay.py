@@ -47,6 +47,20 @@ class TestReplayExactness:
         path, run = _traced_bfs(tmp_path, cluster_spec, small_rmat)
         assert verify_replay(path, run.profile) == []
 
+    def test_run_end_carries_launches(self, tmp_path, cluster_spec, small_rmat):
+        path, run = _traced_bfs(tmp_path, cluster_spec, small_rmat)
+        (attempt,) = parse_trace(read_trace(path))
+        assert attempt.launches == run.profile.launches == 1
+        assert replay_trace(path).launches == 1
+        doctored = [
+            {**event, "launches": 2} if event["event"] == "run-end" else event
+            for event in read_trace(path)
+        ]
+        path.write_text("\n".join(json.dumps(e) for e in doctored) + "\n")
+        assert verify_replay(path, run.profile) == [
+            "launches: trace has 2, profile has 1"
+        ]
+
     def test_verify_replay_detects_tampering(
         self, tmp_path, cluster_spec, small_rmat
     ):

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from repro.core.cost import CostMeter, MemoryBudgetExceeded
+from repro.core.cost import ClusterSpec, CostMeter, MemoryBudgetExceeded
 from repro.core.monitor import SystemMonitor
+from repro.core.workload import Algorithm, AlgorithmParams
+from repro.datasets.catalog import graph500_graph
 from repro.observability import (
     InMemoryAggregator,
     JsonlTraceWriter,
@@ -77,6 +79,30 @@ class TestInMemoryAggregator:
         summary = aggregator.summary()
         assert summary["rounds"] == 2
         assert json.dumps(summary)  # JSON-serializable
+
+    @pytest.mark.parametrize("platform_name", ["giraph", "mapreduce"])
+    def test_every_launch_is_a_startup_charge(self, platform_name):
+        # MapReduce submits one job per iteration (map, shuffle and
+        # reduce rounds); each submission is a launch the sinks see.
+        from repro.platforms.registry import create_platform
+
+        platform = create_platform(
+            platform_name, ClusterSpec.paper_distributed()
+        )
+        handle = platform.upload_graph("g", graph500_graph(8))
+        aggregator = InMemoryAggregator()
+        platform.sinks = (aggregator,)
+        profile = platform.run_algorithm(
+            handle, Algorithm.BFS, AlgorithmParams()
+        ).profile
+        jobs = sum(1 for r in profile.rounds if r.name.startswith("map-"))
+        launches = jobs if platform_name == "mapreduce" else 1
+        assert launches >= 1
+        assert aggregator.charge_counts["startup"] == launches
+        assert profile.launches == launches
+        assert profile.startup_seconds == (
+            launches * profile.cluster.hardware.startup_seconds
+        )
 
     def test_oom_recorded_as_fault(self, tiny_memory_spec):
         aggregator = InMemoryAggregator()
@@ -151,11 +177,13 @@ class TestJsonlTraceWriter:
 class TestMonitorSink:
     def test_streamed_series_equals_profile_replay(self, cluster_spec):
         sink = MonitorSink()
+        sink.on_run_begin("giraph", "g", "BFS", cluster_spec)
         profile = _metered_run(cluster_spec, sinks=(sink,))
         assert sink.samples == SystemMonitor().samples_from_profile(profile)
 
     def test_run_begin_resets_clock(self, cluster_spec):
         sink = MonitorSink()
+        sink.on_run_begin("giraph", "g", "BFS", cluster_spec)
         profile = _metered_run(cluster_spec, sinks=(sink,))
         first = list(sink.samples)
         sink.on_run_begin("giraph", "g", "BFS", cluster_spec)

@@ -1,5 +1,6 @@
 """Unit tests for the GPU BSP engine (Medusa model)."""
 
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,14 @@ from repro.graph.graph import Graph
 from repro.platforms.gpu.driver import MedusaPlatform
 from repro.platforms.gpu.engine import WARP_SIZE, GPUEngine, gpu_device_spec
 from repro.platforms.pregel.programs import BFSProgram, ConnProgram
+
+
+def _device_with_memory(memory_bytes: float):
+    spec = gpu_device_spec()
+    return replace(
+        spec,
+        hardware=replace(spec.hardware, memory_bytes_per_worker=memory_bytes),
+    )
 
 
 @pytest.fixture
@@ -34,7 +43,7 @@ class TestEngine:
         engine.run(BFSProgram(source=0))
         warps = -(-200 // WARP_SIZE)
         for record in meter.profile.rounds:
-            min_lane_ops = warps * WARP_SIZE / device_spec.cores_per_worker
+            min_lane_ops = warps * WARP_SIZE / device_spec.hardware.cpu.cores
             assert sum(record.ops_per_worker) >= min_lane_ops * 0.99
 
     def test_warp_divergence_penalizes_skew(self, device_spec):
@@ -54,7 +63,7 @@ class TestEngine:
         assert costs["hub"] > 1.5 * costs["ring"]
 
     def test_device_memory_enforced(self):
-        tiny = gpu_device_spec().replace(memory_bytes_per_worker=512.0)
+        tiny = _device_with_memory(512.0)
         graph = rmat_graph(7, seed=1)
         engine = GPUEngine(graph, tiny)
         with pytest.raises(MemoryBudgetExceeded):
@@ -88,7 +97,7 @@ class TestDriver:
                 validator.validate(small_rmat, algorithm, params, run.output)
 
     def test_oom_surfaces_as_platform_failure(self, small_rmat):
-        tiny = gpu_device_spec().replace(memory_bytes_per_worker=1024.0)
+        tiny = _device_with_memory(1024.0)
         platform = MedusaPlatform(tiny)
         with pytest.raises(PlatformFailure, match="out-of-memory"):
             platform.upload_graph("g", small_rmat)

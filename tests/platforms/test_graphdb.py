@@ -1,5 +1,7 @@
 """Unit tests for the graph-database store and traversal framework."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cost import ClusterSpec, CostMeter, MemoryBudgetExceeded
@@ -59,8 +61,12 @@ class TestStore:
         assert meter.memory_in_use(0) == 0.0
 
     def test_memory_budget_enforced(self):
-        spec = ClusterSpec.paper_single_node().replace(
-            memory_bytes_per_worker=NODE_RECORD_BYTES * 2,
+        spec = ClusterSpec.paper_single_node()
+        spec = replace(
+            spec,
+            hardware=replace(
+                spec.hardware, memory_bytes_per_worker=NODE_RECORD_BYTES * 2
+            ),
         )
         db = GraphStore(CostMeter(spec))
         db.create_node(0)

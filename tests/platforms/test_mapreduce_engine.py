@@ -91,7 +91,8 @@ class TestCosts:
         engine = MapReduceEngine(cluster_spec, meter)
         engine.run_job(_IdentityJob(), [(0, 1)])
         engine.run_job(_IdentityJob(), [(0, 1)])
-        assert meter.profile.startup_seconds == 2 * cluster_spec.startup_seconds
+        startup_seconds = cluster_spec.hardware.startup_seconds
+        assert meter.profile.startup_seconds == 2 * startup_seconds
 
     def test_hdfs_replication_written(self, cluster_spec):
         meter = CostMeter(cluster_spec)

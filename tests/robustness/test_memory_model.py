@@ -81,7 +81,7 @@ class TestApplyMemLimit:
         platform = GiraphPlatform(ClusterSpec.paper_distributed())
         returned = apply_mem_limit(platform, 1234.0)
         assert returned is platform
-        assert platform.cluster.memory_bytes_per_worker == 1234.0
+        assert platform.cluster.hardware.memory_bytes_per_worker == 1234.0
         # Everything else is untouched.
         assert platform.cluster.num_workers == 10
 

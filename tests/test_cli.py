@@ -205,15 +205,6 @@ def test_quality_disable_rule(tmp_path, capsys):
     assert code == 0
 
 
-def test_shipped_tree_passes_committed_baseline(capsys):
-    code = main(
-        ["quality", "--root", "src", "--baseline", ".quality-baseline.json",
-         "--check"]
-    )
-    assert code == 0
-    assert "quality gate passed" in capsys.readouterr().out
-
-
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -498,7 +489,8 @@ def test_trace_command_summarizes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "giraph/graph500-7/bfs" in out
     assert "status=success" in out
-    assert "dominant=" in out
+    assert "dominant=startup" in out
+    assert "time F=" in out
     assert "superstep-0" in out
 
 
@@ -520,7 +512,7 @@ def test_analyze_command_flags_regressions(tmp_path, capsys):
     row = {
         "platform": "giraph", "graph": "tiny", "algorithm": "BFS",
         "status": "success", "runtime_seconds": 10.0, "num_rounds": 5,
-        "remote_bytes": 100.0, "dominant_chokepoint": "skew",
+        "remote_bytes": 100.0, "dominant_chokepoint": "startup",
     }
     old.write_text(json.dumps(row) + "\n")
     row["runtime_seconds"] = 20.0
@@ -531,7 +523,7 @@ def test_analyze_command_flags_regressions(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2 regression(s):" in out
     assert "simulated time grew 100.0%" in out
-    assert "dominant choke point moved skew -> network" in out
+    assert "dominant choke point moved startup -> network" in out
     assert main(["analyze", str(old), str(new), "--check"]) == 1
 
 
