@@ -67,7 +67,6 @@ from repro.analysis import (
     analyze_tree,
     audit_paths,
     audit_spec,
-    QualityReport,
     load_baseline,
     quality_gate,
     render_json,
@@ -565,7 +564,7 @@ def _gate_report(report, args, default_baseline: str, label: str) -> int:
 
     Both ``quality`` (Python source) and ``audit`` (experiment
     artifacts) produce a :class:`QualityReport`; this is the one gate
-    behind both commands.
+    behind both commands, and selfcheck's gate stages run them.
     """
     if args.json:
         Path(args.json).write_text(render_json(report), encoding="utf-8")
@@ -850,19 +849,6 @@ def _selfcheck_tests(fast: bool) -> bool:
     return subprocess.run(command).returncode == 0
 
 
-def _selfcheck_gate(report: QualityReport, baseline_name: str) -> bool:
-    """Gate a report against a checked-in baseline, printing regressions."""
-    baseline = None
-    baseline_path = Path(baseline_name)
-    if baseline_path.exists():
-        baseline = load_baseline(baseline_path)
-    gate = quality_gate(report, baseline)
-    if not gate.passed:
-        for regression in gate.regressions:
-            print(f"  {regression.severity}: {regression.message}")
-    return gate.passed
-
-
 def _selfcheck_quality() -> bool:
     """Run the static-analysis gate over src within its time budget."""
     import time as _time
@@ -872,9 +858,11 @@ def _selfcheck_quality() -> bool:
     # Fan the per-file rules out over a few workers; the growing rule
     # set must not push the full-src analysis past its budget.
     jobs = max(1, min(4, (os.cpu_count() or 1) - 1))
-    report = analyze_tree("src", jobs=jobs)
+    passed = main([
+        "quality", "--root", "src", "--jobs", str(jobs),
+        "--baseline", ".quality-baseline.json", "--check",
+    ]) == 0
     quality_seconds = _time.perf_counter() - quality_start
-    passed = _selfcheck_gate(report, ".quality-baseline.json")
     # The interprocedural rules (call graph + fixpoints) must stay
     # interactive: a full-src analysis has a hard 30 s budget so
     # the gate never becomes the slow step of a commit.
@@ -891,7 +879,9 @@ def _selfcheck_quality() -> bool:
 def _selfcheck_audit() -> bool:
     """Run the benchmark self-audit over the shipped experiment suite."""
     print("selfcheck: running benchmark self-audit over configs")
-    return _selfcheck_gate(audit_paths(["configs"]), ".audit-baseline.json")
+    return main([
+        "audit", "configs", "--baseline", ".audit-baseline.json", "--check",
+    ]) == 0
 
 
 def _selfcheck_perf() -> bool:

@@ -25,7 +25,7 @@ the choke-point analysis (Section 2.1) consumes:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.hardware.models import (
 __all__ = [
     "ClusterSpec",
     "MemoryBudgetExceeded",
+    "ROUND_FIELDS",
     "RoundRecord",
     "RunProfile",
     "CostMeter",
@@ -170,11 +171,7 @@ class ClusterSpec:
 
     def to_dict(self) -> dict:
         """Plain nested dict (JSON-safe; traces embed it)."""
-        return {
-            "name": self.name,
-            "num_workers": self.num_workers,
-            "hardware": self.hardware.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
@@ -225,6 +222,10 @@ class RoundRecord:
 
     A "round" is a Pregel superstep, a MapReduce job phase, an RDD
     stage, or — for single-node platforms — the whole traversal.
+
+    The declaration order is the round format: trace spans and
+    ``profile_fingerprint`` carry the fields in this order, so adding
+    or moving a field moves every pinned fingerprint digest.
     """
 
     name: str
@@ -247,11 +248,11 @@ class RoundRecord:
     #: Worker-attributed seek-dominated bytes, paid at the disk's
     #: random bandwidth.
     disk_random_bytes_per_worker: list[float] = field(default_factory=list)
-    active_vertices: int = 0
-    barrier: bool = True
     #: Live-memory high-water mark across workers when the round
     #: closed (feeds the memory-pressure model).
     live_memory_bytes: float = 0.0
+    active_vertices: int = 0
+    barrier: bool = True
     compute_seconds: float = 0.0
     network_seconds: float = 0.0
     #: Network breakdown: transfer + latency + queueing sums to
@@ -276,6 +277,10 @@ class RoundRecord:
     def total_ops(self) -> float:
         """Sequential operations summed over workers."""
         return sum(self.ops_per_worker)
+
+
+#: :class:`RoundRecord`'s field names in declaration order.
+ROUND_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(RoundRecord))
 
 
 @dataclass

@@ -47,7 +47,7 @@ an import cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 __all__ = [
     "CpuModel",
@@ -473,27 +473,7 @@ class HardwareProfile:
 
     def to_dict(self) -> dict:
         """Plain nested dict (JSON-safe; traces embed it)."""
-        return {
-            "name": self.name,
-            "cpu": {
-                "cores": self.cpu.cores,
-                "ops_per_second": self.cpu.ops_per_second,
-                "random_access_seconds": self.cpu.random_access_seconds,
-            },
-            "nic": {
-                "bandwidth": self.nic.bandwidth,
-                "message_latency_seconds": self.nic.message_latency_seconds,
-                "queueing_factor": self.nic.queueing_factor,
-            },
-            "disk": {
-                "seq_bandwidth": self.disk.seq_bandwidth,
-                "random_bandwidth": self.disk.random_bandwidth,
-            },
-            "memory_bytes_per_worker": self.memory_bytes_per_worker,
-            "memory_pressure_factor": self.memory_pressure_factor,
-            "barrier_seconds": self.barrier_seconds,
-            "startup_seconds": self.startup_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "HardwareProfile":

@@ -7,6 +7,12 @@ precision, including ``Infinity``), so a trace re-aggregates to the
 *bit-identical* :class:`~repro.core.cost.RunProfile` the meter
 recorded. :func:`verify_replay` is the checker that asserts it — it
 backs the ``selfcheck`` trace stage and the replay tests.
+
+Replay and :func:`profile_fingerprint` iterate
+:data:`~repro.core.cost.ROUND_FIELDS`, the record's fields in
+declaration order. The only per-field knowledge here is the table of
+fields added after the first trace format, with the value an older
+span implies for each.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
-from repro.core.cost import ClusterSpec, RoundRecord, RunProfile
+from repro.core.cost import ROUND_FIELDS, ClusterSpec, RoundRecord, RunProfile
 
 __all__ = [
     "TraceAttempt",
@@ -64,48 +71,36 @@ class TraceAttempt:
         )
 
 
+#: The round fields added after the first trace format, each with the
+#: value a span written before it implies. Before the disk split all
+#: disk bytes were pooled (striped), and before the network split all
+#: network time was transfer.
+_LATER_FIELDS: dict[str, Callable[[dict], Any]] = {
+    "striped_disk_read_bytes": lambda span: span["disk_read_bytes"],
+    "striped_disk_write_bytes": lambda span: span["disk_write_bytes"],
+    "disk_bytes_per_worker": lambda span: [],
+    "disk_random_bytes_per_worker": lambda span: [],
+    "live_memory_bytes": lambda span: 0.0,
+    "network_transfer_seconds": lambda span: span["network_seconds"],
+    "network_latency_seconds": lambda span: 0.0,
+    "network_queueing_seconds": lambda span: 0.0,
+}
+
+
 def _record_from_span(span: dict) -> RoundRecord:
-    # Hardware-layer fields use ``.get`` defaults so traces written
-    # before the HardwareProfile refactor still replay. Before the
-    # disk split all disk bytes were pooled, so a span without the
-    # striped fields counts its round totals as striped.
-    record = RoundRecord(
-        name=span["name"],
-        ops_per_worker=list(span["ops_per_worker"]),
-        random_accesses_per_worker=list(span["random_accesses_per_worker"]),
-        local_messages=span["local_messages"],
-        remote_messages=span["remote_messages"],
-        remote_bytes=span["remote_bytes"],
-        disk_read_bytes=span["disk_read_bytes"],
-        disk_write_bytes=span["disk_write_bytes"],
-        striped_disk_read_bytes=span.get(
-            "striped_disk_read_bytes", span["disk_read_bytes"]
-        ),
-        striped_disk_write_bytes=span.get(
-            "striped_disk_write_bytes", span["disk_write_bytes"]
-        ),
-        disk_bytes_per_worker=list(span.get("disk_bytes_per_worker", [])),
-        disk_random_bytes_per_worker=list(
-            span.get("disk_random_bytes_per_worker", [])
-        ),
-        live_memory_bytes=span.get("live_memory_bytes", 0.0),
-        active_vertices=span["active_vertices"],
-        barrier=span["barrier"],
-    )
     # Derived times are replayed, not recomputed: the trace is the
     # record of what the meter charged, straggler penalties included.
-    record.compute_seconds = span["compute_seconds"]
-    record.network_seconds = span["network_seconds"]
-    record.network_transfer_seconds = span.get(
-        "network_transfer_seconds", span["network_seconds"]
+    # A span missing an original field raises KeyError.
+    return RoundRecord(
+        **{
+            name: (
+                _LATER_FIELDS[name](span)
+                if name not in span and name in _LATER_FIELDS
+                else span[name]
+            )
+            for name in ROUND_FIELDS
+        }
     )
-    record.network_latency_seconds = span.get("network_latency_seconds", 0.0)
-    record.network_queueing_seconds = span.get(
-        "network_queueing_seconds", 0.0
-    )
-    record.disk_seconds = span["disk_seconds"]
-    record.barrier_seconds = span["barrier_seconds"]
-    return record
 
 
 def read_trace(path: str | Path) -> list[dict]:
@@ -178,39 +173,23 @@ def profile_fingerprint(profile: RunProfile) -> tuple:
     per-round per-worker charges, all derived times, startup, and the
     memory peaks. Used by :func:`verify_replay` and by the
     differential tests pinning trace-on == trace-off behaviour.
+    Rounds contribute every :data:`~repro.core.cost.ROUND_FIELDS`
+    value in declaration order; ``launches`` is left out, because
+    adding it would move every pinned digest.
     """
     return (
         profile.cluster.name,
         profile.startup_seconds,
         tuple(profile.peak_memory_per_worker),
         tuple(
-            (
-                r.name,
-                tuple(r.ops_per_worker),
-                tuple(r.random_accesses_per_worker),
-                r.local_messages,
-                r.remote_messages,
-                r.remote_bytes,
-                r.disk_read_bytes,
-                r.disk_write_bytes,
-                r.striped_disk_read_bytes,
-                r.striped_disk_write_bytes,
-                tuple(r.disk_bytes_per_worker),
-                tuple(r.disk_random_bytes_per_worker),
-                r.live_memory_bytes,
-                r.active_vertices,
-                r.barrier,
-                r.compute_seconds,
-                r.network_seconds,
-                r.network_transfer_seconds,
-                r.network_latency_seconds,
-                r.network_queueing_seconds,
-                r.disk_seconds,
-                r.barrier_seconds,
-            )
-            for r in profile.rounds
+            tuple(_hashable(getattr(record, name)) for name in ROUND_FIELDS)
+            for record in profile.rounds
         ),
     )
+
+
+def _hashable(value: Any) -> Any:
+    return tuple(value) if isinstance(value, list) else value
 
 
 def verify_replay(path: str | Path, profile: RunProfile) -> list[str]:

@@ -15,7 +15,10 @@ listener bus, scaled to the simulation: the existing
 JSONL traces of :class:`JsonlTraceWriter` replay to exact
 :class:`~repro.core.cost.RunProfile` objects (see
 :mod:`repro.observability.replay`), and :class:`InMemoryAggregator`
-keeps cheap running totals for tests and live dashboards.
+keeps cheap running totals for tests and live dashboards. A trace's
+round span is :class:`~repro.core.cost.RoundRecord`'s fields in
+declaration order (``ROUND_FIELDS``), the order replay reads and
+``profile_fingerprint`` hashes, so this module lists no round field.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.cost import ClusterSpec, RoundRecord, RunProfile
+from repro.core.cost import ROUND_FIELDS, ClusterSpec, RoundRecord, RunProfile
 from repro.core.monitor import UtilizationSample, sample_from_record
 from repro.hardware.models import HardwareProfile
 
@@ -86,10 +89,11 @@ class JsonlTraceWriter(TraceSink):
         {"event": "fault", "kind": ..., "round": ..., "detail": ...}
         {"event": "run-end", "status": "success", <profile summary>}
 
-    Spans carry the complete :class:`RoundRecord` — per-worker ops and
-    random accesses, message/byte/disk totals, and the derived seconds
-    — so :func:`repro.observability.replay.replay_trace` reconstructs
-    the exact recorded :class:`RunProfile` from the trace alone.
+    Spans carry every :class:`RoundRecord` field in declaration order
+    — per-worker ops and random accesses, message/byte/disk totals,
+    and the derived seconds — so
+    :func:`repro.observability.replay.replay_trace` reconstructs the
+    exact recorded :class:`RunProfile` from the trace alone.
     Retried attempts append further ``run-begin`` blocks to the same
     file. The file is created lazily on the first event; traces are
     fully deterministic (no wall-clock timestamps: the only clock in a
@@ -145,36 +149,9 @@ class JsonlTraceWriter(TraceSink):
             )
 
     def on_round_end(self, index, record, straggler_penalty_seconds=0.0) -> None:
-        span = {
-            "event": "round",
-            "index": index,
-            "name": record.name,
-            "ops_per_worker": list(record.ops_per_worker),
-            "random_accesses_per_worker": list(
-                record.random_accesses_per_worker
-            ),
-            "local_messages": record.local_messages,
-            "remote_messages": record.remote_messages,
-            "remote_bytes": record.remote_bytes,
-            "disk_read_bytes": record.disk_read_bytes,
-            "disk_write_bytes": record.disk_write_bytes,
-            "striped_disk_read_bytes": record.striped_disk_read_bytes,
-            "striped_disk_write_bytes": record.striped_disk_write_bytes,
-            "disk_bytes_per_worker": list(record.disk_bytes_per_worker),
-            "disk_random_bytes_per_worker": list(
-                record.disk_random_bytes_per_worker
-            ),
-            "live_memory_bytes": record.live_memory_bytes,
-            "active_vertices": record.active_vertices,
-            "barrier": record.barrier,
-            "compute_seconds": record.compute_seconds,
-            "network_seconds": record.network_seconds,
-            "network_transfer_seconds": record.network_transfer_seconds,
-            "network_latency_seconds": record.network_latency_seconds,
-            "network_queueing_seconds": record.network_queueing_seconds,
-            "disk_seconds": record.disk_seconds,
-            "barrier_seconds": record.barrier_seconds,
-        }
+        span = {"event": "round", "index": index}
+        for name in ROUND_FIELDS:
+            span[name] = getattr(record, name)
         if straggler_penalty_seconds:
             span["straggler_penalty_seconds"] = straggler_penalty_seconds
         self._write(span)

@@ -98,7 +98,8 @@ class RDDContext:
         self.meter = meter or CostMeter(spec)
         self._next_id = itertools.count()
         self._stage = itertools.count()
-        self._live: dict[int, float] = {}
+        #: Each cached RDD's bytes per worker, released on unpersist.
+        self._live: dict[int, list[float]] = {}
 
     # -- RDD creation -----------------------------------------------------
 
@@ -123,22 +124,17 @@ class RDDContext:
         self, partitions: list[list], name: str, partitioner: str | None
     ) -> "RDD":
         rdd = RDD(self, partitions, name, partitioner)
-        memory = 0.0
-        for worker, partition in enumerate(partitions):
-            part_bytes = sum(_record_memory(r) for r in partition)
+        sizes = [
+            sum(_record_memory(r) for r in partition) for partition in partitions
+        ]
+        for worker, part_bytes in enumerate(sizes):
             self.meter.allocate_memory(worker, part_bytes)
-            memory += part_bytes
-        self._live[rdd.rdd_id] = memory
+        self._live[rdd.rdd_id] = sizes
         return rdd
 
     def _release(self, rdd: "RDD") -> None:
-        if rdd.rdd_id not in self._live:
-            return
-        del self._live[rdd.rdd_id]
-        for worker, partition in enumerate(rdd.partitions):
-            self.meter.release_memory(
-                worker, sum(_record_memory(r) for r in partition)
-            )
+        for worker, part_bytes in enumerate(self._live.pop(rdd.rdd_id, ())):
+            self.meter.release_memory(worker, part_bytes)
 
 class RDD:
     """An immutable, partitioned dataset (already materialized)."""

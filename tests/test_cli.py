@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_run_command(tmp_path, capsys):
@@ -412,9 +416,13 @@ def test_run_with_permanent_injected_crash(tmp_path, capsys):
     assert "worker-crash" in capsys.readouterr().out
 
 
-def test_selfcheck_smoke(capsys):
+def test_selfcheck_smoke(capsys, monkeypatch, src_quality_report):
     # --skip-tests: selfcheck must not recurse into the suite that is
-    # running it; the quality-gate and quick-perf stages run for real.
+    # running it. The quality stage gates the session's analysis of
+    # src instead of repeating it; the other stages run for real.
+    monkeypatch.setattr(
+        "repro.cli.analyze_tree", lambda *args, **kwargs: src_quality_report
+    )
     code = main(["selfcheck", "--skip-tests"])
     assert code == 0
     out = capsys.readouterr().out
@@ -426,6 +434,23 @@ def test_selfcheck_smoke(capsys):
     assert "trace replay   ok" in out
     assert "calibrate smoke ok" in out
     assert "selfcheck: PASS" in out
+
+
+def test_selfcheck_audit_stage_requires_its_baseline(
+    tmp_path, monkeypatch, capsys
+):
+    # The gate commands exit 2 on a missing baseline; selfcheck must
+    # not fall back to the no-baseline gate.
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    code = main(
+        [
+            "selfcheck", "--skip-tests", "--skip-quality", "--skip-perf",
+            "--skip-trace", "--skip-calibrate",
+        ]
+    )
+    assert code != 0
+    assert "audit gate     FAILED" in capsys.readouterr().out
 
 
 def test_selfcheck_all_stages_skippable(capsys):
