@@ -1,13 +1,15 @@
-"""STATS and LCC pinned on every platform, cell by cell.
+"""STATS, LCC and SSSP pinned on every platform, cell by cell.
 
 Every registered platform runs STATS and LCC on ``graph500-8`` and on
-the ``amazon`` stand-in (which goes through the rewiring generator).
+the ``amazon`` stand-in (which goes through the rewiring generator),
+and SSSP on ``graph500-8`` and ``road-16``, each weighted with
+``with_uniform_weights()`` as ``BenchmarkCore.run`` weights them.
 Each cell must reproduce the committed pins in
 ``triangle_pins.json``: the digest of its ``profile_fingerprint``
-(computed as perfbench does), a digest of the LCC output's sorted
-items, and the STATS vertex and edge counts. The STATS mean is left
-out on purpose: some platforms fold it with ``sum()``, which rounds
-differently across Python versions.
+(computed as perfbench does), a digest of the LCC or SSSP output's
+sorted items, and the STATS vertex and edge counts. The STATS mean is
+left out on purpose: some platforms fold it with ``sum()``, which
+rounds differently across Python versions.
 
 Regenerate the pins (only for an intended change to these cells) with
 ``PYTHONPATH=src python -m tests.test_triangle_pins``.
@@ -31,11 +33,14 @@ from repro.platforms.registry import available_platforms, create_platform_fleet
 PINS_PATH = Path(__file__).with_name("triangle_pins.json")
 GRAPHS = ("graph500-8", "amazon")
 ALGORITHMS = (Algorithm.STATS, Algorithm.LCC)
+SSSP_GRAPHS = ("graph500-8", "road-16")
 CELLS = [
     (platform, graph, algorithm)
     for platform in available_platforms()
-    for graph in GRAPHS
-    for algorithm in ALGORITHMS
+    for graph, algorithm in [
+        *((graph, algorithm) for graph in GRAPHS for algorithm in ALGORITHMS),
+        *((graph, Algorithm.SSSP) for graph in SSSP_GRAPHS),
+    ]
 ]
 
 
@@ -45,21 +50,25 @@ def _digest(value) -> str:
 
 
 @lru_cache(maxsize=None)
-def _graph(name: str):
-    return catalog.load_dataset(name)
+def _graph(name: str, weighted: bool):
+    graph = catalog.load_dataset(name)
+    return graph.with_uniform_weights() if weighted else graph
 
 
 @lru_cache(maxsize=None)
-def _handle(platform_name: str, graph_name: str):
+def _handle(platform_name: str, graph_name: str, weighted: bool):
     (platform,) = create_platform_fleet(
         ClusterSpec.paper_distributed(), names=[platform_name]
     )
-    return platform, platform.upload_graph(graph_name, _graph(graph_name))
+    graph = _graph(graph_name, weighted)
+    return platform, platform.upload_graph(graph_name, graph)
 
 
 def observe(platform_name: str, graph_name: str, algorithm: Algorithm) -> dict:
     """The pinned facts of one cell."""
-    platform, handle = _handle(platform_name, graph_name)
+    platform, handle = _handle(
+        platform_name, graph_name, algorithm is Algorithm.SSSP
+    )
     run = platform.run_algorithm(handle, algorithm)
     observed = {"profile": _digest(profile_fingerprint(run.profile))}
     if algorithm is Algorithm.STATS:
