@@ -11,8 +11,12 @@ at scale 18 (multi-million-edge regime) — refreshes the repository's
 * every converted platform's all-active PageRank kernel must beat the
   scalar path by at least 3x (PR sends a message per edge per round,
   so the bulk path has the most scalar overhead to amortize);
+* every converted platform's weighted SSSP kernel must beat the
+  scalar path by at least 3x, on the tracked graph weighted once with
+  ``with_uniform_weights()``;
 * the columnar MapReduce executor must beat the per-record engine by
-  at least 3x (``mapreduce-bfs-shuffle``);
+  at least 3x on BFS and on SSSP (``mapreduce-bfs-shuffle``,
+  ``mapreduce-sssp-shuffle``);
 * vectorized R-MAT generation must beat the per-edge builder by at
   least 10x at scale 18, and mmap graph loading must beat the pickle
   round-trip by at least 3x;
@@ -46,7 +50,11 @@ SPEEDUP_FLOORS = {
     "pregel-pagerank-allactive": 3.0,
     "gas-pagerank-allactive": 3.0,
     "graphx-pagerank-allactive": 3.0,
+    "pregel-sssp-frontier": 3.0,
+    "gas-sssp-frontier": 3.0,
+    "graphx-sssp-frontier": 3.0,
     "mapreduce-bfs-shuffle": 3.0,
+    "mapreduce-sssp-shuffle": 3.0,
     "datagen-rmat": 10.0,
     "graph-load": 3.0,
 }

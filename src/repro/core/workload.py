@@ -15,7 +15,13 @@ from dataclasses import dataclass, field, replace
 from repro.core.errors import ConfigurationError
 from repro.graph.graph import Graph
 
-__all__ = ["Algorithm", "AlgorithmParams", "Workload", "BenchmarkRunSpec"]
+__all__ = [
+    "Algorithm",
+    "AlgorithmParams",
+    "sssp_round_bound",
+    "Workload",
+    "BenchmarkRunSpec",
+]
 
 
 class Algorithm(enum.Enum):
@@ -110,6 +116,17 @@ class AlgorithmParams:
     def with_source(self, source: int) -> "AlgorithmParams":
         """Copy of these params with an explicit BFS source."""
         return replace(self, bfs_source=source)
+
+
+def sssp_round_bound(num_vertices: int) -> int:
+    """Safety bound on the rounds of every label-correcting SSSP loop.
+
+    With positive weights a shortest path has at most ``n - 1`` hops,
+    so synchronous relaxation settles within ``n + 1`` rounds; the
+    floor of 200 keeps small graphs on the engines' usual bound.
+    Every SSSP engine loop, scalar and bulk, reads this one function.
+    """
+    return max(200, num_vertices + 2)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Array kernels shared by the vectorized (bulk) engine paths.
 
 Option-free numpy primitives over CSR arrays and grouped keys: the
-CSR range gather, a sorted group-reduce, an order-preserving float
-group-sum, the multiplicative vertex-placement hash, and the
-per-vertex triangle count behind the STATS and LCC references. None
+dense index of a vertex id, the CSR range gather, a sorted
+group-reduce, an order-preserving float group-sum, the multiplicative
+vertex-placement hash, and the per-vertex triangle count behind the
+STATS and LCC references. None
 of them touches a :class:`~repro.core.cost.CostMeter`; the engines
 decide what each array means, what to charge and to which worker, and
 charge per-worker tallies through
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "dense_index",
     "csr_gather",
     "group_reduce",
     "ordered_group_sum",
@@ -47,6 +49,14 @@ def hash_workers(vertices: np.ndarray, num_workers: int) -> np.ndarray:
     hashed *= np.uint64(_KNUTH)
     hashed &= np.uint64(0xFFFFFFFF)
     return (hashed % np.uint64(num_workers)).astype(np.int64)
+
+
+def dense_index(vertex_ids: np.ndarray, vertex: int) -> int | None:
+    """Position of ``vertex`` in the sorted id array, ``None`` if absent."""
+    position = int(np.searchsorted(vertex_ids, vertex))
+    if position < len(vertex_ids) and vertex_ids[position] == vertex:
+        return position
+    return None
 
 
 def csr_gather(

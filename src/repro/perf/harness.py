@@ -85,25 +85,30 @@ class KernelSpec:
 def default_kernels() -> list[KernelSpec]:
     """The tracked kernel set.
 
-    BFS, CONN, and PR are the algorithms with bulk kernels on every
-    converted platform (PR is the all-active stress case: every vertex
-    sends every round, so the vectorized path earns the most). The
-    MapReduce kernel times the columnar ``RecordBatch`` executor
-    against the per-record scalar engine. The micro kernels cover the
-    rest of the data plane: vectorized R-MAT generation and mmap graph
-    loading.
+    BFS, CONN, PR and SSSP are the algorithms with bulk kernels on
+    every converted platform (PR is the all-active stress case: every
+    vertex sends every round, so the vectorized path earns the most;
+    SSSP adds a weight to every message and re-activates vertices
+    whose distance improves). The MapReduce kernels time the columnar
+    ``RecordBatch`` executor against the per-record scalar engine. The
+    micro kernels cover the rest of the data plane: vectorized R-MAT
+    generation and mmap graph loading.
     """
     return [
         KernelSpec("pregel-bfs-frontier", "giraph", Algorithm.BFS),
         KernelSpec("pregel-conn-frontier", "giraph", Algorithm.CONN),
         KernelSpec("pregel-pagerank-allactive", "giraph", Algorithm.PR),
+        KernelSpec("pregel-sssp-frontier", "giraph", Algorithm.SSSP),
         KernelSpec("gas-bfs-frontier", "graphlab", Algorithm.BFS),
         KernelSpec("gas-conn-frontier", "graphlab", Algorithm.CONN),
         KernelSpec("gas-pagerank-allactive", "graphlab", Algorithm.PR),
+        KernelSpec("gas-sssp-frontier", "graphlab", Algorithm.SSSP),
         KernelSpec("graphx-bfs-frontier", "graphx", Algorithm.BFS),
         KernelSpec("graphx-conn-frontier", "graphx", Algorithm.CONN),
         KernelSpec("graphx-pagerank-allactive", "graphx", Algorithm.PR),
+        KernelSpec("graphx-sssp-frontier", "graphx", Algorithm.SSSP),
         KernelSpec("mapreduce-bfs-shuffle", "mapreduce", Algorithm.BFS),
+        KernelSpec("mapreduce-sssp-shuffle", "mapreduce", Algorithm.SSSP),
         KernelSpec("datagen-rmat", "datagen", Algorithm.BFS, kind="micro"),
         KernelSpec("graph-load", "datasets", Algorithm.BFS, kind="micro"),
     ]
@@ -298,9 +303,11 @@ def run_perf(
     edge factor 16 is ~131k directed edges — the "~100k-edge graph"
     the speedup targets are stated against. Pass ``graph`` to reuse a
     cached instance; it must match the stated generation parameters,
-    which are recorded verbatim in the report. ``datagen_scale``
-    (default ``scale + 5``) is where the ``datagen-rmat`` micro
-    kernel measures — five scales past the platform graph, the
+    which are recorded verbatim in the report. SSSP kernels run on
+    the graph weighted once with ``with_uniform_weights()``, as
+    ``BenchmarkCore.run`` weights it. ``datagen_scale`` (default
+    ``scale + 5``) is where the ``datagen-rmat`` micro kernel
+    measures — five scales past the platform graph, the
     multi-million-edge regime the vectorized generator exists for.
     """
     kernels = default_kernels() if kernels is None else kernels
@@ -326,6 +333,7 @@ def run_perf(
         repeats=max(repeats, 1),
     )
     params = AlgorithmParams()
+    weighted: Graph | None = None
     # The handle does not depend on the bulk toggle, so both paths
     # share one ETL per kernel.
     for spec in kernels:
@@ -339,7 +347,12 @@ def run_perf(
         platform_cls = _PLATFORM_CLASSES[spec.platform]
         bulk_platform = platform_cls(cluster, bulk=True)
         scalar_platform = platform_cls(cluster, bulk=False)
-        handle = bulk_platform.upload_graph(graph_name, graph)
+        kernel_graph = graph
+        if spec.algorithm is Algorithm.SSSP:
+            if weighted is None:
+                weighted = graph.with_uniform_weights()
+            kernel_graph = weighted
+        handle = bulk_platform.upload_graph(graph_name, kernel_graph)
         bulk_walls, bulk_sim = _time_run(
             bulk_platform, handle, spec.algorithm, params, repeats
         )

@@ -14,6 +14,7 @@ from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
+from repro.core.workload import sssp_round_bound
 from repro.graph.properties import lcc_value, received_links
 from repro.platforms.dataflow.engine import DataflowEngine
 
@@ -240,7 +241,7 @@ def dataflow_sssp(
         initial,
         [(source, 0.0)],
         step,
-        max_iterations=max(200, len(engine.adjacency) + 2),
+        max_iterations=sssp_round_bound(len(engine.adjacency)),
     )
     return dict(engine.solution)
 

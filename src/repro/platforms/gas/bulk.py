@@ -3,11 +3,12 @@
 The scalar engine runs Python-level ``gather``/``apply``/``scatter``
 calls per incident arc and per active vertex, with one ``CostMeter``
 charge per event. For programs whose phases are elementwise numpy
-expressions with a ``min`` gather sum — BFS distance pulling and
-HashMin label propagation — a whole round collapses into a handful of
-CSR array operations (the :mod:`repro.graph.kernels` gather,
-group-reduce and ordered group-sum), with per-worker tallies charged
-through :meth:`~repro.core.cost.CostMeter.charge_worker_compute` /
+expressions with a ``min`` gather sum — BFS distance pulling, HashMin
+label propagation and label-correcting SSSP — a whole round collapses
+into a handful of CSR array operations (the :mod:`repro.graph.kernels`
+gather, group-reduce and ordered group-sum), with per-worker tallies
+charged through
+:meth:`~repro.core.cost.CostMeter.charge_worker_compute` /
 :meth:`~repro.core.cost.CostMeter.charge_worker_messages`. This module
 keeps only the GAS charge policy.
 
@@ -27,6 +28,11 @@ path. The charge structure below therefore mirrors
   mirror;
 * scatter — one op per incident arc on the owning worker.
 
+A weighted kernel (SSSP) offers the neighbor's value per arc, and the
+runner adds the arc's weight from
+:meth:`~repro.graph.graph.Graph.csr_weights` to every contribution —
+the ``value + weight`` float addition of the scalar gather.
+
 A program opts in by returning a :class:`GASBulkKernel` from
 :meth:`~repro.platforms.gas.engine.GASProgram.bulk_rounds`; the engine
 falls back to the scalar path for everything else (and always for
@@ -40,12 +46,19 @@ import abc
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
-from repro.graph.kernels import csr_gather, group_reduce, ordered_group_sum
+from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.graph.kernels import (
+    csr_gather,
+    dense_index,
+    group_reduce,
+    ordered_group_sum,
+)
 
 __all__ = [
     "GASBulkKernel",
     "GASBFSBulkKernel",
     "GASConnBulkKernel",
+    "GASSSSPBulkKernel",
     "BulkRoundRunner",
     "GASPageRankBulkRunner",
 ]
@@ -55,13 +68,16 @@ class GASBulkKernel(abc.ABC):
     """Vectorized counterpart of a :class:`GASProgram`'s three phases.
 
     Kernels operate on dense vertex indices (positions in
-    ``graph.vertices``) and integer-valued numpy arrays. The runner
-    owns all cost accounting; a kernel only transforms values and
-    decides which arcs contribute and which vertices activate.
+    ``graph.vertices``) and numpy value arrays. The runner owns all
+    cost accounting; a kernel only transforms values and decides
+    which arcs contribute and which vertices activate.
     """
 
     #: Combination of gather contributions (``gather_sum`` semantics).
     reduce = np.minimum
+    #: Whether the runner adds each arc's weight to its contribution
+    #: (the graph must be weighted).
+    weighted = False
 
     @abc.abstractmethod
     def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
@@ -104,9 +120,9 @@ class GASBulkKernel(abc.ABC):
     ) -> np.ndarray:
         """Which active vertices activate their neighbors (per vertex).
 
-        BFS and CONN scatter predicates depend only on the vertex's
-        own old/new value, so one flag per active vertex expands to
-        all of its incident arcs.
+        BFS, CONN and SSSP scatter predicates depend only on the
+        vertex's own old/new value, so one flag per active vertex
+        expands to all of its incident arcs.
         """
         return new_values != old_values
 
@@ -126,13 +142,7 @@ class GASBFSBulkKernel(GASBulkKernel):
 
     def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
         """All vertices start unreached; remembers the source index."""
-        position = int(np.searchsorted(vertex_ids, self.source))
-        self._source_idx = (
-            position
-            if position < len(vertex_ids)
-            and vertex_ids[position] == self.source
-            else None
-        )
+        self._source_idx = dense_index(vertex_ids, self.source)
         return np.full(len(vertex_ids), UNREACHABLE, dtype=np.int64)
 
     def initially_active(self, vertex_ids, values):
@@ -190,6 +200,41 @@ class GASConnBulkKernel(GASBulkKernel):
         return new_values < old_values
 
 
+class GASSSSPBulkKernel(GASBFSBulkKernel):
+    """Vectorized GAS SSSP (pull the minimum weighted offer).
+
+    Mirrors :class:`~repro.platforms.gas.programs.GASSSSPProgram`:
+    only the source starts active; reached neighbors offer their
+    distance, to which the runner adds the arc weight; a vertex
+    adopts a strictly smaller offer and wakes its neighbors.
+    """
+
+    weighted = True
+
+    def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
+        """All vertices start unreached; remembers the source index."""
+        self._source_idx = dense_index(vertex_ids, self.source)
+        return np.full(len(vertex_ids), UNREACHABLE_DISTANCE)
+
+    def gather_arcs(self, neighbor_values):
+        """Reached neighbors offer their distance (weights added later)."""
+        mask = neighbor_values != UNREACHABLE_DISTANCE
+        return mask, neighbor_values[mask]
+
+    def apply(self, active, old_values, gathered_mask, gathered):
+        """Adopt any improvement (source: distance 0)."""
+        best = old_values.copy()
+        source_here = active == self._source_idx
+        best[source_here] = np.minimum(best[source_here], 0.0)
+        adopt = gathered_mask & (gathered < best)
+        best[adopt] = gathered[adopt]
+        return best
+
+    def scatter_flags(self, old_values, new_values):
+        """A shortened distance wakes the neighbors."""
+        return new_values < old_values
+
+
 class BulkRoundRunner:
     """Drives a :class:`GASBulkKernel` with exact scalar-path costs.
 
@@ -212,6 +257,12 @@ class BulkRoundRunner:
         self.masters = engine.masters
         self.arc_workers = engine.arc_workers
         self.mirror_offsets, self.mirror_workers = engine.mirror_csr
+        #: Per-arc weights for a weighted kernel, else ``None``.
+        self.weights = (
+            graph.csr_weights()
+            if kernel is not None and kernel.weighted
+            else None
+        )
         self.gather_payload = float(program.gather_bytes)
         self.value_payload = float(program.value_bytes)
 
@@ -226,12 +277,16 @@ class BulkRoundRunner:
         rounds = 0
         while len(active) and rounds < program.max_rounds():
             meter.begin_round(f"gas-{rounds}")
-            arc_owner, arc_neighbor, arc_counts = self._expand_arcs(active)
+            positions, arc_owner, arc_neighbor, arc_counts = self._expand_arcs(
+                active
+            )
             # Gather: one op per incident arc, on the edge's worker,
             # contributing or not.
             arc_ops = np.bincount(arc_owner, minlength=self.num_workers)
             meter.charge_worker_compute(arc_ops)
             mask, contributions = kernel.gather_arcs(values[arc_neighbor])
+            if self.weights is not None:
+                contributions = contributions + self.weights[positions[mask]]
             gathered_vertices, gathered = self._exchange_partials(
                 np.repeat(active, arc_counts)[mask], arc_owner[mask], contributions
             )
@@ -239,7 +294,7 @@ class BulkRoundRunner:
             slots = np.searchsorted(active, gathered_vertices)
             gathered_mask = np.zeros(len(active), dtype=bool)
             gathered_mask[slots] = True
-            gathered_full = np.zeros(len(active), dtype=np.int64)
+            gathered_full = np.zeros(len(active), dtype=gathered.dtype)
             gathered_full[slots] = gathered
             # Apply: one op per active vertex on its master; broadcast
             # changed values to the mirrors.
@@ -262,10 +317,7 @@ class BulkRoundRunner:
                 f"{type(program).__name__} exceeded {program.max_rounds()} rounds"
             )
         return GASResult(
-            values={
-                int(vertex): int(value)
-                for vertex, value in zip(self.ids, values)
-            },
+            values=dict(zip(self.ids.tolist(), values.tolist())),
             rounds=rounds,
             replication_factor=self.engine.replication_factor,
         )
@@ -274,15 +326,20 @@ class BulkRoundRunner:
 
     def _expand_arcs(
         self, active: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Incident arcs of the active set from the CSR arrays.
 
-        Returns ``(owner_workers, neighbor_indices, per_vertex_counts)``
-        grouped by active vertex — the same arc enumeration the scalar
-        gather and scatter loops walk.
+        Returns ``(arc_positions, owner_workers, neighbor_indices,
+        per_vertex_counts)`` grouped by active vertex — the same arc
+        enumeration the scalar gather and scatter loops walk.
         """
         positions, counts = csr_gather(self.offsets, active)
-        return self.arc_workers[positions], self.targets[positions], counts
+        return (
+            positions,
+            self.arc_workers[positions],
+            self.targets[positions],
+            counts,
+        )
 
     def _exchange_partials(
         self,
@@ -369,7 +426,7 @@ class GASPageRankBulkRunner(BulkRoundRunner):
         rounds = 0
         while len(active):
             meter.begin_round(f"gas-{rounds}")
-            arc_owner, arc_neighbor, arc_counts = self._expand_arcs(active)
+            _, arc_owner, arc_neighbor, arc_counts = self._expand_arcs(active)
             arc_ops = np.bincount(arc_owner, minlength=self.num_workers)
             meter.charge_worker_compute(arc_ops)  # gather: one op per incident arc
             contributions = values[arc_neighbor] / degrees[arc_neighbor]

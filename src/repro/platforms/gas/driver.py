@@ -103,9 +103,7 @@ class GraphLabPlatform(Platform):
             )
         if algorithm is Algorithm.SSSP:
             return GASSSSPProgram(
-                params.resolve_sssp_source(handle.graph),
-                handle.graph.weighted_adjacency(),
-                num_vertices=handle.graph.num_vertices,
+                params.resolve_sssp_source(handle.graph), handle.graph
             )
         if algorithm is Algorithm.EVO:
             existing = sorted(adjacency)

@@ -13,8 +13,14 @@ from typing import Any
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.core.workload import sssp_round_bound
+from repro.graph.graph import Graph
 from repro.graph.properties import lcc_value, received_links
-from repro.platforms.gas.bulk import GASBFSBulkKernel, GASConnBulkKernel
+from repro.platforms.gas.bulk import (
+    GASBFSBulkKernel,
+    GASConnBulkKernel,
+    GASSSSPBulkKernel,
+)
 from repro.platforms.gas.engine import GASProgram
 
 __all__ = [
@@ -190,21 +196,28 @@ class GASSSSPProgram(GASProgram):
     gather_bytes = 8.0
     value_bytes = 8.0
 
-    def __init__(
-        self,
-        source: int,
-        weighted_adjacency: dict[int, list[tuple[int, float]]],
-        num_vertices: int = 0,
-    ):
+    def __init__(self, source: int, graph: Graph):
         self.source = source
-        self.weights = {
-            vertex: dict(pairs) for vertex, pairs in weighted_adjacency.items()
-        }
-        self.num_vertices = num_vertices
+        self.graph = graph
+        self._weights: dict[int, dict[int, float]] | None = None
+
+    @property
+    def weights(self) -> dict[int, dict[int, float]]:
+        """``{vertex: {neighbor: weight}}``, built on first scalar gather."""
+        if self._weights is None:
+            self._weights = {
+                vertex: dict(pairs)
+                for vertex, pairs in self.graph.weighted_adjacency().items()
+            }
+        return self._weights
 
     def max_rounds(self) -> int:
         """Shortest-path hop counts are bounded by the vertex count."""
-        return max(200, self.num_vertices + 2)
+        return sssp_round_bound(self.graph.num_vertices)
+
+    def bulk_rounds(self):
+        """Vectorized weighted distance-pulling kernel (same semantics)."""
+        return GASSSSPBulkKernel(self.source)
 
     def initial_value(self, vertex: int, degree: int) -> float:
         """Everyone starts unreached; the source bootstraps in apply."""

@@ -2,12 +2,15 @@
 
 The scalar engine moves ``list[(key, value)]`` records through map/
 combine/shuffle/reduce — one Python object per record, one dict
-insertion per group. For the vertex-keyed iterative jobs (BFS, CONN)
-the whole pipeline is data-parallel over int64 keys, so the same job
-can instead flow a :class:`RecordBatch`: a struct-of-arrays layout
-holding the key column, the adjacency lists as one flat array plus
-offsets (the CSR convention used by :class:`repro.graph.graph.Graph`),
-and the per-record scalar state as named numpy columns.
+insertion per group. For the vertex-keyed iterative jobs (BFS, CONN,
+SSSP) the whole pipeline is data-parallel over int64 keys, so the
+same job can instead flow a :class:`RecordBatch`: a struct-of-arrays
+layout holding the key column, the adjacency lists as one flat array
+plus offsets (the CSR convention used by
+:class:`repro.graph.graph.Graph`), one weight per arc for SSSP, and
+the per-record scalar state as named numpy columns (int64 labels and
+distances for BFS and CONN; float64 distances and a bool ``changed``
+flag for SSSP).
 
 The batch executor in :class:`~repro.platforms.mapreduce.engine.
 MapReduceEngine` replaces dict-of-lists grouping with the
@@ -30,6 +33,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.graph.graph import Graph
 from repro.graph.kernels import csr_gather, group_reduce
 
 __all__ = [
@@ -62,7 +66,8 @@ class RecordBatch:
     where ``adj_i`` is the slice
     ``keys[adj_targets[adj_offsets[i]:adj_offsets[i+1]]]`` — adjacency
     targets are stored as *positions into the key column*, so message
-    routing and state updates never leave integer-index space.
+    routing and state updates never leave integer-index space. On a
+    weighted batch ``adj_i`` holds ``(neighbor, weight)`` pairs.
 
     Attributes
     ----------
@@ -73,15 +78,19 @@ class RecordBatch:
     adj_targets:
         int64 flat adjacency column; values are row positions.
     columns:
-        Named scalar value columns (int64), one entry per record. The
+        Named scalar value columns, one entry per record. The
         record's serialized value is the tuple ``(adj, *columns)`` in
         mapping order.
+    adj_weights:
+        float64 weight per adjacency entry (aligned with
+        :attr:`adj_targets`), or ``None`` for an unweighted batch.
     """
 
     keys: np.ndarray
     adj_offsets: np.ndarray
     adj_targets: np.ndarray
     columns: dict[str, np.ndarray] = field(default_factory=dict)
+    adj_weights: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -136,21 +145,42 @@ class RecordBatch:
             },
         )
 
+    @classmethod
+    def from_weighted_graph(cls, graph: Graph) -> "RecordBatch":
+        """A weighted batch straight off a graph's CSR, one row per vertex.
+
+        Rows follow ``graph.vertices`` (ascending ids), each adjacency
+        follows :meth:`~repro.graph.graph.Graph.neighbors` order and
+        carries the arc weights — the records the driver's
+        ``weighted_adjacency()`` mapping would give. No state columns
+        are set.
+        """
+        offsets, targets = graph.csr()
+        return cls(
+            keys=graph.vertices,
+            adj_offsets=offsets,
+            adj_targets=targets,
+            adj_weights=graph.csr_weights(),
+        )
+
     def to_pairs(self) -> list[tuple[int, tuple]]:
         """Materialize the scalar record list ``[(key, (adj, *cols))]``.
 
-        The adjacency is rendered as a tuple of vertex ids, matching
-        the record shape the scalar jobs consume — used by tests and
-        by callers that need to hand a batch to a non-batch job.
+        The adjacency is rendered as a tuple of vertex ids, or of
+        ``(neighbor, weight)`` pairs on a weighted batch, matching the
+        record shape the scalar jobs consume — used by tests and by
+        callers that need to hand a batch to a non-batch job.
         """
         keys = self.keys.tolist()
         offsets = self.adj_offsets.tolist()
-        flat = self.keys[self.adj_targets].tolist()
+        arcs = self.keys[self.adj_targets].tolist()
+        if self.adj_weights is not None:
+            arcs = list(zip(arcs, self.adj_weights.tolist()))
         column_lists = [column.tolist() for column in self.columns.values()]
         return [
             (
                 keys[i],
-                (tuple(flat[offsets[i]: offsets[i + 1]]),)
+                (tuple(arcs[offsets[i]: offsets[i + 1]]),)
                 + tuple(column[i] for column in column_lists),
             )
             for i in range(len(keys))
@@ -165,11 +195,16 @@ class RecordBatch:
         positions (with multiplicity, grouped by emitting record in
         record order) and ``payloads`` repeats each emitter's value
         once per neighbor — the columnar form of the scalar jobs'
-        ``for neighbor in adj: yield neighbor, (tag, value)`` loop.
+        ``for neighbor in adj: yield neighbor, (tag, value)`` loop. A
+        weighted batch adds each arc's weight to its payload, as the
+        SSSP job's ``dist + weight`` offer does.
         """
         rows = np.nonzero(emitters)[0]
         positions, counts = csr_gather(self.adj_offsets, rows)
-        return self.adj_targets[positions], np.repeat(values[rows], counts)
+        payloads = np.repeat(values[rows], counts)
+        if self.adj_weights is not None:
+            payloads += self.adj_weights[positions]
+        return self.adj_targets[positions], payloads
 
     def reorder(self, permutation: np.ndarray) -> "RecordBatch":
         """A new batch with rows permuted (adjacency positions remapped).
@@ -194,6 +229,9 @@ class RecordBatch:
                 name: column[permutation]
                 for name, column in self.columns.items()
             },
+            adj_weights=(
+                None if self.adj_weights is None else self.adj_weights[positions]
+            ),
         )
 
 
@@ -208,7 +246,7 @@ def combine_min_messages(
     same reduction the scalar combine (``min(candidates)``) and reduce
     (``min`` over surviving candidates) apply, fused into one pass.
     """
-    minimum = np.zeros(num_rows, dtype=np.int64)
+    minimum = np.zeros(num_rows, dtype=payloads.dtype)
     has_message = np.zeros(num_rows, dtype=bool)
     rows, minima = group_reduce(np.minimum, targets, payloads)
     minimum[rows] = minima

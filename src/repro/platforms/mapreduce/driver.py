@@ -11,7 +11,7 @@ from repro.algorithms.stats import GraphStats
 from repro.core import etl
 from repro.core.cost import ClusterSpec, CostMeter, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
-from repro.core.workload import Algorithm, AlgorithmParams
+from repro.core.workload import Algorithm, AlgorithmParams, sssp_round_bound
 
 from repro.platforms.mapreduce.batch import RecordBatch
 from repro.platforms.mapreduce.engine import MapReduceEngine, record_size
@@ -50,8 +50,9 @@ class MapReducePlatform(Platform):
 
     def __init__(self, cluster: ClusterSpec, bulk: bool = True):
         super().__init__(cluster)
-        #: Batched shuffle/byte accounting in the engine; ``bulk=False``
-        #: forces the per-record scalar charges (the cost profile is
+        #: Columnar ``RecordBatch`` jobs for BFS, CONN and SSSP and
+        #: batched shuffle/byte accounting for the rest; ``bulk=False``
+        #: forces the per-record scalar path (the cost profile is
         #: identical either way).
         self.bulk = bulk
 
@@ -86,9 +87,7 @@ class MapReducePlatform(Platform):
                 output = self._run_bfs(engine, adjacency, source)
             elif algorithm is Algorithm.SSSP:
                 source = params.resolve_sssp_source(handle.graph)
-                output = self._run_sssp(
-                    engine, handle.graph.weighted_adjacency(), source
-                )
+                output = self._run_sssp(engine, handle.graph, source)
             else:
                 runner = {
                     Algorithm.CONN: self._run_conn,
@@ -192,15 +191,31 @@ class MapReducePlatform(Platform):
             records = engine.run_job(job, records).output
         return {v: rank for v, (adj, rank) in records}
 
-    def _run_sssp(self, engine, weighted_adjacency, source):
+    def _run_sssp(self, engine, graph, source):
+        # Synchronous relaxation settles within |V| rounds (positive
+        # weights); the driver loops on the ``changed`` counter.
+        bound = sssp_round_bound(graph.num_vertices)
+        if engine.bulk:
+            batch = RecordBatch.from_weighted_graph(graph)
+            is_source = batch.keys == source
+            batch.columns["dist"] = np.where(
+                is_source, 0.0, UNREACHABLE_DISTANCE
+            )
+            batch.columns["changed"] = is_source
+            for iteration in range(1, bound):
+                result = engine.run_job(SSSPIterationJob(iteration), batch)
+                batch = result.output
+                if result.counters.get("changed", 0) == 0:
+                    break
+            return dict(
+                zip(batch.keys.tolist(), batch.columns["dist"].tolist())
+            )
         records = [
             (v, (tuple(pairs), 0.0 if v == source else UNREACHABLE_DISTANCE,
                  v == source))
-            for v, pairs in weighted_adjacency.items()
+            for v, pairs in graph.weighted_adjacency().items()
         ]
-        # Synchronous relaxation settles within |V| rounds (positive
-        # weights); the driver loops on the ``changed`` counter.
-        for iteration in range(1, max(200, len(records) + 2)):
+        for iteration in range(1, bound):
             result = engine.run_job(SSSPIterationJob(iteration), records)
             records = result.output
             if result.counters.get("changed", 0) == 0:

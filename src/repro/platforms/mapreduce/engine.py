@@ -120,10 +120,11 @@ class MapReduceJob(abc.ABC):
     """One MapReduce job: map, optional combine, reduce.
 
     Jobs whose records fit the vertex-keyed columnar shape — int64
-    keys, an adjacency list plus one scalar state column, messages
-    that broadcast one scalar to every neighbor and combine with
-    ``min`` — additionally implement the ``batch_*`` hooks and set
-    :attr:`supports_batch`, unlocking the engine's
+    keys, an adjacency list (weighted for SSSP) plus scalar state
+    columns, messages that broadcast one scalar (plus the arc weight)
+    to every neighbor and combine with ``min`` — additionally
+    implement the ``batch_*`` hooks and set :attr:`supports_batch`,
+    unlocking the engine's
     :class:`~repro.platforms.mapreduce.batch.RecordBatch` executor.
     """
 
@@ -151,6 +152,15 @@ class MapReduceJob(abc.ABC):
     ) -> dict[str, np.ndarray]:
         """New state columns after digesting the combined messages."""
         raise NotImplementedError
+
+    def batch_state_elements(self, batch: RecordBatch) -> int:
+        """Top-level elements of one row's shuffled state record.
+
+        The default state record is ``("A", adj, *columns)``; a job
+        that keeps a column out of the shuffle overrides this so the
+        executor charges the bytes the scalar map emits.
+        """
+        return 2 + len(batch.columns)
 
     @abc.abstractmethod
     def map(self, key: Any, value: Any, counters: dict) -> Iterable[tuple[Any, Any]]:
@@ -372,10 +382,10 @@ class MapReduceEngine:
         )
         message_keys = int(has_message.sum())
         combined_count = num_records + message_keys
-        # State records serialize as ("A", adj, *columns); combined
+        # State records serialize as ("A", adj, *state); combined
         # messages as ("D", value).
         combined_elements = (
-            (2 + num_columns) * num_records
+            job.batch_state_elements(batch) * num_records
             + total_adjacency
             + 2 * message_keys
         )
@@ -419,6 +429,7 @@ class MapReduceEngine:
                 name: new_columns.get(name, column)
                 for name, column in batch.columns.items()
             },
+            adj_weights=batch.adj_weights,
         ).reorder(repr_sort_permutation(batch.keys))
         output_elements = (1 + num_columns) * num_records + total_adjacency
         output_bytes = (

@@ -339,11 +339,42 @@ class SSSPIterationJob(MapReduceJob):
     weighted adjacency as ``(neighbor, weight)`` pairs. Vertices whose
     distance improved last round offer ``dist + weight`` along every
     edge; the reducer adopts a strictly smaller minimum offer and
-    bumps the ``changed`` counter the driver loops on.
+    bumps the ``changed`` counter the driver loops on. The columnar
+    twin flows a weighted batch with float64 ``dist`` and bool
+    ``changed`` columns.
     """
+
+    supports_batch = True
 
     def __init__(self, iteration: int):
         self.name = f"sssp-{iteration}"
+
+    def batch_emitters(self, batch) -> np.ndarray:
+        """Vertices whose distance improved last round relax."""
+        return batch.columns["changed"]
+
+    def batch_message_values(self, batch) -> np.ndarray:
+        """The offered distance, before the batch adds arc weights."""
+        return batch.columns["dist"]
+
+    def batch_apply(
+        self,
+        batch,
+        minimum: np.ndarray,
+        has_message: np.ndarray,
+        counters: dict,
+    ) -> dict[str, np.ndarray]:
+        """Adopt a strictly smaller offer; flag who changed."""
+        dist = batch.columns["dist"]
+        improved = has_message & (minimum < dist)
+        changed = int(improved.sum())
+        if changed:
+            counters["changed"] = counters.get("changed", 0) + changed
+        return {"dist": np.where(improved, minimum, dist), "changed": improved}
+
+    def batch_state_elements(self, batch) -> int:
+        """``("A", wadj, dist)``: the reducer recomputes ``changed``."""
+        return 3
 
     def map(self, key: Any, value: Any, counters: dict) -> Iterable[tuple[Any, Any]]:
         """Emit intermediate records (see :class:`MapReduceJob`)."""

@@ -3,10 +3,11 @@
 The scalar engine runs one Python-level ``compute`` call per vertex
 and one ``CostMeter`` charge per vertex/message. For data-parallel
 programs whose per-vertex kernel is a pure function of the merged
-inbox — BFS frontier expansion and HashMin label propagation — the
-whole superstep can instead run as a handful of numpy operations over
-the CSR arrays (the :mod:`repro.graph.kernels` gather and
-group-reduce), with per-worker op/message tallies charged through
+inbox — BFS frontier expansion, HashMin label propagation and
+label-correcting SSSP — the whole superstep can instead run as a
+handful of numpy operations over the CSR arrays (the
+:mod:`repro.graph.kernels` gather and group-reduce), with per-worker
+op/message tallies charged through
 :meth:`~repro.core.cost.CostMeter.charge_worker_compute` /
 :meth:`~repro.core.cost.CostMeter.charge_worker_messages`. This module
 keeps only the Pregel charge policy and queued-message memory.
@@ -26,11 +27,18 @@ path. The charge structure below therefore mirrors
 * adaptive central supersteps run everything on worker 0 with no
   barrier, exactly like the scalar engine.
 
+A weighted kernel (SSSP) sends one value per sender, and the runner
+adds each arc's weight from :meth:`~repro.graph.graph.Graph.csr_weights`
+to it, central supersteps included — the ``value + weight`` float
+addition the scalar relaxation performs per arc.
+
 A program opts in by returning a :class:`BulkVertexKernel` from
 :meth:`~repro.platforms.pregel.engine.VertexProgram.bulk_step`; the
 kernel only applies to programs with a ``min`` combiner, fixed-size
-messages, no aggregators, and vote-to-halt-every-superstep semantics
-(the engine falls back to the scalar path for everything else).
+messages, no aggregators, and vote-to-halt-every-superstep semantics.
+:meth:`~repro.platforms.pregel.engine.VertexProgram.bulk_runner`
+checks the combiner itself, so a subclass that switches it off runs
+on the scalar path (and is charged for every uncombined message).
 """
 
 from __future__ import annotations
@@ -40,12 +48,14 @@ import abc
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
-from repro.graph.kernels import csr_gather, group_reduce
+from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.graph.kernels import csr_gather, dense_index, group_reduce
 
 __all__ = [
     "BulkVertexKernel",
     "BFSBulkKernel",
     "ConnBulkKernel",
+    "SSSPBulkKernel",
     "BulkSuperstepRunner",
     "PageRankBulkRunner",
 ]
@@ -55,13 +65,16 @@ class BulkVertexKernel(abc.ABC):
     """Vectorized counterpart of a :class:`VertexProgram`'s compute.
 
     Kernels operate on dense vertex indices (positions in
-    ``graph.vertices``) and integer-valued numpy arrays. The runner
-    owns all cost accounting; a kernel only transforms values and
-    decides who sends what.
+    ``graph.vertices``) and numpy value arrays. The runner owns all
+    cost accounting; a kernel only transforms values and decides who
+    sends what.
     """
 
     #: Receiver-side reduction over combined messages (min semantics).
     reduce = np.minimum
+    #: Whether the runner adds each arc's weight to the value sent
+    #: along it (the graph must be weighted).
+    weighted = False
 
     @abc.abstractmethod
     def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
@@ -101,13 +114,7 @@ class BFSBulkKernel(BulkVertexKernel):
 
     def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
         """All vertices start unreached; remembers the source index."""
-        position = int(np.searchsorted(vertex_ids, self.source))
-        self._source_idx = (
-            position
-            if position < len(vertex_ids)
-            and vertex_ids[position] == self.source
-            else None
-        )
+        self._source_idx = dense_index(vertex_ids, self.source)
         return np.full(len(vertex_ids), UNREACHABLE, dtype=np.int64)
 
     def compute(self, superstep, values, frontier, merged):
@@ -149,6 +156,40 @@ class ConnBulkKernel(BulkVertexKernel):
         return newly, merged[adopt]
 
 
+class SSSPBulkKernel(ConnBulkKernel):
+    """Vectorized label-correcting SSSP (min combiner, weighted arcs).
+
+    Mirrors :class:`~repro.platforms.pregel.programs.SSSPProgram`: the
+    source starts at distance 0 and relaxes its out-arcs at superstep
+    0; afterwards a vertex adopts a strictly smaller merged offer and
+    relaxes again. Each sender sends its distance; the runner adds
+    the arc weights.
+    """
+
+    weighted = True
+
+    def __init__(self, source: int):
+        self.source = source
+        self._source_idx: int | None = None
+
+    def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
+        """The source at 0.0, every other vertex unreached."""
+        self._source_idx = dense_index(vertex_ids, self.source)
+        values = np.full(len(vertex_ids), UNREACHABLE_DISTANCE)
+        if self._source_idx is not None:
+            values[self._source_idx] = 0.0
+        return values
+
+    def compute(self, superstep, values, frontier, merged):
+        """One relaxation superstep (see :class:`BulkVertexKernel`)."""
+        if superstep > 0:
+            return super().compute(superstep, values, frontier, merged)
+        if self._source_idx is None:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        senders = np.array([self._source_idx], dtype=np.int64)
+        return senders, values[senders]
+
+
 class BulkSuperstepRunner:
     """Drives a :class:`BulkVertexKernel` with exact scalar-path costs.
 
@@ -169,6 +210,12 @@ class BulkSuperstepRunner:
         graph = engine.graph
         self.ids = graph.vertices
         self.offsets, self.targets = graph.csr()
+        #: Per-arc weights for a weighted kernel, else ``None``.
+        self.weights = (
+            graph.csr_weights()
+            if kernel is not None and kernel.weighted
+            else None
+        )
         self.n = graph.num_vertices
         self.num_workers = engine.spec.num_workers
         self.workers = engine.worker_array
@@ -220,10 +267,7 @@ class BulkSuperstepRunner:
 
         self._release_queued()
         return PregelResult(
-            values={
-                int(vertex): int(value)
-                for vertex, value in zip(self.ids, values)
-            },
+            values=dict(zip(self.ids.tolist(), values.tolist())),
             supersteps=superstep,
             aggregated={},
         )
@@ -257,6 +301,8 @@ class BulkSuperstepRunner:
 
         flat_dst = self.targets[positions]
         flat_values = np.repeat(send_values, counts)
+        if self.weights is not None:
+            flat_values += self.weights[positions]
         if central:
             flat_src_w = np.zeros(len(positions), dtype=np.int64)
         else:

@@ -97,8 +97,12 @@ class VertexProgram(abc.ABC):
 
         The default wraps :meth:`bulk_step`'s kernel in the
         frontier-shaped
-        :class:`~repro.platforms.pregel.bulk.BulkSuperstepRunner`.
-        Programs whose vectorized execution does not fit that shape —
+        :class:`~repro.platforms.pregel.bulk.BulkSuperstepRunner`,
+        but only while :meth:`combiner` is ``min``: the runner charges
+        one message per combined ``(target, source worker)`` pair, so
+        a subclass that switches the combiner off must take the
+        scalar path, which charges every message it sends. Programs
+        whose vectorized execution does not fit that shape —
         PageRank's all-active, uncombined float summation — override
         this to return a dedicated runner instead. ``None`` keeps the
         scalar per-vertex path.
@@ -107,7 +111,7 @@ class VertexProgram(abc.ABC):
         from repro.platforms.pregel.bulk import BulkSuperstepRunner
 
         kernel = self.bulk_step()
-        if kernel is None:
+        if kernel is None or self.combiner() is not min:
             return None
         return BulkSuperstepRunner(engine, self, kernel)
 

@@ -26,8 +26,13 @@ from typing import Any
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.core.workload import sssp_round_bound
 from repro.graph.properties import lcc_value, received_links
-from repro.platforms.pregel.bulk import BFSBulkKernel, ConnBulkKernel
+from repro.platforms.pregel.bulk import (
+    BFSBulkKernel,
+    ConnBulkKernel,
+    SSSPBulkKernel,
+)
 from repro.platforms.pregel.engine import VertexContext, VertexProgram
 
 __all__ = [
@@ -301,7 +306,11 @@ class SSSPProgram(VertexProgram):
 
     def max_supersteps(self) -> int:
         """Shortest-path hop counts are bounded by the vertex count."""
-        return max(200, self.num_vertices + 2)
+        return sssp_round_bound(self.num_vertices)
+
+    def bulk_step(self):
+        """Vectorized weighted relaxation kernel (same semantics)."""
+        return SSSPBulkKernel(self.source)
 
     def _relax(self, ctx: VertexContext) -> None:
         for neighbor, weight in ctx.weighted_neighbors():

@@ -14,6 +14,7 @@ from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
+from repro.core.workload import sssp_round_bound
 from repro.graph.properties import lcc_value, received_links
 from repro.platforms.rddgraph.graphx import GraphXGraph
 
@@ -155,7 +156,6 @@ def graphx_sssp(
     graph: GraphXGraph,
     source: int,
     weights: dict[int, dict[int, float]],
-    max_iterations: int = 0,
 ) -> dict[int, float]:
     """Weighted SSSP via Pregel; value = ``(distance, changed)``.
 
@@ -182,7 +182,7 @@ def graphx_sssp(
             return (incoming, True)
         return (distance, False)
 
-    bound = max_iterations or max(200, len(weights) + 2)
+    bound = sssp_round_bound(len(weights))
     result = graph.pregel(initial, vprog, send, min, bound)
     return {v: value[0] for v, value in result.collect()}
 

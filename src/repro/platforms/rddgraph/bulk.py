@@ -1,14 +1,17 @@
 """Vectorized (bulk) execution of the GraphX Pregel loop.
 
-The scalar path runs BFS and CONN through the real RDD substrate: one
-Python closure call and one dict operation per record per stage. For
-these two algorithms every stage's *records* are fixed-shape integer
-pairs, so the whole loop collapses into numpy array operations (the
-:mod:`repro.graph.kernels` group-reduce and ordered group-sum) — while
-the :class:`~repro.core.cost.CostMeter` event sequence is replayed
-verbatim from per-worker record counts through
+The scalar path runs BFS, CONN, PR and SSSP through the real RDD
+substrate: one Python closure call and one dict operation per record
+per stage. For these algorithms every stage's *records* are
+fixed-shape pairs, so the whole loop collapses into numpy array
+operations (the :mod:`repro.graph.kernels` group-reduce and ordered
+group-sum) — while the :class:`~repro.core.cost.CostMeter` event
+sequence is replayed verbatim from per-worker record counts through
 :meth:`~repro.core.cost.CostMeter.charge_worker_compute`. This module
 keeps only the GraphX charge policy and its per-worker RDD memory.
+A weighted kernel (SSSP) has the runner add each arc's weight from
+:meth:`~repro.graph.graph.Graph.csr_weights` to the distance its
+sender offers, the ``distance + w(src, dst)`` of the scalar ``send``.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -16,10 +19,11 @@ path. That works because every scalar charge is a per-record constant:
 
 * each stage charges ``records * RECORD_CPU_OPS`` per worker and
   materializes ``records * bytes-per-record`` of cached memory, where
-  the per-record footprint depends only on the record *shape*
-  (``(id, int)`` pairs: 48 bytes; ``(id, (int, flag))`` vertex values:
-  80; join triplets: 112) — so count × constant reproduces the scalar
-  float accumulation exactly (integer-valued float64 sums below 2**53);
+  the per-record footprint depends only on the record *shape*, not on
+  whether the scalars in it are ints or floats (``(id, value)`` pairs:
+  48 bytes; ``(id, (value, flag))`` vertex values: 80; join triplets:
+  112) — so count × constant reproduces the scalar float accumulation
+  exactly (integer-valued float64 sums below 2**53);
 * the ``reduceByKey`` shuffle moves the map-side-combined ``(dst,
   source-partition)`` pairs whose key does not hash home, 24 wire
   bytes each;
@@ -42,8 +46,15 @@ import abc
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
+from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.core.workload import sssp_round_bound
 from repro.graph.graph import Graph
-from repro.graph.kernels import group_reduce, hash_workers, ordered_group_sum
+from repro.graph.kernels import (
+    dense_index,
+    group_reduce,
+    hash_workers,
+    ordered_group_sum,
+)
 from repro.platforms.rddgraph.graphx import GraphXGraph
 from repro.platforms.rddgraph.rdd import RECORD_CPU_OPS
 
@@ -52,19 +63,21 @@ __all__ = [
     "RDDBFSBulkKernel",
     "RDDConnBulkKernel",
     "RDDPageRankBulkKernel",
+    "RDDSSSPBulkKernel",
     "BulkPregelRunner",
     "graphx_bfs_bulk",
     "graphx_conn_bulk",
     "graphx_pagerank_bulk",
+    "graphx_sssp_bulk",
 ]
 
-#: Cached bytes of one ``(id, int)`` record (``RECORD_MEMORY_BYTES``).
+#: Cached bytes of one ``(id, value)`` record (``RECORD_MEMORY_BYTES``).
 _PAIR_BYTES = 48.0
 #: Cached bytes of one ``(id, (value, flag))`` vertex record.
 _VERTEX_BYTES = 80.0
 #: Cached bytes of one join output ``(id, (other, (value, flag)))``.
 _JOINED_BYTES = 112.0
-#: Wire bytes of one shuffled ``(id, int)`` record.
+#: Wire bytes of one shuffled ``(id, value)`` record.
 _PAIR_WIRE_BYTES = 24.0
 #: Wire bytes of one collected ``(id, (value, flag))`` record.
 _VERTEX_WIRE_BYTES = 40.0
@@ -80,6 +93,9 @@ class RDDBulkKernel(abc.ABC):
 
     #: Receiver-side merge of messages per target (min semantics).
     reduce = np.minimum
+    #: Whether the runner adds each arc's weight to the message sent
+    #: along it (the graph must be weighted).
+    weighted = False
 
     @abc.abstractmethod
     def initial(self, vertex_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +166,8 @@ class RDDBFSBulkKernel(RDDBulkKernel):
         """Source at distance 0 and changed; everyone else unreached."""
         values = np.full(len(vertex_ids), UNREACHABLE, dtype=np.int64)
         changed = np.zeros(len(vertex_ids), dtype=bool)
-        position = int(np.searchsorted(vertex_ids, self.source))
-        if position < len(vertex_ids) and vertex_ids[position] == self.source:
+        position = dense_index(vertex_ids, self.source)
+        if position is not None:
             values[position] = 0
             changed[position] = True
         return values, changed
@@ -203,6 +219,31 @@ class RDDConnBulkKernel(RDDBulkKernel):
         newly = targets[adopt]
         values[newly] = incoming[adopt]
         changed[newly] = True
+
+
+class RDDSSSPBulkKernel(RDDConnBulkKernel):
+    """Vectorized GraphX SSSP (value = ``(distance, changed)``).
+
+    Mirrors :func:`~repro.platforms.rddgraph.algorithms.graphx_sssp`:
+    the source starts changed at distance 0; changed vertices offer
+    their distance, to which the runner adds the arc weight; a
+    strictly smaller merged offer is adopted.
+    """
+
+    weighted = True
+
+    def __init__(self, source: int):
+        self.source = source
+
+    def initial(self, vertex_ids):
+        """Source at 0.0 and changed; everyone else unreached."""
+        values = np.full(len(vertex_ids), UNREACHABLE_DISTANCE)
+        changed = np.zeros(len(vertex_ids), dtype=bool)
+        position = dense_index(vertex_ids, self.source)
+        if position is not None:
+            values[position] = 0.0
+            changed[position] = True
+        return values, changed
 
 
 class RDDPageRankBulkKernel(RDDBulkKernel):
@@ -295,6 +336,8 @@ class BulkPregelRunner:
             np.arange(len(self.ids), dtype=np.int64), degrees
         )
         _, self.arc_target = undirected.csr()
+        #: Per-arc weights for a weighted kernel, else ``None``.
+        self.arc_weights = undirected.csr_weights() if kernel.weighted else None
         self.arc_workers = self.vertex_workers[self.arc_source]
         self.vertices_per_worker = np.bincount(
             self.vertex_workers, minlength=self.num_workers
@@ -337,6 +380,8 @@ class BulkPregelRunner:
             self._allocate(_PAIR_BYTES * messages)
             # mergeMsg: map-side combine, shuffle home, final reduce.
             payloads = kernel.arc_messages(values, self.arc_source[arc_mask])
+            if self.arc_weights is not None:
+                payloads = payloads + self.arc_weights[arc_mask]
             self._begin_stage("mergeMsg")
             meter.charge_worker_compute(RECORD_CPU_OPS * messages)
             pair_keys = np.unique(
@@ -444,7 +489,7 @@ def graphx_bfs_bulk(
     runner = BulkPregelRunner(graphx, graph, RDDBFSBulkKernel(source))
     values, name = runner.run(max_iterations)
     runner.collect(name, _VERTEX_WIRE_BYTES)
-    return {int(v): int(d) for v, d in zip(runner.ids, values)}
+    return dict(zip(runner.ids.tolist(), values.tolist()))
 
 
 def graphx_conn_bulk(
@@ -455,7 +500,7 @@ def graphx_conn_bulk(
     values, _name = runner.run(max_iterations)
     runner.map_values_stage("components")
     runner.collect("components", _PAIR_WIRE_BYTES)
-    return {int(v): int(c) for v, c in zip(runner.ids, values)}
+    return dict(zip(runner.ids.tolist(), values.tolist()))
 
 
 def graphx_pagerank_bulk(
@@ -475,4 +520,14 @@ def graphx_pagerank_bulk(
     runner = BulkPregelRunner(graphx, graph, kernel)
     values, name = runner.run(iterations + 1)
     runner.collect(name, _VERTEX_WIRE_BYTES)
-    return {int(v): float(r) for v, r in zip(runner.ids, values)}
+    return dict(zip(runner.ids.tolist(), values.tolist()))
+
+
+def graphx_sssp_bulk(
+    graphx: GraphXGraph, graph: Graph, source: int
+) -> dict[int, float]:
+    """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_sssp`."""
+    runner = BulkPregelRunner(graphx, graph, RDDSSSPBulkKernel(source))
+    values, name = runner.run(sssp_round_bound(len(runner.ids)))
+    runner.collect(name, _VERTEX_WIRE_BYTES)
+    return dict(zip(runner.ids.tolist(), values.tolist()))

@@ -22,6 +22,7 @@ from repro.platforms.rddgraph.bulk import (
     graphx_bfs_bulk,
     graphx_conn_bulk,
     graphx_pagerank_bulk,
+    graphx_sssp_bulk,
 )
 from repro.platforms.rddgraph.graphx import GraphXGraph
 from repro.platforms.rddgraph.rdd import RDDContext
@@ -42,9 +43,9 @@ class GraphXPlatform(Platform):
 
     def __init__(self, cluster: ClusterSpec, bulk: bool = True):
         super().__init__(cluster)
-        #: Vectorized Pregel-loop path for BFS/CONN; ``bulk=False``
-        #: forces the scalar per-record RDD path (the cost profile is
-        #: identical either way).
+        #: Vectorized Pregel-loop path for BFS, CONN, PR and SSSP;
+        #: ``bulk=False`` forces the scalar per-record RDD path (the
+        #: cost profile is identical either way).
         self.bulk = bulk
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
@@ -141,6 +142,8 @@ class GraphXPlatform(Platform):
             )
         if algorithm is Algorithm.SSSP:
             source = params.resolve_sssp_source(handle.graph)
+            if self.bulk:
+                return graphx_sssp_bulk(graph, handle.graph, source)
             weights = {
                 vertex: dict(pairs)
                 for vertex, pairs in handle.graph.weighted_adjacency().items()

@@ -11,27 +11,34 @@ sequence bit for bit (see ``CostMeter.charge_worker_compute``).
 These tests hold every platform to that contract on *every*
 algorithm, discovered from the ``Algorithm`` enum rather than
 hand-listed — so an algorithm that gains a bulk kernel (BFS, CONN,
-and PR have them today) is automatically held to the bar, and an
-algorithm without one must still produce identical results and
+PR and SSSP have them today) is automatically held to the bar, and
+an algorithm without one must still produce identical results and
 profiles by running the same scalar path under both flags. The sweep
 covers a directed graph, an undirected graph, and a graph with sparse
 vertex ids plus an isolated vertex, on the 10-worker cluster; one
 graph also runs on the single-node cluster, where every message is
 local and there is one worker pair. "Identical" means the algorithm
-outputs, the per-round charge structure, and the profile totals
-(``simulated_seconds``, ``total_messages``, peak memory) all compare
-equal with ``==``.
+outputs and the profile's ``profile_fingerprint`` (every recorded
+round field, startup and the memory peaks — the bar the pinned
+digests use) plus ``simulated_seconds``, ``total_messages`` and
+``launches`` all compare equal with ``==``. Two Pregel cases run the
+engine directly: SSSP under adaptive central supersteps, and a CONN
+program whose combiner is switched off.
 """
 
 import pytest
 
 from repro.core.cost import ClusterSpec
 from repro.core.workload import Algorithm, AlgorithmParams
+from repro.datasets import catalog
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
+from repro.observability import profile_fingerprint
 from repro.platforms.gas.driver import GraphLabPlatform
 from repro.platforms.mapreduce.driver import MapReducePlatform
 from repro.platforms.pregel.driver import GiraphPlatform
+from repro.platforms.pregel.engine import PregelEngine
+from repro.platforms.pregel.programs import ConnProgram, SSSPProgram
 from repro.platforms.rddgraph.driver import GraphXPlatform
 
 #: Every platform with a bulk toggle.
@@ -70,28 +77,11 @@ GRAPHS = {
 
 def profile_key(profile):
     """Everything a profile says, minus nothing: the exactness bar."""
-    rounds = tuple(
-        (
-            record.name,
-            tuple(record.ops_per_worker),
-            tuple(record.random_accesses_per_worker),
-            record.local_messages,
-            record.remote_messages,
-            record.remote_bytes,
-            record.disk_read_bytes,
-            record.disk_write_bytes,
-            record.active_vertices,
-            record.barrier_seconds,
-            record.seconds,
-        )
-        for record in profile.rounds
-    )
     return (
-        rounds,
+        profile_fingerprint(profile),
         profile.simulated_seconds,
         profile.total_messages,
-        tuple(profile.peak_memory_per_worker),
-        profile.startup_seconds,
+        profile.launches,
     )
 
 
@@ -142,12 +132,12 @@ def test_single_node_bulk_path_is_bit_identical(platform_cls, algorithm):
 def test_mapreduce_bulk_covers_every_job(algorithm):
     """Every job chain in ``jobs.py`` is bulk/scalar-identical.
 
-    BFS and CONN exercise the columnar ``RecordBatch`` executor; the
-    remaining jobs (CD, STATS, EVO, and the PR/SSSP/LCC chains) stay
-    on scalar records under ``bulk=True`` (their jobs carry
-    non-columnar values) but still flow through the batched shuffle
-    accounting — either way the outputs and full cost profiles must
-    match the ``bulk=False`` run exactly.
+    BFS, CONN and SSSP exercise the columnar ``RecordBatch`` executor;
+    the remaining jobs (CD, STATS, EVO, and the PR/LCC chains) stay on
+    scalar records under ``bulk=True`` (their jobs carry non-columnar
+    values) but still flow through the batched shuffle accounting —
+    either way the outputs and full cost profiles must match the
+    ``bulk=False`` run exactly.
     """
     graph = GRAPHS["rmat-undirected"]()
     bulk_output, bulk_profile = _run(MapReducePlatform, True, graph, algorithm)
@@ -164,3 +154,45 @@ def test_mapreduce_bulk_covers_every_job(algorithm):
 def test_bulk_is_the_default(platform_cls):
     # The fast path must be what the benchmark actually runs.
     assert platform_cls(ClusterSpec.paper_distributed()).bulk is True
+
+
+def _run_pregel(program, bulk: bool, graph: Graph, **engine_options):
+    engine = PregelEngine(
+        graph, ClusterSpec.paper_distributed(), bulk=bulk, **engine_options
+    )
+    result = engine.run(program)
+    return result.values, profile_key(engine.meter.profile), engine.meter.profile
+
+
+@pytest.mark.parametrize("fraction", [None, 0.1, 0.5])
+def test_pregel_sssp_central_supersteps_are_bit_identical(fraction):
+    """Weighted delivery on central supersteps matches the scalar path."""
+    graph = catalog.load_dataset("road-16").with_uniform_weights()
+    program = SSSPProgram(int(graph.vertices[0]), graph.num_vertices)
+    bulk_values, bulk_key, profile = _run_pregel(
+        program, True, graph, adaptive_central_fraction=fraction
+    )
+    scalar_values, scalar_key, _ = _run_pregel(
+        program, False, graph, adaptive_central_fraction=fraction
+    )
+    assert bulk_values == scalar_values
+    assert bulk_key == scalar_key
+    central = sum(record.name.endswith("-central") for record in profile.rounds)
+    assert (central > 0) == (fraction is not None)
+
+
+class UncombinedConn(ConnProgram):
+    """CONN with the min combiner switched off."""
+
+    def combiner(self):
+        """No sender-side combining: every message is charged."""
+        return None
+
+
+def test_pregel_bulk_path_honours_a_disabled_combiner():
+    """A subclass without the combiner is charged per message, as scalar."""
+    graph = GRAPHS["rmat-undirected"]()
+    bulk_values, bulk_key, _ = _run_pregel(UncombinedConn(), True, graph)
+    scalar_values, scalar_key, _ = _run_pregel(UncombinedConn(), False, graph)
+    assert bulk_values == scalar_values
+    assert bulk_key == scalar_key
