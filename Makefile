@@ -26,8 +26,9 @@ test-fast:
 differential:
 	$(PYTHON) -m pytest -x -q tests/differential
 
+# Same flags as CI's quality step: the gate plus the per-rule cost table.
 quality:
-	$(PYTHON) -m repro.cli quality --check --baseline .quality-baseline.json
+	$(PYTHON) -m repro.cli quality --check --baseline .quality-baseline.json --profile-rules
 
 # Regenerate the expected-findings goldens for the analysis fixture
 # corpus, including auto-discovered sub-corpora (audit/, units/) that

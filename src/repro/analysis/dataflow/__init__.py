@@ -6,7 +6,8 @@ Layers, bottom up:
   graphs over the Python AST (branches, loops, ``try``/``except``/
   ``finally``, ``with``, early returns, exception edges);
 * :mod:`~repro.analysis.dataflow.solver` — a generic forward worklist
-  solver with collecting (may) semantics;
+  solver with collecting (may) semantics, and the round-robin fixpoint
+  that solves per-function summaries to convergence;
 * :mod:`~repro.analysis.dataflow.callgraph` — a project call graph
   resolving direct calls, ``self.``/``cls.`` methods, and import
   aliases, the carrier for per-function summaries;

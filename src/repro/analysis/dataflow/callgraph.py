@@ -8,7 +8,11 @@ Resolves, statically and conservatively:
   by name — nominal, not structural);
 * calls through import aliases (``from repro.x import f``,
   ``import repro.x.y as z; z.f()``), including relative imports;
-* one level of simple assignment aliases (``g = helper; g(x)``).
+* one level of simple assignment aliases (``g = helper; g(x)``): a
+  name bound exactly once in the function, by a plain ``name = other``
+  assignment. Each function's alias table is built on first use and
+  kept on its :class:`FunctionInfo`, so a call through an unknown bare
+  name costs one dict lookup, not a walk of the caller's body.
 
 Anything else — calls on arbitrary objects, dynamic dispatch through
 containers, decorators that replace functions — resolves to ``None``
@@ -23,10 +27,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Iterator
 
-from repro.analysis.engine import ModuleContext, ProjectContext
+from repro.analysis.engine import ModuleContext, ProjectContext, own_nodes
 
 __all__ = [
     "FunctionInfo",
@@ -61,17 +65,6 @@ def module_name(path: str) -> str:
     else:
         parts = parts[-1:] if parts else ["<module>"]
     return ".".join(parts) or "<module>"
-
-
-def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without entering nested functions."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _FUNCTION_NODES + (ast.Lambda,)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def dotted_chain(expr: ast.expr) -> list[str] | None:
@@ -112,6 +105,35 @@ class FunctionInfo:
             return None
         params = self.param_names
         return params[0] if params else None
+
+    @cached_property
+    def nodes(self) -> tuple[ast.AST, ...]:
+        """The function's own nodes (nested functions excluded), walked once."""
+        return tuple(own_nodes(self.node))
+
+    @cached_property
+    def local_aliases(self) -> dict[str, str]:
+        """Local name -> the name it aliases, for ``g = helper`` bindings.
+
+        A name qualifies only when exactly one ``Assign`` target in the
+        function is that bare name and the value is a bare name; tuple
+        targets and other binding forms are not counted.
+        """
+        bindings: dict[str, int] = {}
+        sources: dict[str, str] = {}
+        for node in self.nodes:
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bindings[target.id] = bindings.get(target.id, 0) + 1
+                    if isinstance(node.value, ast.Name):
+                        sources[target.id] = node.value.id
+        return {
+            name: source
+            for name, source in sources.items()
+            if bindings[name] == 1
+        }
 
 
 @dataclass
@@ -186,9 +208,7 @@ class CallGraph:
         """
         cached = self._call_cache.get(info.qualname)
         if cached is None:
-            calls = [
-                node for node in own_nodes(info.node) if isinstance(node, ast.Call)
-            ]
+            calls = [node for node in info.nodes if isinstance(node, ast.Call)]
             calls.sort(key=lambda c: (c.lineno, c.col_offset))
             cached = [(call, self.resolve_call(info, call)) for call in calls]
             self._call_cache[info.qualname] = cached
@@ -246,24 +266,9 @@ class CallGraph:
             return self.functions[target]
         # One level of simple local aliasing: g = helper; g(x).
         if depth == 0:
-            original = self._local_alias(caller, name)
+            original = caller.local_aliases.get(name)
             if original is not None:
                 return self._resolve_name(caller, module, original, depth=1)
-        return None
-
-    def _local_alias(self, caller: FunctionInfo, name: str) -> str | None:
-        sources: set[str] = set()
-        assignments = 0
-        for node in own_nodes(caller.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    assignments += 1
-                    if isinstance(node.value, ast.Name):
-                        sources.add(node.value.id)
-        if assignments == 1 and len(sources) == 1:
-            return sources.pop()
         return None
 
     def _resolve_method(

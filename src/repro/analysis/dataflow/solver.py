@@ -6,17 +6,23 @@ and a join; the solver computes the least fixpoint of per-node
 *in-states*. Exception edges propagate ``join(in, out)`` of the source
 node — the raise may fire before or after the statement's own effects,
 so handlers must be prepared for both.
+
+:func:`solve_summaries` is the interprocedural counterpart: round-robin
+passes over a project's functions until no per-function summary
+changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Callable, Generic, Hashable, Sequence, TypeVar
 
+from repro.analysis.dataflow.callgraph import FunctionInfo
 from repro.analysis.dataflow.cfg import CFG, EXCEPTION, CFGNode
 
-__all__ = ["ForwardAnalysis", "solve_forward"]
+__all__ = ["ForwardAnalysis", "solve_forward", "solve_summaries"]
 
 State = TypeVar("State", bound=Hashable)
+Summary = TypeVar("Summary")
 
 
 class ForwardAnalysis(Generic[State]):
@@ -83,3 +89,34 @@ def solve_forward(
                 worklist.append(target)
                 queued.add(target)
     return in_states
+
+
+def solve_summaries(
+    functions: Sequence[FunctionInfo],
+    summarize: Callable[[FunctionInfo, dict[str, Summary]], Summary],
+    max_passes: int = 1_000,
+) -> dict[str, Summary]:
+    """The summary table (qualname -> summary) at its fixpoint.
+
+    Each pass calls ``summarize(info, table)`` for ``functions`` in
+    order, against the table as it stands, and stores every summary
+    that changed; a pass without a change ends the iteration. A fact
+    moves at least one call edge per pass, so an acyclic chain of n
+    calls settles within n + 1 passes; ``max_passes`` is only a
+    backstop against summaries that never settle, and hitting it
+    raises rather than returning a table that silently misses deep
+    flows.
+    """
+    table: dict[str, Summary] = {}
+    for _ in range(max_passes):
+        changed = False
+        for info in functions:
+            summary = summarize(info, table)
+            if table.get(info.qualname) != summary:
+                table[info.qualname] = summary
+                changed = True
+        if not changed:
+            return table
+    raise RuntimeError(
+        f"summary fixpoint did not converge within {max_passes} passes"
+    )

@@ -31,25 +31,36 @@ binding of the name is a literal/constructor — ``self.adjacency``
 stays untyped, so engines iterating instance state do not light up;
 parameter summaries are all-or-nothing (a helper whose *any* param
 reaches a sink flags *any* tainted argument) — an over-approximation
-at the interprocedural edge that keeps the analysis one-pass per
-function.
+at the interprocedural edge that keeps each summary to two solver runs
+(parameters unseeded, then seeded) per function.
+
+Summaries are solved to their fixpoint once per analysis run. A
+function is summarized again only when a callee summary it read has
+changed since its last summarization; that summarization's intrinsic
+flows are what ``check`` reports, so no function is solved twice
+against the same inputs. A label names each helper hop once (``via
+'walk'``, not ``via 'walk' via 'walk'``), which keeps the labels of
+recursive helpers — and with them the fixpoint — finite.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.analysis.dataflow.callgraph import (
     CallGraph,
     FunctionInfo,
     dotted_chain,
-    own_nodes,
     project_call_graph,
 )
 from repro.analysis.dataflow.cfg import CFG, CFGNode, node_exprs
-from repro.analysis.dataflow.solver import ForwardAnalysis, solve_forward
+from repro.analysis.dataflow.solver import (
+    ForwardAnalysis,
+    solve_forward,
+    solve_summaries,
+)
 from repro.analysis.dataflow.typestate import CHARGE_IN_ROUND, _cached_cfg
 from repro.analysis.engine import (
     ModuleContext,
@@ -109,7 +120,32 @@ class TaintSummary:
 _NEUTRAL = TaintSummary()
 
 
-def _unordered_locals(func: ast.AST) -> set[str]:
+class _RecordedReads:
+    """The summary table as one summarization sees it.
+
+    Every callee summary looked up is recorded, so the fixpoint can
+    tell whether a later table would still give the function the same
+    inputs, and hence the same result.
+    """
+
+    def __init__(self, table: dict[str, TaintSummary]):
+        self.table = table
+        self.reads: dict[str, TaintSummary] = {}
+
+    def read(self, qualname: str) -> TaintSummary:
+        """The callee's summary (neutral when it has none yet)."""
+        summary = self.table.get(qualname, _NEUTRAL)
+        self.reads[qualname] = summary
+        return summary
+
+
+def _via(label: str, callee: FunctionInfo) -> str:
+    """``label`` extended by the hop through ``callee``, named once."""
+    hop = f" via {callee.name!r}"
+    return label if hop in label else label + hop
+
+
+def _unordered_locals(nodes: Iterable[ast.AST]) -> set[str]:
     """Names provably bound to set/dict values (locals only).
 
     A name qualifies only when *every* binding of it in the function
@@ -118,7 +154,7 @@ def _unordered_locals(func: ast.AST) -> set[str]:
     """
     unordered: set[str] = set()
     disqualified: set[str] = set()
-    for node in own_nodes(func):
+    for node in nodes:
         if not isinstance(node, ast.Assign):
             continue
         is_unordered = _is_unordered_expr(node.value)
@@ -157,14 +193,15 @@ class _TaintAnalysis(ForwardAnalysis):
         self,
         graph: CallGraph,
         info: FunctionInfo,
-        summaries: dict[str, TaintSummary],
+        summaries: _RecordedReads,
         seed_params: bool,
+        unordered: set[str],
     ):
         self.graph = graph
         self.info = info
         self.summaries = summaries
         self.seed_params = seed_params
-        self.unordered = _unordered_locals(info.node)
+        self.unordered = unordered
         self.labels: dict[str, str] = {}
 
     def initial_state(self):
@@ -256,8 +293,8 @@ class _TaintAnalysis(ForwardAnalysis):
                 if chain[-1] in ("set", "frozenset"):
                     return "set/dict iteration order"
             callee = self.graph.resolve_call(self.info, iterable)
-            if callee is not None and self.summaries.get(
-                callee.qualname, _NEUTRAL
+            if callee is not None and self.summaries.read(
+                callee.qualname
             ).returns_unordered:
                 return (
                     f"unordered container returned by {callee.name!r}"
@@ -280,16 +317,14 @@ class _TaintAnalysis(ForwardAnalysis):
                     return f"unseeded {name}()"
             callee = self.graph.resolve_call(self.info, expr)
             if callee is not None:
-                summary = self.summaries.get(callee.qualname, _NEUTRAL)
+                summary = self.summaries.read(callee.qualname)
                 if summary.returns_taint is not None:
-                    return (
-                        f"{summary.returns_taint} via {callee.name!r}"
-                    )
+                    return _via(summary.returns_taint, callee)
                 if summary.taints_params_to_return:
                     for arg in _call_args(expr):
                         label = self.expr_taint(arg, state)
                         if label is not None:
-                            return f"{label} via {callee.name!r}"
+                            return _via(label, callee)
                     return None
                 # Known project function with a neutral summary: its
                 # return value is clean even if arguments are tainted.
@@ -323,10 +358,9 @@ def _call_args(call: ast.Call) -> Iterator[ast.expr]:
         yield keyword.value
 
 
-def _returns_unordered(info: FunctionInfo) -> bool:
-    unordered = _unordered_locals(info.node)
+def _returns_unordered(info: FunctionInfo, unordered: set[str]) -> bool:
     saw_return = False
-    for node in own_nodes(info.node):
+    for node in info.nodes:
         if not isinstance(node, ast.Return) or node.value is None:
             continue
         saw_return = True
@@ -348,6 +382,22 @@ class _Flow:
     sink: str
 
 
+@dataclass
+class _Memo:
+    """A function's last summarization: its result and its inputs."""
+
+    summary: TaintSummary
+    intrinsic: list[_Flow]  # flows from the function's own sources
+    reads: dict[str, TaintSummary]  # callee qualname -> summary read
+
+    def current(self, table: dict[str, TaintSummary]) -> bool:
+        """Whether ``table`` still holds every summary read back then."""
+        return all(
+            table.get(qualname, _NEUTRAL) == summary
+            for qualname, summary in self.reads.items()
+        )
+
+
 @register_project_rule
 class NondeterminismFlowRule(ProjectRule):
     """Report nondeterministic values flowing into benchmark outputs."""
@@ -358,22 +408,17 @@ class NondeterminismFlowRule(ProjectRule):
 
     def check(self, project: ProjectContext) -> Iterator[tuple[ModuleContext, Finding]]:
         """Yield ``(module, finding)`` taint flows in scoped modules."""
-        graph = project_call_graph(project)
-        cfgs: dict[str, CFG] = project.cache.setdefault("cfgs", {})
-        summaries = self._fixpoint_summaries(graph, cfgs)
+        run = _TaintRun(project)
         for module in project.modules:
             if not module.in_scope(DETERMINISM_SCOPE):
                 continue
-            for info in graph.functions_of(module):
+            for info in run.graph.functions_of(module):
                 # Only flows from the function's *own* sources are
                 # reported here; a flow that exists only when the
                 # parameters are assumed tainted is the callee half of
                 # an interprocedural path and is reported at the
                 # caller that supplies the tainted argument.
-                intrinsic = self._run(
-                    graph, info, summaries, cfgs, seed_params=False
-                )
-                for flow in intrinsic.flows:
+                for flow in run.memos[info.qualname].intrinsic:
                     yield module, self.finding(
                         f"{info.name!r}: nondeterministic value "
                         f"({flow.source}) reaches {flow.sink}; order- or "
@@ -382,35 +427,44 @@ class NondeterminismFlowRule(ProjectRule):
                         flow.line,
                     )
 
-    # -- summaries --------------------------------------------------------
 
-    def _fixpoint_summaries(
-        self, graph: CallGraph, cfgs: dict[str, CFG]
-    ) -> dict[str, TaintSummary]:
-        summaries: dict[str, TaintSummary] = {}
+class _TaintRun:
+    """One analysis run's taint summaries, solved to their fixpoint.
+
+    ``summaries`` maps every function of the project to its
+    :class:`TaintSummary`; ``memos`` keeps each function's last
+    summarization. After the fixpoint every memo is current against
+    ``summaries``, so its intrinsic flows are the function's findings.
+    """
+
+    def __init__(self, project: ProjectContext):
+        self.graph = project_call_graph(project)
+        self.cfgs: dict[str, CFG] = project.cache.setdefault("cfgs", {})
+        self.memos: dict[str, _Memo] = {}
         ordered = [
-            graph.functions[qualname] for qualname in sorted(graph.functions)
+            self.graph.functions[qualname]
+            for qualname in sorted(self.graph.functions)
         ]
-        for _ in range(4):
-            changed = False
-            for info in ordered:
-                summary = self._summarize(graph, info, summaries, cfgs)
-                if summaries.get(info.qualname) != summary:
-                    summaries[info.qualname] = summary
-                    changed = True
-            if not changed:
-                break
-        return summaries
+        self.summaries = solve_summaries(ordered, self._resummarize)
 
-    def _summarize(
-        self,
-        graph: CallGraph,
-        info: FunctionInfo,
-        summaries: dict[str, TaintSummary],
-        cfgs: dict[str, CFG],
+    def _resummarize(
+        self, info: FunctionInfo, table: dict[str, TaintSummary]
     ) -> TaintSummary:
-        intrinsic = self._run(graph, info, summaries, cfgs, seed_params=False)
-        with_params = self._run(graph, info, summaries, cfgs, seed_params=True)
+        """The function's summary, re-solved only if an input changed."""
+        memo = self.memos.get(info.qualname)
+        if memo is None or not memo.current(table):
+            memo = self.summarize(info, table)
+            self.memos[info.qualname] = memo
+        return memo.summary
+
+    def summarize(
+        self, info: FunctionInfo, table: dict[str, TaintSummary]
+    ) -> _Memo:
+        """Summarize one function afresh against ``table``."""
+        reads = _RecordedReads(table)
+        unordered = _unordered_locals(info.nodes)
+        intrinsic = self._run(info, reads, unordered, seed_params=False)
+        with_params = self._run(info, reads, unordered, seed_params=True)
         # Differential attribution: anything the seeded run observes
         # beyond the intrinsic run is caused by the parameters.
         intrinsic_sites = {(flow.line, flow.sink) for flow in intrinsic.flows}
@@ -422,27 +476,29 @@ class NondeterminismFlowRule(ProjectRule):
             ),
             None,
         )
-        return TaintSummary(
+        summary = TaintSummary(
             returns_taint=intrinsic.returned,
             taints_params_to_return=(
                 with_params.returned is not None and intrinsic.returned is None
             ),
             params_reach_sink=param_sink,
-            returns_unordered=_returns_unordered(info),
+            returns_unordered=_returns_unordered(info, unordered),
         )
+        return _Memo(summary=summary, intrinsic=intrinsic.flows, reads=reads.reads)
 
     # -- per-function runs -------------------------------------------------
 
     def _run(
         self,
-        graph: CallGraph,
         info: FunctionInfo,
-        summaries: dict[str, TaintSummary],
-        cfgs: dict[str, CFG],
+        summaries: _RecordedReads,
+        unordered: set[str],
         seed_params: bool,
-    ):
-        cfg = _cached_cfg(cfgs, info)
-        analysis = _TaintAnalysis(graph, info, summaries, seed_params)
+    ) -> _RunResult:
+        cfg = _cached_cfg(self.cfgs, info)
+        analysis = _TaintAnalysis(
+            self.graph, info, summaries, seed_params, unordered
+        )
         in_states = solve_forward(cfg, analysis)
         flows: list[_Flow] = []
         returned: str | None = None
@@ -455,16 +511,13 @@ class NondeterminismFlowRule(ProjectRule):
                 label = analysis.expr_taint(stmt.value, state)
                 if label is not None and returned is None:
                     returned = label
-            flows.extend(
-                self._judge_node(graph, info, summaries, analysis, node, state)
-            )
+            flows.extend(self._judge_node(info, summaries, analysis, node, state))
         return _RunResult(flows=flows, returned=returned)
 
     def _judge_node(
         self,
-        graph: CallGraph,
         info: FunctionInfo,
-        summaries: dict[str, TaintSummary],
+        summaries: _RecordedReads,
         analysis: _TaintAnalysis,
         node: CFGNode,
         state,
@@ -488,15 +541,12 @@ class NondeterminismFlowRule(ProjectRule):
             for call in (
                 n for n in ast.walk(expr) if isinstance(n, ast.Call)
             ):
-                yield from self._judge_call(
-                    graph, info, summaries, analysis, call, state
-                )
+                yield from self._judge_call(info, summaries, analysis, call, state)
 
     def _judge_call(
         self,
-        graph: CallGraph,
         info: FunctionInfo,
-        summaries: dict[str, TaintSummary],
+        summaries: _RecordedReads,
         analysis: _TaintAnalysis,
         call: ast.Call,
         state,
@@ -527,10 +577,10 @@ class NondeterminismFlowRule(ProjectRule):
         if sink is None:
             # Interprocedural: tainted argument to a helper whose
             # params reach a sink inside it.
-            callee = graph.resolve_call(info, call)
+            callee = self.graph.resolve_call(info, call)
             if callee is None:
                 return
-            summary = summaries.get(callee.qualname, _NEUTRAL)
+            summary = summaries.read(callee.qualname)
             if summary.params_reach_sink is None:
                 return
             sink = f"{summary.params_reach_sink} inside {callee.name!r}"

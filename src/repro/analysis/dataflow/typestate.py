@@ -43,11 +43,14 @@ from repro.analysis.dataflow.callgraph import (
     CallGraph,
     FunctionInfo,
     dotted_chain,
-    own_nodes,
     project_call_graph,
 )
 from repro.analysis.dataflow.cfg import CFG, CFGNode, build_cfg, node_calls
-from repro.analysis.dataflow.solver import ForwardAnalysis, solve_forward
+from repro.analysis.dataflow.solver import (
+    ForwardAnalysis,
+    solve_forward,
+    solve_summaries,
+)
 from repro.analysis.engine import (
     ModuleContext,
     ProjectContext,
@@ -208,7 +211,7 @@ def _analyze_function(
 
 
 def _mentions_protocol(info: FunctionInfo) -> bool:
-    for node in own_nodes(info.node):
+    for node in info.nodes:
         if isinstance(node, ast.Attribute) and (
             node.attr in CHARGE_IN_ROUND or node.attr in (_OPEN, _CLOSE)
         ):
@@ -243,7 +246,7 @@ def _relevant_functions(graph: CallGraph) -> set[str]:
 
 
 def _manages_rounds(info: FunctionInfo) -> bool:
-    for node in own_nodes(info.node):
+    for node in info.nodes:
         if isinstance(node, ast.Attribute) and node.attr in (_OPEN, _CLOSE):
             return True
     return False
@@ -281,24 +284,25 @@ class CostProtocolRule(ProjectRule):
     def _fixpoint_summaries(
         self, graph: CallGraph, cfgs: dict[str, CFG]
     ) -> dict[str, ProtocolSummary]:
-        summaries: dict[str, ProtocolSummary] = {}
+        """Summaries of the protocol-relevant functions, to convergence.
+
+        The lattice is finite (depth sets and one bool) and updates are
+        monotone, so the passes settle even through recursion. A pass
+        may carry ``requires_open`` only one helper further up a chain,
+        so a charge nine helpers deep can take nine passes; the pass
+        bound of :func:`solve_summaries` is a defensive backstop that
+        raises instead of returning unsettled summaries.
+        """
         ordered = [
             graph.functions[qualname]
             for qualname in sorted(_relevant_functions(graph))
         ]
-        # Finite lattice (depth sets + one bool) and monotone updates:
-        # a handful of passes reaches the fixpoint even through
-        # recursion; the bound is a defensive backstop.
-        for _ in range(8):
-            changed = False
-            for info in ordered:
-                summary, _, _ = _analyze_function(graph, info, summaries, cfgs)
-                if summaries.get(info.qualname) != summary:
-                    summaries[info.qualname] = summary
-                    changed = True
-            if not changed:
-                break
-        return summaries
+        return solve_summaries(
+            ordered,
+            lambda info, summaries: _analyze_function(
+                graph, info, summaries, cfgs
+            )[0],
+        )
 
     # -- local verdicts ---------------------------------------------------
 
@@ -385,7 +389,7 @@ class CostProtocolRule(ProjectRule):
         """
         bound_from_close: set[str] = set()
         bound_otherwise: set[str] = set()
-        for node in own_nodes(info.node):
+        for node in info.nodes:
             targets: list[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -417,7 +421,7 @@ class CostProtocolRule(ProjectRule):
         closed = bound_from_close - bound_otherwise
         if not closed:
             return
-        for node in own_nodes(info.node):
+        for node in info.nodes:
             written: ast.expr | None = None
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 node_targets = (

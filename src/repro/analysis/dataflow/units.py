@@ -1242,9 +1242,10 @@ class _UnitsAnalysis:
         """Bounded interprocedural fixpoint over return units.
 
         Return units only ever move up the (finite) product lattice
-        through joins, so four passes settle every realistic call
-        chain; the bound is a defensive backstop against pathological
-        mutual recursion, exactly like the typestate rule's.
+        through joins, but unlike the taint and typestate fixpoints
+        this loop stops after four passes whether or not they have
+        settled: a unit returned through more than four helpers that
+        are listed caller-first is lost.
         """
         summaries: dict[str, UnitSummary] = {}
         for _ in range(4):

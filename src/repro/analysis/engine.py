@@ -171,6 +171,17 @@ def statement_anchors(tree: ast.AST) -> dict[int, int]:
     return anchors
 
 
+def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """Walk a function's body without entering nested functions."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Configuration of one analysis run.

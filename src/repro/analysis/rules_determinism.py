@@ -20,6 +20,7 @@ from typing import Iterator
 from repro.analysis.engine import (
     ModuleContext,
     Rule,
+    own_nodes,
     register_rule,
     statement_anchors,
 )
@@ -183,17 +184,6 @@ _ACCOUNTING_ATTRS = {
 }
 
 
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested functions."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _costed_token(expr: ast.AST) -> str | None:
     """The first costed-collection token an expression mentions."""
     for node in ast.walk(expr):
@@ -249,7 +239,7 @@ class CostAccountingRule(Rule):
 
     def _check_function(self, func: ast.AST) -> Finding | None:
         first_loop: tuple[int, str] | None = None
-        for node in _own_nodes(func):
+        for node in own_nodes(func):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 token = _costed_token(node.iter)
             elif isinstance(node, ast.While):

@@ -104,6 +104,77 @@ class TestDirectCalls:
         assert _call_in(graph, "repro.a.caller", "method") is None
 
 
+class TestLocalAliases:
+    """The per-function alias table resolves ``g = helper`` bindings only."""
+
+    @staticmethod
+    def _graph(caller_body: str):
+        source = (
+            "def helper():\n    return 1\n\n"
+            + textwrap.dedent(caller_body)
+        )
+        return build_call_graph([_module(source, "src/repro/a.py")])
+
+    def test_name_bound_twice_stays_unresolved(self):
+        graph = self._graph(
+            """
+            def caller(flag):
+                if flag:
+                    g = helper
+                else:
+                    g = helper
+                return g()
+            """
+        )
+        assert _call_in(graph, "repro.a.caller", "'g'") is None
+
+    def test_tuple_target_stays_unresolved(self):
+        graph = self._graph(
+            """
+            def caller():
+                g, h = helper, helper
+                return g()
+            """
+        )
+        assert _call_in(graph, "repro.a.caller", "'g'") is None
+
+    def test_binding_to_non_name_value_stays_unresolved(self):
+        graph = self._graph(
+            """
+            def caller(wrap):
+                g = wrap(helper)
+                return g()
+            """
+        )
+        assert _call_in(graph, "repro.a.caller", "'g'") is None
+
+    def test_chained_assignment_resolves_both_names(self):
+        graph = self._graph(
+            """
+            def caller():
+                g = h = helper
+                return g() + h()
+            """
+        )
+        for name in ("'g'", "'h'"):
+            callee = _call_in(graph, "repro.a.caller", name)
+            assert callee is not None and callee.qualname == "repro.a.helper"
+
+    def test_nested_binding_does_not_leak_into_enclosing_function(self):
+        graph = self._graph(
+            """
+            def caller():
+                def inner():
+                    g = helper
+                    return g()
+                return g()
+            """
+        )
+        assert _call_in(graph, "repro.a.caller", "'g'") is None
+        callee = _call_in(graph, "repro.a.caller.inner", "'g'")
+        assert callee is not None and callee.qualname == "repro.a.helper"
+
+
 class TestMethods:
     def test_self_method_resolves(self):
         graph = build_call_graph(

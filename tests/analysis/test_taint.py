@@ -1,11 +1,43 @@
 """Tests for the ``nondeterminism-flow`` taint rule."""
 
+import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis import analyze_source
+from repro.analysis.dataflow.taint import _TaintRun
+from repro.analysis.engine import AnalysisConfig, ModuleContext, ProjectContext
 
 ENGINE_PATH = "src/repro/platforms/fake/engine.py"
 OUT_OF_SCOPE_PATH = "src/repro/perf/fake.py"
+REPO = Path(__file__).resolve().parents[2]
+
+#: Callers sort before their callees, and each ``a_*`` caller reads
+#: its callee's summary at one lookup site only: the sink check of a
+#: bare call statement (``b_emit``) or the taint of a call whose
+#: partition-key name makes it a sink (``b_shard_of``). A summary read
+#: that the memo fails to record leaves a stale summary here.
+CALLER_FIRST_CHAIN = """
+def a_flood(ctx):
+    for vertex in {1, 2}:
+        b_emit(ctx, vertex)
+
+def a_route(ctx, items):
+    ctx.send(0, b_shard_of(items))
+
+def b_emit(ctx, payload):
+    c_send(ctx, payload)
+
+def b_shard_of(items):
+    return c_pick(items)
+
+def c_pick(items):
+    for item in set(items):
+        return item
+
+def c_send(ctx, payload):
+    ctx.send(0, payload)
+"""
 
 
 def _findings(code: str, path: str = ENGINE_PATH):
@@ -179,6 +211,86 @@ class TestInterprocedural:
                         ctx.send(0, v)
             """
         ) == []
+
+
+class TestFixpoint:
+    def test_set_element_returned_through_five_helpers_is_flagged(self):
+        # Each fixpoint pass carries returns_taint one helper further
+        # up the chain; a fixed pass count would stop short of h1.
+        findings = _findings(
+            """
+            def h5(items):
+                for item in set(items):
+                    return item
+
+            def h4(items):
+                return h5(items)
+
+            def h3(items):
+                return h4(items)
+
+            def h2(items):
+                return h3(items)
+
+            def h1(items):
+                return h2(items)
+
+            def flood(ctx, items):
+                ctx.send(h1(items))
+            """
+        )
+        assert len(findings) == 1
+        assert "via 'h2' via 'h1')" in findings[0].message
+
+    def test_recursive_helper_is_named_once(self):
+        findings = _findings(
+            """
+            def walk(items, depth):
+                if depth:
+                    return walk(items, depth - 1)
+                for item in set(items):
+                    return item
+
+            def flood(ctx, items):
+                ctx.send(walk(items, 3))
+            """
+        )
+        assert len(findings) == 1
+        assert "(set/dict iteration order via 'walk')" in findings[0].message
+
+    def test_memoized_summaries_equal_fresh_ones(self):
+        """Re-summarizing any function against the final table, with no
+        memo consulted, reproduces its stored summary and flows."""
+        fixtures = REPO / "tests" / "analysis" / "fixtures"
+        paths = sorted((REPO / "src" / "repro" / "analysis").rglob("*.py"))
+        paths += sorted(
+            path
+            for path in fixtures.glob("**/*.py")
+            if path.name != "regen.py" and "audit" not in path.parts
+        )
+        sources = [
+            (path.relative_to(REPO).as_posix(), path.read_text())
+            for path in paths
+        ]
+        sources.append((ENGINE_PATH, CALLER_FIRST_CHAIN))
+        config = AnalysisConfig()
+        modules = [
+            ModuleContext(
+                path=path,
+                tree=ast.parse(source),
+                lines=source.splitlines(),
+                config=config,
+            )
+            for path, source in sources
+        ]
+        run = _TaintRun(ProjectContext(modules=modules, config=config))
+        for caller in ("a_flood", "a_route"):
+            assert run.memos[f"repro.platforms.fake.engine.{caller}"].intrinsic
+        assert len(run.summaries) == len(run.graph.functions) > 200
+        for qualname, info in run.graph.functions.items():
+            fresh = run.summarize(info, run.summaries)
+            assert fresh.summary == run.summaries[qualname], qualname
+            assert fresh.intrinsic == run.memos[qualname].intrinsic, qualname
 
 
 class TestScope:

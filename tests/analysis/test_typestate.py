@@ -210,6 +210,23 @@ class TestInterprocedural:
         )
         assert any("already be open" in f.message for f in findings)
 
+    def test_charge_nine_helpers_deep_is_flagged(self):
+        # Each fixpoint pass carries requires_open one helper further
+        # up the chain; a fixed pass count would stop short of h1.
+        chain = "".join(
+            f"def h{i}(meter):\n    h{i + 1}(meter)\n\n" for i in range(1, 9)
+        )
+        findings = _findings(
+            chain
+            + "def h9(meter):\n    meter.charge_compute(0, 1.0)\n\n"
+            + "def run(meter):\n"
+            + "    meter.begin_round('r')\n"
+            + "    meter.end_round()\n"
+            + "    h1(meter)\n"
+        )
+        assert len(findings) == 1
+        assert "calls 'h1', which charges the meter" in findings[0].message
+
     def test_suppression_on_def_line_silences_opener_helper(self):
         report = analyze_source(
             textwrap.dedent(
