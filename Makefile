@@ -45,9 +45,9 @@ audit-fixtures:
 	$(PYTHON) tests/analysis/fixtures/audit/regen.py
 
 # Quick harness for a local signal, then the tracked floors (frontier
-# and all-active PageRank kernels, the columnar MapReduce shuffle,
-# scale-18 datagen, and mmap graph load) — the same suite CI's
-# "Performance floors" step runs.
+# and all-active PageRank kernels, the columnar MapReduce shuffle, the
+# STATS triangle kernels, scale-18 datagen, and mmap graph load) — the
+# same suite CI's "Performance floors" step runs.
 perf:
 	$(PYTHON) -m repro.cli perf --quick
 	$(PYTHON) -m pytest -x -q benchmarks/perf

@@ -17,6 +17,9 @@ at scale 18 (multi-million-edge regime) — refreshes the repository's
 * the columnar MapReduce executor must beat the per-record engine by
   at least 3x on BFS and on SSSP (``mapreduce-bfs-shuffle``,
   ``mapreduce-sssp-shuffle``);
+* the vectorized STATS paths of giraph, graphx and mapreduce must beat
+  their scalar adjacency-list exchange by at least 3x
+  (``*-stats-triangles``);
 * vectorized R-MAT generation must beat the per-edge builder by at
   least 10x at scale 18, and mmap graph loading must beat the pickle
   round-trip by at least 3x;
@@ -55,6 +58,9 @@ SPEEDUP_FLOORS = {
     "graphx-sssp-frontier": 3.0,
     "mapreduce-bfs-shuffle": 3.0,
     "mapreduce-sssp-shuffle": 3.0,
+    "pregel-stats-triangles": 3.0,
+    "graphx-stats-triangles": 3.0,
+    "mapreduce-stats-triangles": 3.0,
     "datagen-rmat": 10.0,
     "graph-load": 3.0,
 }

@@ -65,15 +65,17 @@ from repro.analysis.dataflow.callgraph import (
     project_call_graph,
 )
 from repro.analysis.dataflow.cfg import CFG
-from repro.analysis.dataflow.solver import ForwardAnalysis, solve_forward
+from repro.analysis.dataflow.solver import (
+    ForwardAnalysis,
+    solve_forward,
+    solve_summaries,
+)
 from repro.analysis.dataflow.typestate import _cached_cfg
 from repro.analysis.engine import (
     ModuleContext,
     ProjectContext,
     ProjectRule,
-    _comment_lines,
     register_project_rule,
-    statement_anchors,
 )
 from repro.analysis.model import ERROR, Finding
 
@@ -570,7 +572,6 @@ class _FunctionEvaluator:
         self.pragmas = owner.pragmas_of(info.module)
         self.constants = owner.constants_of(info.module)
         self.sink: list[Finding] | None = None
-        self.anchors: dict[int, int] = {}
         declared = _declared_params(info.name, info.param_names)
         env: dict[str, Unit] = {}
         receiver = info.receiver_name
@@ -586,7 +587,7 @@ class _FunctionEvaluator:
 
     def _line(self, node: ast.AST) -> int:
         line = getattr(node, "lineno", 1)
-        return self.anchors.get(id(node), line)
+        return self.info.module.anchors.get(id(node), line)
 
     def _report(self, rule: str, message: str, node: ast.AST) -> None:
         if self.sink is not None:
@@ -1124,6 +1125,12 @@ class _FunctionEvaluator:
 
 # -- project-level orchestration -------------------------------------------
 
+#: Changes a function's return unit may make before the summary
+#: fixpoint widens it to ``CONFLICT``. Acyclic helpers change at most
+#: once per callee whose unit settles in a later pass; none in ``src/``
+#: changes at all once first summarized.
+_WIDEN_AFTER = 16
+
 
 class _UnitsAnalysis:
     """Shared per-run state: pragmas, constants, summaries, findings."""
@@ -1134,7 +1141,6 @@ class _UnitsAnalysis:
         self.cfgs: dict[str, CFG] = project.cache.setdefault("cfgs", {})
         self._pragmas: dict[int, dict[int, Unit]] = {}
         self._constants: dict[int, dict[str, Unit]] = {}
-        self._anchors: dict[int, dict[int, int]] = {}
 
     # -- per-module tables -------------------------------------------------
 
@@ -1142,7 +1148,7 @@ class _UnitsAnalysis:
         cached = self._pragmas.get(id(module))
         if cached is None:
             cached = {}
-            for line, comment in _comment_lines(module.lines).items():
+            for line, comment in module.comments.items():
                 match = _PRAGMA.search(comment)
                 if match is None:
                     continue
@@ -1188,13 +1194,6 @@ class _UnitsAnalysis:
             self._constants[id(module)] = cached
         return cached
 
-    def anchors_of(self, module: ModuleContext) -> dict[int, int]:
-        cached = self._anchors.get(id(module))
-        if cached is None:
-            cached = statement_anchors(module.tree)
-            self._anchors[id(module)] = cached
-        return cached
-
     def resolve(
         self, caller: FunctionInfo, call: ast.Call
     ) -> FunctionInfo | None:
@@ -1216,7 +1215,6 @@ class _UnitsAnalysis:
         results: list[tuple[ModuleContext, Finding]] = []
         for info in functions:
             evaluator = _FunctionEvaluator(self, info, summaries)
-            evaluator.anchors = self.anchors_of(info.module)
             cfg = _cached_cfg(self.cfgs, info)
             in_states = solve_forward(cfg, _EnvAnalysis(evaluator))
             findings: list[Finding] = []
@@ -1239,25 +1237,35 @@ class _UnitsAnalysis:
     def _fixpoint_summaries(
         self, functions: list[FunctionInfo]
     ) -> dict[str, UnitSummary]:
-        """Bounded interprocedural fixpoint over return units.
+        """Interprocedural fixpoint over return units.
 
-        Return units only ever move up the (finite) product lattice
-        through joins, but unlike the taint and typestate fixpoints
-        this loop stops after four passes whether or not they have
-        settled: a unit returned through more than four helpers that
-        are listed caller-first is lost.
+        :func:`~repro.analysis.dataflow.solver.solve_summaries` runs
+        passes until no summary changes, so a unit returned through
+        any number of helpers reaches its caller. Acyclic call chains
+        settle with each return unit changing at most once per callee
+        level. Recursion can keep one moving for ever: a helper's call
+        to itself starts out with the unit its name declares, so
+        ``return total_bytes * grown_bytes(total_bytes)`` gains a
+        ``bytes`` exponent every pass, and a quotient flips between
+        two units. A return unit that changes more than
+        ``_WIDEN_AFTER`` times is therefore widened to ``CONFLICT``,
+        which products and joins keep, and stays there.
         """
-        summaries: dict[str, UnitSummary] = {}
-        for _ in range(4):
-            changed = False
-            for info in functions:
-                summary = self._summarize(info, summaries)
-                if summaries.get(info.qualname) != summary:
-                    summaries[info.qualname] = summary
-                    changed = True
-            if not changed:
-                break
-        return summaries
+        changes: dict[str, int] = {}
+
+        def summarize(
+            info: FunctionInfo, table: dict[str, UnitSummary]
+        ) -> UnitSummary:
+            summary = self._summarize(info, table)
+            previous = table.get(info.qualname)
+            if previous is None or previous == summary:
+                return summary
+            changes[info.qualname] = changes.get(info.qualname, 0) + 1
+            if changes[info.qualname] > _WIDEN_AFTER:
+                return UnitSummary(params=summary.params, returns=CONFLICT)
+            return summary
+
+        return solve_summaries(functions, summarize)
 
     def _summarize(
         self, info: FunctionInfo, summaries: dict[str, UnitSummary]

@@ -34,6 +34,7 @@ import re
 import time
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -231,6 +232,18 @@ class ModuleContext:
         """Whether the module lies under any of the path fragments."""
         path = self.posix_path
         return any(fragment in path for fragment in prefixes)
+
+    @cached_property
+    def comments(self) -> dict[int, str]:
+        """Genuine comment text by line (:func:`_comment_lines`),
+        tokenized once per run for suppressions and unit pragmas."""
+        return _comment_lines(self.lines)
+
+    @cached_property
+    def anchors(self) -> dict[int, int]:
+        """:func:`statement_anchors` of the module, built once per run
+        for every rule that anchors findings."""
+        return statement_anchors(self.tree)
 
 
 @dataclass
@@ -442,10 +455,10 @@ def _comment_lines(lines: list[str]) -> dict[int, str]:
         }
 
 
-def _suppressions(lines: list[str]) -> dict[int, set[str]]:
+def _suppressions(comments: dict[int, str]) -> dict[int, set[str]]:
     """Map 1-based line numbers to the rule ids suppressed there."""
     suppressed: dict[int, set[str]] = {}
-    for number, line in sorted(_comment_lines(lines).items()):
+    for number, line in sorted(comments.items()):
         match = _SUPPRESSION.search(line)
         if match is None:
             continue
@@ -480,7 +493,7 @@ class _ModuleAnalysis:
 
     def __init__(self, module: ModuleContext):
         self.module = module
-        self.suppressions = _suppressions(module.lines)
+        self.suppressions = _suppressions(module.comments)
         self.findings: list[Finding] = []
         self.suppressed_count = 0
         #: Suppression-comment lines that silenced at least one finding.

@@ -22,7 +22,6 @@ from repro.analysis.engine import (
     Rule,
     own_nodes,
     register_rule,
-    statement_anchors,
 )
 from repro.analysis.model import ERROR, Finding
 
@@ -97,7 +96,7 @@ class DeterminismRule(Rule):
         aliases = _import_aliases(module.tree)
         # Calls inside lambda/comprehension bodies anchor on the
         # enclosing statement, where the suppression comment can live.
-        anchors = statement_anchors(module.tree)
+        anchors = module.anchors
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

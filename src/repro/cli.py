@@ -654,11 +654,11 @@ def _command_perf(args: argparse.Namespace) -> int:
     if args.as_json:
         print(report.to_json(), end="")
     else:
-        print(f"{'kernel':<24}{'bulk s':>10}{'scalar s':>10}{'speedup':>9}"
+        print(f"{'kernel':<27}{'bulk s':>10}{'scalar s':>10}{'speedup':>9}"
               f"{'consrv':>9}  sim-match")
         for timing in report.kernels:
             print(
-                f"{timing.name:<24}{timing.bulk_wall_seconds:>10.4f}"
+                f"{timing.name:<27}{timing.bulk_wall_seconds:>10.4f}"
                 f"{timing.scalar_wall_seconds:>10.4f}{timing.speedup:>8.1f}x"
                 f"{timing.conservative_speedup:>8.1f}x"
                 f"  {'yes' if timing.simulated_match else 'NO'}"

@@ -564,34 +564,67 @@ class CostMeter:
         self,
         src_workers: np.ndarray,
         dst_workers: np.ndarray,
-        payload_bytes: float,
+        payload_bytes: float | np.ndarray,
     ) -> None:
-        """One message per ``(src_workers[i], dst_workers[i])`` element,
-        all with the same payload size.
+        """One message per ``(src_workers[i], dst_workers[i])`` element.
 
-        Tallies the elements per worker pair and makes one
-        :meth:`charge_message` call with ``count=`` per non-zero pair,
-        in ascending ``src * num_workers + dst`` order. Sinks and the
-        fault injector therefore see the events, and draw the random
-        numbers, of that per-pair loop.
+        ``payload_bytes`` is one size for every message, or an array
+        of per-message sizes aligned with the workers. Tallies the
+        elements per worker pair and charges each non-zero pair once,
+        in ascending ``src * num_workers + dst`` order, as one
+        :meth:`charge_message` call with ``count=`` would. Sinks and
+        the fault injector therefore see the events, and draw the
+        random numbers, of that per-pair loop. A pair of
+        variable-size messages adds its summed wire bytes, which equal
+        the per-message sum exactly for integer sizes, and its event
+        reports the pair's mean payload.
         """
         self._require_round()
         num_workers = self.spec.num_workers
-        pair_counts = np.bincount(
-            src_workers * num_workers + dst_workers,
-            minlength=num_workers * num_workers,
-        )
+        pairs = src_workers * num_workers + dst_workers
+        pair_counts = np.bincount(pairs, minlength=num_workers * num_workers)
+        variable = np.ndim(payload_bytes) > 0
+        if variable:
+            pair_bytes = np.bincount(
+                pairs,
+                weights=payload_bytes + self.MESSAGE_OVERHEAD_BYTES,
+                minlength=num_workers * num_workers,
+            )
         for pair in np.flatnonzero(pair_counts).tolist():
             src_worker, dst_worker = divmod(pair, num_workers)
-            self.charge_message(
-                src_worker, dst_worker, payload_bytes,
-                count=int(pair_counts[pair]),
-            )
+            count = int(pair_counts[pair])
+            if variable:
+                wire_bytes = float(pair_bytes[pair])
+                self._charge_messages(
+                    src_worker, dst_worker, count, wire_bytes,
+                    wire_bytes / count - self.MESSAGE_OVERHEAD_BYTES,
+                )
+            else:
+                self.charge_message(
+                    src_worker, dst_worker, payload_bytes, count=count
+                )
 
     def charge_message(
         self, src_worker: int, dst_worker: int, payload_bytes: float, count: int = 1
     ) -> None:
         """A message between workers; local delivery costs no network."""
+        self._charge_messages(
+            src_worker,
+            dst_worker,
+            count,
+            count * (payload_bytes + self.MESSAGE_OVERHEAD_BYTES),
+            payload_bytes,
+        )
+
+    def _charge_messages(
+        self,
+        src_worker: int,
+        dst_worker: int,
+        count: int,
+        wire_bytes: float,
+        payload_bytes: float,
+    ) -> None:
+        """``count`` messages totalling ``wire_bytes`` with envelopes."""
         record = self._require_round()
         if src_worker == dst_worker:
             record.local_messages += count
@@ -602,7 +635,7 @@ class CostMeter:
                     src_worker, dst_worker, len(self.profile.rounds), count,
                 )
             record.remote_messages += count
-            record.remote_bytes += count * (payload_bytes + self.MESSAGE_OVERHEAD_BYTES)
+            record.remote_bytes += wire_bytes
         if self.sinks:
             self._emit_charge(
                 "message",
@@ -722,6 +755,50 @@ class CostMeter:
             if self.sinks:
                 self._emit_fault("out-of-memory", str(budget_violation))
             raise budget_violation
+
+    def allocate_worker_memory(
+        self, workers: np.ndarray, num_bytes: np.ndarray
+    ) -> None:
+        """Allocate ``num_bytes[i]`` on ``workers[i]``, in element order:
+        the vector form of that sequence of :meth:`allocate_memory`
+        calls.
+
+        Each worker's sizes are summed and added once, which is exact
+        for integer-valued sizes. Sizes are non-negative, so each
+        worker peaks at its final total. When the sequence breaks a
+        worker's budget, the allocations before the first breaking
+        element are applied as totals and that element is allocated
+        on its own, so the failure names the worker, bytes and round
+        the scalar sequence fails with.
+        """
+        num_workers = self.spec.num_workers
+        totals = np.bincount(workers, weights=num_bytes, minlength=num_workers)
+        in_use = np.array(self._memory)
+        budget = self.spec.hardware.memory_bytes_per_worker
+        stop = len(workers)
+        if self.enforce_memory and (in_use + totals > budget).any():
+            # Each element's worker total once it is allocated: a
+            # cumulative sum over the elements grouped by worker, less
+            # the sum before the element's group.
+            order = np.argsort(workers, kind="stable")
+            grouped = num_bytes[order]
+            cumulative = np.cumsum(grouped)
+            group_size = np.bincount(workers, minlength=num_workers)
+            first = np.minimum(
+                np.cumsum(group_size) - group_size, len(grouped) - 1
+            )
+            before_group = cumulative[first] - grouped[first]
+            running = np.empty(len(grouped), dtype=np.float64)
+            running[order] = cumulative - before_group[workers[order]]
+            stop = int(np.argmax(in_use[workers] + running > budget))
+            totals = np.bincount(
+                workers[:stop], weights=num_bytes[:stop], minlength=num_workers
+            )
+        for worker in np.flatnonzero(totals).tolist():
+            self.allocate_memory(worker, float(totals[worker]))
+        if stop < len(workers):
+            # The first element past the budget: allocate_memory raises.
+            self.allocate_memory(int(workers[stop]), float(num_bytes[stop]))
 
     def release_memory(self, worker: int, num_bytes: float) -> None:
         """Lower the worker's live memory (floors at zero)."""

@@ -12,9 +12,11 @@ Every clustering number rests on one integer per vertex: the edges
 among its neighbors. The references count it for the whole graph
 with :func:`~repro.graph.kernels.triangle_links`; the platform
 engines count it per vertex from shipped neighbor lists with
-:func:`received_links`. The two stay separate code because the
-references are the oracle the validator holds the engines to. Both
-sides turn the count into a coefficient with :func:`lcc_value`.
+:func:`received_links`, or for every vertex at once on their bulk
+paths with its array twin :func:`csr_received_links`. The two sides
+stay separate code because the references are the oracle the
+validator holds the engines to. Both sides turn the count into a
+coefficient with :func:`lcc_value` (:func:`lcc_values` per array).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse
 
 from repro.graph.graph import Graph
 from repro.graph.kernels import triangle_links
@@ -30,7 +33,9 @@ from repro.graph.kernels import triangle_links
 __all__ = [
     "GraphCharacteristics",
     "lcc_value",
+    "lcc_values",
     "received_links",
+    "csr_received_links",
     "local_clustering_coefficient",
     "average_clustering_coefficient",
     "global_clustering_coefficient",
@@ -90,6 +95,55 @@ def received_links(
     """
     own = set(neighbors)
     return sum(len(own.intersection(lst)) for lst in neighbor_lists) // 2
+
+
+#: Length-2 paths :func:`csr_received_links` multiplies out at once;
+#: bounds its sparse temporaries however skewed the graph is.
+_PATH_BLOCK = 1 << 22
+
+
+def csr_received_links(offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """:func:`received_links` for every row of a symmetric CSR at once.
+
+    Row ``i`` receives the list of every neighbor ``j`` of degree at
+    least 2 (the engines' senders) and matches ``|N(i) ∩ N(j)|`` of
+    its entries, so its count is ``sum_j A[i, j] * (A @ A)[i, j]``
+    over those ``j``, halved. Rows are multiplied in blocks of about
+    ``_PATH_BLOCK`` length-2 paths, so the product's memory stays
+    bounded on graphs with hubs. Equal per vertex to
+    :func:`received_links` over the lists the engines ship.
+    """
+    n = len(offsets) - 1
+    degrees = np.diff(offsets)
+    adjacency = scipy.sparse.csr_matrix(
+        (np.ones(len(targets), dtype=np.int64), targets, offsets), shape=(n, n)
+    )
+    senders = (degrees >= 2).astype(np.int64)
+    # Length-2 paths leaving each row: the nonzeros its product row
+    # can have at most.
+    path_bounds = np.cumsum(adjacency @ degrees)
+    links = np.zeros(n, dtype=np.int64)
+    start = 0
+    while start < n:
+        limit = (path_bounds[start - 1] if start else 0) + _PATH_BLOCK
+        stop = max(int(np.searchsorted(path_bounds, limit, side="right")), start + 1)
+        rows = adjacency[start:stop]
+        common = (rows @ adjacency).multiply(rows)
+        links[start:stop] = common @ senders
+        start = stop
+    return links // 2
+
+
+def lcc_values(links: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """:func:`lcc_value` element-wise, bit for bit.
+
+    numpy's float64 product and quotient round as Python's do, so
+    every entry equals the scalar expression's float.
+    """
+    denominators = degrees * (degrees - 1)
+    values = np.zeros(len(links), dtype=np.float64)
+    np.divide(2.0 * links, denominators, out=values, where=degrees >= 2)
+    return values
 
 
 def _links_and_degrees(graph: Graph) -> tuple[Graph, list[int], list[int]]:

@@ -89,7 +89,9 @@ def default_kernels() -> list[KernelSpec]:
     every converted platform (PR is the all-active stress case: every
     vertex sends every round, so the vectorized path earns the most;
     SSSP adds a weight to every message and re-activates vertices
-    whose distance improves). The MapReduce kernels time the columnar
+    whose distance improves). STATS ships every adjacency list across
+    every arc and counts triangles; giraph, graphx and mapreduce run
+    it vectorized. The MapReduce kernels time the columnar
     ``RecordBatch`` executor against the per-record scalar engine. The
     micro kernels cover the rest of the data plane: vectorized R-MAT
     generation and mmap graph loading.
@@ -109,6 +111,9 @@ def default_kernels() -> list[KernelSpec]:
         KernelSpec("graphx-sssp-frontier", "graphx", Algorithm.SSSP),
         KernelSpec("mapreduce-bfs-shuffle", "mapreduce", Algorithm.BFS),
         KernelSpec("mapreduce-sssp-shuffle", "mapreduce", Algorithm.SSSP),
+        KernelSpec("pregel-stats-triangles", "giraph", Algorithm.STATS),
+        KernelSpec("graphx-stats-triangles", "graphx", Algorithm.STATS),
+        KernelSpec("mapreduce-stats-triangles", "mapreduce", Algorithm.STATS),
         KernelSpec("datagen-rmat", "datagen", Algorithm.BFS, kind="micro"),
         KernelSpec("graph-load", "datasets", Algorithm.BFS, kind="micro"),
     ]

@@ -178,16 +178,19 @@ class GraphStore:
         return node_id in self._nodes
 
     def relationships_of(self, node_id: int) -> list[RelationshipRecord]:
-        """Walk a node's relationship chain (one random access each)."""
+        """Walk a node's relationship chain (one random access each).
+
+        The node record and every relationship record are charged in
+        one call after the walk: integer access counts sum exactly.
+        """
         record = self._nodes[node_id]
-        self._charge_chase(1)  # the node record itself
         rels: list[RelationshipRecord] = []
         rel_id = record.first_rel
         while rel_id != NO_RELATIONSHIP:
             rel = self._rels[rel_id]
-            self._charge_chase(1)
             rels.append(rel)
             rel_id = rel.next_for(node_id)
+        self._charge_chase(1 + len(rels))
         return rels
 
     def neighbors(self, node_id: int) -> list[int]:

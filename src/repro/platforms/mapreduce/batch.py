@@ -146,21 +146,22 @@ class RecordBatch:
         )
 
     @classmethod
-    def from_weighted_graph(cls, graph: Graph) -> "RecordBatch":
-        """A weighted batch straight off a graph's CSR, one row per vertex.
+    def from_graph(cls, graph: Graph, weighted: bool = False) -> "RecordBatch":
+        """A batch straight off a graph's CSR, one row per vertex.
 
-        Rows follow ``graph.vertices`` (ascending ids), each adjacency
-        follows :meth:`~repro.graph.graph.Graph.neighbors` order and
-        carries the arc weights — the records the driver's
-        ``weighted_adjacency()`` mapping would give. No state columns
-        are set.
+        Rows follow ``graph.vertices`` (ascending ids) and each
+        adjacency follows :meth:`~repro.graph.graph.Graph.neighbors`
+        order — the records the driver's adjacency mapping gives. A
+        ``weighted`` batch carries the arc weights, as the
+        ``weighted_adjacency()`` mapping would. No state columns are
+        set.
         """
         offsets, targets = graph.csr()
         return cls(
             keys=graph.vertices,
             adj_offsets=offsets,
             adj_targets=targets,
-            adj_weights=graph.csr_weights(),
+            adj_weights=graph.csr_weights() if weighted else None,
         )
 
     def to_pairs(self) -> list[tuple[int, tuple]]:

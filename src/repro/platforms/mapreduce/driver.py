@@ -50,10 +50,10 @@ class MapReducePlatform(Platform):
 
     def __init__(self, cluster: ClusterSpec, bulk: bool = True):
         super().__init__(cluster)
-        #: Columnar ``RecordBatch`` jobs for BFS, CONN and SSSP and
-        #: batched shuffle/byte accounting for the rest; ``bulk=False``
-        #: forces the per-record scalar path (the cost profile is
-        #: identical either way).
+        #: Columnar ``RecordBatch`` jobs for BFS, CONN, SSSP and the
+        #: STATS triangle job, and batched shuffle/byte accounting for
+        #: the rest; ``bulk=False`` forces the per-record scalar path
+        #: (the cost profile is identical either way).
         self.bulk = bulk
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
@@ -88,11 +88,12 @@ class MapReducePlatform(Platform):
             elif algorithm is Algorithm.SSSP:
                 source = params.resolve_sssp_source(handle.graph)
                 output = self._run_sssp(engine, handle.graph, source)
+            elif algorithm is Algorithm.STATS:
+                output = self._run_stats(engine, handle.graph, adjacency)
             else:
                 runner = {
                     Algorithm.CONN: self._run_conn,
                     Algorithm.CD: self._run_cd,
-                    Algorithm.STATS: self._run_stats,
                     Algorithm.EVO: self._run_evo,
                     Algorithm.PR: self._run_pagerank,
                     Algorithm.LCC: self._run_lcc,
@@ -167,8 +168,14 @@ class MapReducePlatform(Platform):
                 break
         return {v: label for v, (adj, label, score) in records}
 
-    def _run_stats(self, engine, adjacency, params):
-        records = list(adjacency.items())
+    def _run_stats(self, engine, graph, adjacency):
+        # The triangle job runs columnar under bulk; the aggregation
+        # job sums its record output on both paths.
+        records = (
+            RecordBatch.from_graph(graph)
+            if engine.bulk
+            else list(adjacency.items())
+        )
         partials = engine.run_job(StatsTriangleJob(), records)
         totals = engine.run_job(StatsAggregationJob(), partials.output)
         sums = dict(totals.output)
@@ -196,7 +203,7 @@ class MapReducePlatform(Platform):
         # weights); the driver loops on the ``changed`` counter.
         bound = sssp_round_bound(graph.num_vertices)
         if engine.bulk:
-            batch = RecordBatch.from_weighted_graph(graph)
+            batch = RecordBatch.from_graph(graph, weighted=True)
             is_source = batch.keys == source
             batch.columns["dist"] = np.where(
                 is_source, 0.0, UNREACHABLE_DISTANCE

@@ -126,6 +126,9 @@ class MapReduceJob(abc.ABC):
     implement the ``batch_*`` hooks and set :attr:`supports_batch`,
     unlocking the engine's
     :class:`~repro.platforms.mapreduce.batch.RecordBatch` executor.
+    Jobs that instead ship every adjacency list to the neighbors
+    (STATS) set :attr:`broadcast_min_degree` and implement
+    :meth:`batch_reduce`.
     """
 
     #: Job name used in round labels.
@@ -134,6 +137,11 @@ class MapReduceJob(abc.ABC):
     #: Whether the ``batch_*`` hooks are implemented; the engine falls
     #: back to the scalar record path otherwise.
     supports_batch: bool = False
+
+    #: For jobs that ship each record's adjacency list to every
+    #: neighbor (STATS): the smallest degree that ships. Such jobs
+    #: implement :meth:`batch_reduce` instead of the min-message hooks.
+    broadcast_min_degree: int | None = None
 
     def batch_emitters(self, batch: RecordBatch) -> np.ndarray:
         """Bool mask over records that broadcast to their neighbors."""
@@ -151,6 +159,18 @@ class MapReduceJob(abc.ABC):
         counters: dict,
     ) -> dict[str, np.ndarray]:
         """New state columns after digesting the combined messages."""
+        raise NotImplementedError
+
+    def batch_reduce(
+        self, batch: RecordBatch, received: np.ndarray, order: np.ndarray
+    ) -> tuple[list[tuple[Any, Any]], np.ndarray]:
+        """Reduce every row of a broadcast job at once.
+
+        ``received`` counts the lists shipped to each row and
+        ``order`` is the repr-sorted row permutation. Returns the
+        records :meth:`reduce` would emit, key after key in that
+        order, and how many each row emitted.
+        """
         raise NotImplementedError
 
     def batch_state_elements(self, batch: RecordBatch) -> int:
@@ -234,6 +254,8 @@ class MapReduceEngine:
                     f"job {job.name} cannot run columnar "
                     f"(bulk={self.bulk}, supports_batch={job.supports_batch})"
                 )
+            if job.broadcast_min_degree is not None:
+                return self._run_broadcast_batch(job, input_records)
             return self._run_job_batch(job, input_records)
         meter = self.meter
         spec = self.spec
@@ -281,19 +303,7 @@ class MapReduceEngine:
         # Spill to local disk, then reducers fetch.
         meter.charge_disk_write(None, map_output_bytes)
         meter.end_round(active_vertices=len(input_records))
-
-        # ---- shuffle + sort ------------------------------------------------
-        meter.begin_round(f"shuffle-{job.name}")
-        remote_fraction = (
-            (spec.num_workers - 1) / spec.num_workers if spec.num_workers > 1 else 0.0
-        )
-        meter.charge_shuffle(map_output_bytes * remote_fraction, count=len(combined))
-        meter.charge_disk_read(None, map_output_bytes)
-        if combined:
-            sort_ops = len(combined) * max(1.0, math.log2(len(combined))) * 2.0
-            for worker in range(spec.num_workers):
-                meter.charge_compute(worker, sort_ops / spec.num_workers)
-        meter.end_round()
+        self._shuffle_round(job, map_output_bytes, len(combined))
 
         # ---- reduce phase ---------------------------------------------------
         meter.begin_round(f"reduce-{job.name}")
@@ -321,12 +331,8 @@ class MapReduceEngine:
                 output.extend(emitted)
             for worker, records in enumerate(reduce_per_worker):
                 meter.charge_compute(worker, records * RECORD_CPU_OPS)
-        output_bytes = self._records_bytes(output)
-        # HDFS write with replication; replicas cross the network.
-        meter.charge_disk_write(None, output_bytes * HDFS_REPLICATION)
-        meter.charge_shuffle(output_bytes * (HDFS_REPLICATION - 1))
+        self._write_output(self._records_bytes(output))
         meter.end_round()
-
         return JobResult(output=output, counters=counters)
 
     # -- columnar execution ------------------------------------------------
@@ -394,23 +400,7 @@ class MapReduceEngine:
         )
         meter.charge_disk_write(None, map_output_bytes)
         meter.end_round(active_vertices=num_records)
-
-        # ---- shuffle + sort ------------------------------------------------
-        meter.begin_round(f"shuffle-{job.name}")
-        remote_fraction = (
-            (spec.num_workers - 1) / spec.num_workers if spec.num_workers > 1 else 0.0
-        )
-        meter.charge_shuffle(
-            map_output_bytes * remote_fraction, count=combined_count
-        )
-        meter.charge_disk_read(None, map_output_bytes)
-        if combined_count:
-            sort_ops = (
-                combined_count * max(1.0, math.log2(combined_count)) * 2.0
-            )
-            for worker in range(spec.num_workers):
-                meter.charge_compute(worker, sort_ops / spec.num_workers)
-        meter.end_round()
+        self._shuffle_round(job, map_output_bytes, combined_count)
 
         # ---- reduce phase ---------------------------------------------------
         meter.begin_round(f"reduce-{job.name}")
@@ -432,15 +422,97 @@ class MapReduceEngine:
             adj_weights=batch.adj_weights,
         ).reorder(repr_sort_permutation(batch.keys))
         output_elements = (1 + num_columns) * num_records + total_adjacency
-        output_bytes = (
+        self._write_output(
             RECORD_BYTES * num_records + ELEMENT_BYTES * output_elements
         )
-        # HDFS write with replication; replicas cross the network.
-        meter.charge_disk_write(None, output_bytes * HDFS_REPLICATION)
-        meter.charge_shuffle(output_bytes * (HDFS_REPLICATION - 1))
+        meter.end_round()
+        return JobResult(output=output, counters=counters)
+
+    def _run_broadcast_batch(
+        self, job: MapReduceJob, batch: RecordBatch
+    ) -> JobResult:
+        """Columnar adjacency broadcast (the STATS triangle job).
+
+        Each row emits its state record ``("A", adj)`` and, when its
+        degree reaches ``job.broadcast_min_degree``, one ``("N",
+        adj)`` record per neighbor; nothing combines map-side. The
+        charges are the scalar path's, in closed form: every shipped
+        record holds two top-level elements plus its sender's list.
+        The reduce round runs the job's
+        :meth:`~MapReduceJob.batch_reduce` over the rows in repr-sorted
+        key order and returns its records, so a record-path job can
+        follow.
+        """
+        meter = self.meter
+        num_records = len(batch)
+        degrees = batch.degrees
+        total_adjacency = batch.total_adjacency
+
+        meter.charge_startup()
+
+        # ---- map phase ---------------------------------------------------
+        meter.begin_round(f"map-{job.name}")
+        meter.charge_disk_read(
+            None, RECORD_BYTES * num_records + ELEMENT_BYTES * total_adjacency
+        )
+        shipped = degrees * (degrees >= job.broadcast_min_degree)
+        # Input splits are assigned round-robin by record index.
+        self._charge_records_bulk(
+            np.arange(num_records, dtype=np.int64) % self.spec.num_workers,
+            (2 + shipped).astype(np.float64),
+        )
+        combined_count = num_records + int(shipped.sum())
+        combined_elements = (
+            2 * combined_count + total_adjacency + int((shipped * degrees).sum())
+        )
+        map_output_bytes = (
+            RECORD_BYTES * combined_count + ELEMENT_BYTES * combined_elements
+        )
+        meter.charge_disk_write(None, map_output_bytes)
+        meter.end_round(active_vertices=num_records)
+        self._shuffle_round(job, map_output_bytes, combined_count)
+
+        # ---- reduce phase ---------------------------------------------------
+        meter.begin_round(f"reduce-{job.name}")
+        received = np.bincount(
+            batch.adj_targets,
+            weights=np.repeat(shipped > 0, degrees),
+            minlength=num_records,
+        ).astype(np.int64)
+        order = repr_sort_permutation(batch.keys)
+        output, emitted = job.batch_reduce(batch, received, order)
+        # Each key groups its state record and the lists shipped to it.
+        self._charge_records_bulk(
+            batch.keys % self.spec.num_workers,
+            (1 + received + emitted).astype(np.float64),
+        )
+        self._write_output(self._records_bytes(output))
+        meter.end_round()
+        return JobResult(output=output, counters={})
+
+    def _shuffle_round(
+        self, job: MapReduceJob, map_output_bytes: float, count: int
+    ) -> None:
+        """Reducers fetch the spilled map output and merge-sort it."""
+        meter = self.meter
+        num_workers = self.spec.num_workers
+        meter.begin_round(f"shuffle-{job.name}")
+        remote_fraction = (
+            (num_workers - 1) / num_workers if num_workers > 1 else 0.0
+        )
+        meter.charge_shuffle(map_output_bytes * remote_fraction, count=count)
+        meter.charge_disk_read(None, map_output_bytes)
+        if count:
+            sort_ops = count * max(1.0, math.log2(count)) * 2.0
+            for worker in range(num_workers):
+                meter.charge_compute(worker, sort_ops / num_workers)
         meter.end_round()
 
-        return JobResult(output=output, counters=counters)
+    def _write_output(self, output_bytes: float) -> None:
+        """HDFS write with replication; replicas cross the network."""
+        meter = self.meter
+        meter.charge_disk_write(None, output_bytes * HDFS_REPLICATION)
+        meter.charge_shuffle(output_bytes * (HDFS_REPLICATION - 1))
 
     # -- batched accounting ------------------------------------------------
 

@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
-from repro.graph.properties import lcc_value, received_links
+from repro.graph.properties import (
+    csr_received_links,
+    lcc_value,
+    lcc_values,
+    received_links,
+)
 from repro.platforms.mapreduce.engine import MapReduceJob
 
 __all__ = [
@@ -225,10 +230,33 @@ class StatsTriangleJob(MapReduceJob):
     Every vertex ships its adjacency list to each neighbor; the
     reducer counts the edges among the vertex's neighbors in the
     received lists and emits the per-vertex local clustering
-    coefficient along with the global count contributions.
+    coefficient along with the global count contributions. The
+    columnar twin counts every vertex's links at once with
+    :func:`~repro.graph.properties.csr_received_links`.
     """
 
     name = "stats-triangles"
+    supports_batch = True
+    broadcast_min_degree = 2
+
+    def batch_reduce(self, batch, received, order):
+        """Every key's count records, in ``order`` (see :class:`MapReduceJob`)."""
+        degrees = batch.degrees
+        coefficients = lcc_values(
+            csr_received_links(batch.adj_offsets, batch.adj_targets), degrees
+        )
+        counted = (degrees >= 2) & (received > 0)
+        output: list[tuple[str, Any]] = []
+        for degree, has_coefficient, coefficient in zip(
+            degrees[order].tolist(),
+            counted[order].tolist(),
+            coefficients[order].tolist(),
+        ):
+            output.append(("vertices", 1))
+            output.append(("edges", degree))
+            if has_coefficient:
+                output.append(("clustering_sum", coefficient))
+        return output, 2 + counted
 
     def map(self, key: Any, value: Any, counters: dict) -> Iterable[tuple[Any, Any]]:
         """Emit intermediate records (see :class:`MapReduceJob`)."""
@@ -417,6 +445,8 @@ class LCCJob(StatsTriangleJob):
     """
 
     name = "lcc-triangles"
+    supports_batch = False
+    broadcast_min_degree = None
 
     def reduce(self, key: Any, values: list, counters: dict) -> Iterable[tuple[Any, Any]]:
         """Reduce one grouped key (see :class:`MapReduceJob`)."""

@@ -9,8 +9,11 @@ handful of numpy operations over the CSR arrays (the
 :mod:`repro.graph.kernels` gather and group-reduce), with per-worker
 op/message tallies charged through
 :meth:`~repro.core.cost.CostMeter.charge_worker_compute` /
-:meth:`~repro.core.cost.CostMeter.charge_worker_messages`. This module
-keeps only the Pregel charge policy and queued-message memory.
+:meth:`~repro.core.cost.CostMeter.charge_worker_messages`. PageRank
+and STATS have dedicated runners (:class:`PageRankBulkRunner`,
+:class:`StatsBulkRunner`), so BFS, CONN, PR, SSSP and STATS run
+vectorized. This module keeps only the Pregel charge policy and
+queued-message memory.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -50,6 +53,7 @@ import numpy as np
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.graph.kernels import csr_gather, dense_index, group_reduce
+from repro.graph.properties import csr_received_links, lcc_values
 
 __all__ = [
     "BulkVertexKernel",
@@ -58,6 +62,7 @@ __all__ = [
     "SSSPBulkKernel",
     "BulkSuperstepRunner",
     "PageRankBulkRunner",
+    "StatsBulkRunner",
 ]
 
 
@@ -338,14 +343,18 @@ class BulkSuperstepRunner:
 
     def _queue_memory(self, dst_workers: np.ndarray) -> None:
         """Allocate queued-message buffers on the receiving workers."""
-        engine, meter = self.engine, self.meter
-        per_worker = (
+        self._queue_bytes(
             np.bincount(dst_workers, minlength=self.num_workers)
             * self.message_memory
         )
-        for worker in np.nonzero(per_worker)[0]:
-            engine._message_bytes_queued[worker] += per_worker[worker]
-            meter.allocate_memory(int(worker), float(per_worker[worker]))
+
+    def _queue_bytes(self, bytes_per_worker: np.ndarray) -> None:
+        """Allocate queued buffers of the given per-worker sizes."""
+        engine, meter = self.engine, self.meter
+        for worker in np.flatnonzero(bytes_per_worker).tolist():
+            size = float(bytes_per_worker[worker])
+            engine._message_bytes_queued[worker] += size
+            meter.allocate_memory(worker, size)
 
     def _barrier_memory(self, new_frontier: np.ndarray, central: bool) -> None:
         """Release queued buffers, re-account the merged inbox."""
@@ -447,3 +456,108 @@ class PageRankBulkRunner(BulkSuperstepRunner):
             supersteps=iterations + 1,
             aggregated={},
         )
+
+
+class StatsBulkRunner(BulkSuperstepRunner):
+    """Vectorized STATS (adjacency exchange) with exact scalar costs.
+
+    Superstep 0 ships the adjacency list of every vertex of degree at
+    least 2 along each of its arcs, uncombined: one message of
+    ``8 * degree`` payload bytes per arc, charged per worker pair
+    through the variable-size
+    :meth:`~repro.core.cost.CostMeter.charge_worker_messages`, and one
+    queued buffer per message allocated on the receiving worker in
+    the scalar send order (ascending sender, then neighbor) through
+    :meth:`~repro.core.cost.CostMeter.allocate_worker_memory`, so a
+    budget breaks at the same message. Superstep 1 counts each
+    receiver's links with
+    :func:`~repro.graph.properties.csr_received_links` and folds the
+    coefficient sum in ascending vertex id, the order the scalar
+    aggregator adds in.
+    """
+
+    def __init__(self, engine, program):
+        super().__init__(engine, program, kernel=None)
+
+    def run(self):
+        """Execute both supersteps; scalar-identical."""
+        from repro.platforms.pregel.engine import MESSAGE_BYTES, PregelResult
+
+        meter, n, num_workers = self.meter, self.n, self.num_workers
+        workers = self.workers
+        meter.begin_round("init")
+        meter.charge_worker_compute(np.bincount(workers, minlength=num_workers))
+        meter.end_round(active_vertices=n)
+        if n == 0:
+            return PregelResult(values={}, supersteps=0, aggregated={})
+
+        degrees = np.diff(self.offsets)
+        arc_source = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        shipped = degrees[arc_source] >= 2
+        senders, receivers = arc_source[shipped], self.targets[shipped]
+        payloads = 8.0 * degrees[senders]
+        dst_workers = workers[receivers]
+
+        buffers = payloads + MESSAGE_BYTES
+        queued = np.bincount(dst_workers, weights=buffers, minlength=num_workers)
+
+        self._begin_superstep(0, n)
+        meter.charge_worker_messages(workers[senders], dst_workers, payloads)
+        meter.allocate_worker_memory(dst_workers, buffers)
+        for worker in np.flatnonzero(queued).tolist():
+            self.engine._message_bytes_queued[worker] += float(queued[worker])
+        meter.charge_worker_compute(np.bincount(workers, minlength=num_workers))
+        # Barrier: queued buffers are released and the inbox is
+        # re-accounted per receiver, the same bytes on the same workers.
+        self._release_queued()
+        self._queue_bytes(queued)
+        meter.end_round(active_vertices=n)
+        aggregated = {"vertices": n, "edges": int(degrees.sum())}
+
+        received = np.bincount(receivers, minlength=n)
+        computing = np.flatnonzero(received)
+        supersteps = 1
+        if len(computing):
+            central = self._begin_superstep(1, len(computing))
+            # One op per receiver plus one per list it digests.
+            meter.charge_worker_compute(
+                np.bincount(
+                    0 * computing if central else workers[computing],
+                    weights=1 + received[computing],
+                    minlength=num_workers,
+                )
+            )
+            self._release_queued()
+            meter.end_round(active_vertices=len(computing))
+            supersteps = 2
+        coefficients = lcc_values(
+            csr_received_links(self.offsets, self.targets), degrees
+        )
+        counted = computing[degrees[computing] >= 2]
+        if len(counted):
+            clustering_sum = 0.0
+            for coefficient in coefficients[counted].tolist():
+                clustering_sum += coefficient
+            aggregated["clustering_sum"] = clustering_sum
+        self._release_queued()
+        return PregelResult(
+            values=dict(zip(self.ids.tolist(), coefficients.tolist())),
+            supersteps=supersteps,
+            aggregated=aggregated,
+        )
+
+    # Opener half of a paired helper: run() closes every round it
+    # opens with end_round, so the open round handed back is
+    # intentional, not a leak.
+    def _begin_superstep(  # quality: ignore[cost-protocol]
+        self, superstep: int, computing: int
+    ) -> bool:
+        """Open a superstep round, central as the scalar engine decides."""
+        fraction = self.engine.adaptive_central_fraction
+        central = fraction is not None and computing < fraction * self.n
+        self.engine._central_mode = central
+        self.meter.begin_round(
+            f"superstep-{superstep}" + ("-central" if central else ""),
+            barrier=not central,
+        )
+        return central

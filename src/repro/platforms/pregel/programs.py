@@ -198,6 +198,8 @@ class StatsProgram(VertexProgram):
     the received lists (:func:`~repro.graph.properties.received_links`;
     each is reported twice, once from each endpoint), giving the local
     clustering coefficient. Counts are published through aggregators.
+    The bulk path runs both supersteps as array operations
+    (:class:`~repro.platforms.pregel.bulk.StatsBulkRunner`).
     """
 
     value_bytes = 16.0
@@ -209,6 +211,12 @@ class StatsProgram(VertexProgram):
     def persistent_aggregators(self) -> set[str]:
         """Aggregators that accumulate across supersteps."""
         return {"vertices", "edges", "clustering_sum"}
+
+    def bulk_runner(self, engine):
+        """Vectorized adjacency-exchange runner (same semantics)."""
+        from repro.platforms.pregel.bulk import StatsBulkRunner
+
+        return StatsBulkRunner(engine, self)
 
     def message_size(self, message: Any) -> float:
         """Payload bytes of one message."""

@@ -1,14 +1,19 @@
-"""Vectorized (bulk) execution of the GraphX Pregel loop.
+"""Vectorized (bulk) execution of the GraphX algorithms.
 
-The scalar path runs BFS, CONN, PR and SSSP through the real RDD
-substrate: one Python closure call and one dict operation per record
-per stage. For these algorithms every stage's *records* are
-fixed-shape pairs, so the whole loop collapses into numpy array
-operations (the :mod:`repro.graph.kernels` group-reduce and ordered
-group-sum) — while the :class:`~repro.core.cost.CostMeter` event
-sequence is replayed verbatim from per-worker record counts through
-:meth:`~repro.core.cost.CostMeter.charge_worker_compute`. This module
-keeps only the GraphX charge policy and its per-worker RDD memory.
+The scalar path runs BFS, CONN, PR, SSSP and STATS through the real
+RDD substrate: one Python closure call and one dict operation per
+record per stage. For BFS, CONN, PR and SSSP every stage's *records*
+are fixed-shape pairs, so the whole Pregel loop collapses into numpy
+array operations (the :mod:`repro.graph.kernels` group-reduce and
+ordered group-sum) — while the :class:`~repro.core.cost.CostMeter`
+event sequence is replayed verbatim from per-worker record counts
+through :meth:`~repro.core.cost.CostMeter.charge_worker_compute`.
+STATS ships adjacency lists, whose records are collection-sized; its
+pass (:meth:`BulkPregelRunner.run_stats`) sizes them from per-worker
+degree sums instead. This module keeps only the GraphX charge policy and its
+per-worker RDD memory, including the 48-byte vertex and edge records
+of the loaded graph, which the bulk paths charge from counts instead
+of building them (:meth:`BulkPregelRunner.graph_rdds`).
 A weighted kernel (SSSP) has the runner add each arc's weight from
 :meth:`~repro.graph.graph.Graph.csr_weights` to the distance its
 sender offers, the ``distance + w(src, dst)`` of the scalar ``send``.
@@ -42,11 +47,14 @@ GraphXPlatform` when built with ``bulk=True`` (the default);
 from __future__ import annotations
 
 import abc
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.algorithms.stats import GraphStats
 from repro.core.workload import sssp_round_bound
 from repro.graph.graph import Graph
 from repro.graph.kernels import (
@@ -55,8 +63,14 @@ from repro.graph.kernels import (
     hash_workers,
     ordered_group_sum,
 )
-from repro.platforms.rddgraph.graphx import GraphXGraph
-from repro.platforms.rddgraph.rdd import RECORD_CPU_OPS
+from repro.graph.properties import csr_received_links, lcc_values
+from repro.platforms.rddgraph.rdd import (
+    ELEMENT_MEMORY_BYTES,
+    RECORD_CPU_OPS,
+    SHUFFLE_ELEMENT_BYTES,
+    RDDContext,
+    _key_partition,
+)
 
 __all__ = [
     "RDDBulkKernel",
@@ -69,6 +83,7 @@ __all__ = [
     "graphx_conn_bulk",
     "graphx_pagerank_bulk",
     "graphx_sssp_bulk",
+    "graphx_stats_bulk",
 ]
 
 #: Cached bytes of one ``(id, value)`` record (``RECORD_MEMORY_BYTES``).
@@ -315,29 +330,40 @@ class RDDPageRankBulkKernel(RDDBulkKernel):
 
 
 class BulkPregelRunner:
-    """Replays the scalar RDD Pregel loop's cost events, vectorized.
+    """Replays the scalar RDD stages' cost events, vectorized.
 
-    Built from the :class:`GraphXGraph` (for the shared meter and
+    Built from the :class:`RDDContext` (for the shared meter and
     stage counter) and the underlying :class:`Graph` (for the CSR
-    arrays the scalar path re-derives record by record).
+    arrays the scalar path re-derives record by record). :meth:`run`
+    replays the Pregel loop of a kernel; :meth:`run_stats` replays
+    the STATS neighbor-list pass and needs no kernel.
     """
 
-    def __init__(self, graphx: GraphXGraph, graph: Graph, kernel: RDDBulkKernel):
-        self.context = graphx.context
-        self.meter = self.context.meter
+    def __init__(
+        self,
+        context: RDDContext,
+        graph: Graph,
+        kernel: RDDBulkKernel | None = None,
+    ):
+        self.context = context
+        self.meter = context.meter
         self.kernel = kernel
         undirected = graph.to_undirected()
         self.ids = undirected.vertices
         self.num_workers = self.context.spec.num_workers
         #: ``_key_partition`` of every vertex id, vectorized.
         self.vertex_workers = hash_workers(self.ids, self.num_workers)
-        degrees = undirected.out_degrees()
+        self.offsets, self.arc_target = undirected.csr()
+        self.degrees = np.diff(self.offsets)
         self.arc_source = np.repeat(
-            np.arange(len(self.ids), dtype=np.int64), degrees
+            np.arange(len(self.ids), dtype=np.int64), self.degrees
         )
-        _, self.arc_target = undirected.csr()
         #: Per-arc weights for a weighted kernel, else ``None``.
-        self.arc_weights = undirected.csr_weights() if kernel.weighted else None
+        self.arc_weights = (
+            undirected.csr_weights()
+            if kernel is not None and kernel.weighted
+            else None
+        )
         self.arc_workers = self.vertex_workers[self.arc_source]
         self.vertices_per_worker = np.bincount(
             self.vertex_workers, minlength=self.num_workers
@@ -345,6 +371,24 @@ class BulkPregelRunner:
         self.arcs_per_worker = np.bincount(
             self.arc_workers, minlength=self.num_workers
         )
+
+    @contextmanager
+    def graph_rdds(self) -> Iterator[None]:
+        """Hold the loaded graph's vertex and edge RDDs around a run.
+
+        The scalar driver caches one 48-byte ``(id, value)`` record
+        per vertex and one ``(src, dst)`` record per arc, both placed
+        by the source's hash, and unpersists them when the run ends,
+        even on failure. The bulk paths never read those records, so
+        they allocate and release the same bytes from counts.
+        """
+        self._allocate(_PAIR_BYTES * self.vertices_per_worker)
+        self._allocate(_PAIR_BYTES * self.arcs_per_worker)
+        try:
+            yield
+        finally:
+            self._release(_PAIR_BYTES * self.vertices_per_worker)
+            self._release(_PAIR_BYTES * self.arcs_per_worker)
 
     # -- the loop -----------------------------------------------------
 
@@ -449,6 +493,148 @@ class BulkPregelRunner:
         self._narrow_stage(name, vertices, vertices, int(vertices.sum()))
         self._allocate(_PAIR_BYTES * vertices)
 
+    def run_stats(self) -> GraphStats:
+        """The STATS neighbor-list pass, from per-worker counts and degree sums.
+
+        Replays the stages of the scalar
+        :func:`~repro.platforms.rddgraph.algorithms.graphx_stats`.
+        A collection-valued record caches ``ELEMENT_MEMORY_BYTES`` per
+        element, one nesting level deep, and puts half that on the wire:
+
+        * ``mapVertices`` gives each vertex its adjacency: 48 + 16·deg;
+        * ``triplets`` joins each arc with its source's adjacency:
+          80 + 16·deg(src);
+        * ``sendMsg`` ships the adjacency of every source of degree at
+          least 2 along each arc as a one-list record: 64 + 16·deg(src);
+        * ``mergeMsg`` combines the lists per ``(target, source worker)``
+          map-side, shuffles the combined records that do not hash home,
+          and concatenates them per target: 48 + 16·(lists + elements);
+        * ``cc-join`` pairs each vertex's adjacency with its received
+          lists: 80 + 16·(deg + lists);
+        * ``local-cc`` and ``cc-sum`` fold the coefficients, ascending id
+          within each worker and then worker-ascending, the order the
+          scalar ``reduce_by_key`` adds in.
+
+        As in the scalar run, the ``local-cc`` and ``cc-sum`` RDDs stay
+        cached until the run's meter is discarded.
+        """
+        meter, num_workers = self.meter, self.num_workers
+        vertices, arcs = self.vertices_per_worker, self.arcs_per_worker
+        vertex_workers = self.vertex_workers
+        n = len(self.ids)
+
+        def per_worker(workers: np.ndarray, weights=None) -> np.ndarray:
+            return np.bincount(workers, weights=weights, minlength=num_workers)
+
+        source_degrees = self.degrees[self.arc_source].astype(np.float64)
+        shipped = source_degrees >= 2
+        list_workers = self.arc_workers[shipped]
+        list_elements = source_degrees[shipped]
+        list_targets = self.arc_target[shipped]
+        received = np.bincount(list_targets, minlength=n)
+        received_elements = np.bincount(
+            list_targets, weights=list_elements, minlength=n
+        )
+        targets = np.flatnonzero(received)
+        pair_keys, pair_of_list, pair_lists = np.unique(
+            list_targets * num_workers + list_workers,
+            return_inverse=True,
+            return_counts=True,
+        )
+        pair_elements = np.bincount(
+            pair_of_list, weights=list_elements, minlength=len(pair_keys)
+        )
+        pair_home = vertex_workers[pair_keys // num_workers]
+        remote = pair_home != pair_keys % num_workers
+        remote_wire_bytes = float(
+            (
+                _PAIR_WIRE_BYTES
+                + SHUFFLE_ELEMENT_BYTES * (pair_lists + pair_elements)
+            )[remote].sum()
+        )
+        messages = per_worker(list_workers)
+        merged = per_worker(vertex_workers[targets])
+        cc_home = _key_partition("cc", num_workers)
+        partials = int(np.count_nonzero(vertices))  # one ("cc", partial) each
+        shuffled_partials = partials - int(vertices[cc_home] > 0)
+        reduced = np.zeros(num_workers)
+        reduced[cc_home] = partials
+        sums = np.minimum(reduced, 1)  # the one ("cc", sum) record
+
+        adjacency_bytes = _PAIR_BYTES * vertices + ELEMENT_MEMORY_BYTES * arcs
+        triplet_bytes = per_worker(
+            self.arc_workers,
+            _PAIR_BYTES + ELEMENT_MEMORY_BYTES * (2 + source_degrees),
+        )
+        message_bytes = per_worker(
+            list_workers, _PAIR_BYTES + ELEMENT_MEMORY_BYTES * (1 + list_elements)
+        )
+        merged_bytes = per_worker(
+            vertex_workers[targets],
+            _PAIR_BYTES
+            + ELEMENT_MEMORY_BYTES * (received + received_elements)[targets],
+        )
+        joined_bytes = adjacency_bytes + per_worker(
+            vertex_workers, ELEMENT_MEMORY_BYTES * (2 + received)
+        )
+        self._narrow_stage("mapVertices", vertices, vertices, n)
+        self._allocate(adjacency_bytes)
+        self._begin_stage("triplets")
+        meter.charge_shuffle(0.0, count=0)  # vertex side, all local
+        meter.charge_worker_compute(
+            RECORD_CPU_OPS * (2 * arcs + vertices), random_accesses=arcs
+        )
+        meter.end_round(active_vertices=int(arcs.sum()))
+        self._allocate(triplet_bytes)
+        self._narrow_stage("sendMsg", arcs, messages, int(messages.sum()))
+        self._allocate(message_bytes)
+        self._begin_stage("mergeMsg")
+        meter.charge_worker_compute(RECORD_CPU_OPS * messages)
+        meter.charge_shuffle(remote_wire_bytes, count=int(remote.sum()))
+        meter.charge_worker_compute(RECORD_CPU_OPS * per_worker(pair_home))
+        meter.end_round(active_vertices=len(targets))
+        self._allocate(merged_bytes)
+        self._release(triplet_bytes)  # triplets.unpersist()
+        self._release(message_bytes)  # messages.unpersist()
+        self._begin_stage("cc-join")
+        meter.charge_shuffle(0.0, count=0)  # vertex side, all local
+        meter.charge_worker_compute(
+            RECORD_CPU_OPS * (2 * vertices + merged), random_accesses=vertices
+        )
+        meter.end_round(active_vertices=n)
+        self._allocate(joined_bytes)
+        self._narrow_stage("local-cc", vertices, vertices, n)
+        self._allocate(_PAIR_BYTES * vertices)
+        self._begin_stage("cc-sum")
+        meter.charge_worker_compute(RECORD_CPU_OPS * vertices)
+        meter.charge_shuffle(
+            shuffled_partials * _PAIR_WIRE_BYTES, count=shuffled_partials
+        )
+        meter.charge_worker_compute(RECORD_CPU_OPS * reduced)
+        meter.end_round(active_vertices=int(sums.sum()))
+        self._allocate(_PAIR_BYTES * sums)
+        meter.begin_round("collect-cc-sum")
+        meter.charge_worker_compute(RECORD_CPU_OPS * sums)
+        meter.charge_shuffle(
+            _PAIR_WIRE_BYTES * int(sums.sum()), count=int(sums.sum())
+        )
+        meter.end_round(active_vertices=int(sums.sum()))
+        self._release(joined_bytes)  # joined.unpersist()
+        self._release(merged_bytes)  # neighbor_lists.unpersist()
+        self._release(adjacency_bytes)  # with_adjacency.unpersist()
+
+        coefficients = lcc_values(
+            csr_received_links(self.offsets, self.arc_target), self.degrees
+        )
+        clustering_sum = 0.0
+        for partial in ordered_group_sum(vertex_workers, coefficients)[2].tolist():
+            clustering_sum += partial
+        return GraphStats(
+            num_vertices=n,
+            num_edges=int(arcs.sum()) // 2,
+            mean_local_clustering=clustering_sum / n if n else 0.0,
+        )
+
     # -- charge helpers -----------------------------------------------
 
     # Opener half of a paired helper: every caller closes the round with
@@ -483,28 +669,30 @@ class BulkPregelRunner:
 
 
 def graphx_bfs_bulk(
-    graphx: GraphXGraph, graph: Graph, source: int, max_iterations: int = 100
+    context: RDDContext, graph: Graph, source: int, max_iterations: int = 100
 ) -> dict[int, int]:
     """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_bfs`."""
-    runner = BulkPregelRunner(graphx, graph, RDDBFSBulkKernel(source))
-    values, name = runner.run(max_iterations)
-    runner.collect(name, _VERTEX_WIRE_BYTES)
+    runner = BulkPregelRunner(context, graph, RDDBFSBulkKernel(source))
+    with runner.graph_rdds():
+        values, name = runner.run(max_iterations)
+        runner.collect(name, _VERTEX_WIRE_BYTES)
     return dict(zip(runner.ids.tolist(), values.tolist()))
 
 
 def graphx_conn_bulk(
-    graphx: GraphXGraph, graph: Graph, max_iterations: int = 100
+    context: RDDContext, graph: Graph, max_iterations: int = 100
 ) -> dict[int, int]:
     """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_conn`."""
-    runner = BulkPregelRunner(graphx, graph, RDDConnBulkKernel())
-    values, _name = runner.run(max_iterations)
-    runner.map_values_stage("components")
-    runner.collect("components", _PAIR_WIRE_BYTES)
+    runner = BulkPregelRunner(context, graph, RDDConnBulkKernel())
+    with runner.graph_rdds():
+        values, _name = runner.run(max_iterations)
+        runner.map_values_stage("components")
+        runner.collect("components", _PAIR_WIRE_BYTES)
     return dict(zip(runner.ids.tolist(), values.tolist()))
 
 
 def graphx_pagerank_bulk(
-    graphx: GraphXGraph,
+    context: RDDContext,
     graph: Graph,
     damping: float = 0.85,
     iterations: int = 10,
@@ -517,17 +705,26 @@ def graphx_pagerank_bulk(
     """
     degrees = graph.to_undirected().out_degrees().astype(np.float64)
     kernel = RDDPageRankBulkKernel(degrees, damping, iterations)
-    runner = BulkPregelRunner(graphx, graph, kernel)
-    values, name = runner.run(iterations + 1)
-    runner.collect(name, _VERTEX_WIRE_BYTES)
+    runner = BulkPregelRunner(context, graph, kernel)
+    with runner.graph_rdds():
+        values, name = runner.run(iterations + 1)
+        runner.collect(name, _VERTEX_WIRE_BYTES)
     return dict(zip(runner.ids.tolist(), values.tolist()))
 
 
 def graphx_sssp_bulk(
-    graphx: GraphXGraph, graph: Graph, source: int
+    context: RDDContext, graph: Graph, source: int
 ) -> dict[int, float]:
     """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_sssp`."""
-    runner = BulkPregelRunner(graphx, graph, RDDSSSPBulkKernel(source))
-    values, name = runner.run(sssp_round_bound(len(runner.ids)))
-    runner.collect(name, _VERTEX_WIRE_BYTES)
+    runner = BulkPregelRunner(context, graph, RDDSSSPBulkKernel(source))
+    with runner.graph_rdds():
+        values, name = runner.run(sssp_round_bound(len(runner.ids)))
+        runner.collect(name, _VERTEX_WIRE_BYTES)
     return dict(zip(runner.ids.tolist(), values.tolist()))
+
+
+def graphx_stats_bulk(context: RDDContext, graph: Graph) -> GraphStats:
+    """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_stats`."""
+    runner = BulkPregelRunner(context, graph)
+    with runner.graph_rdds():
+        return runner.run_stats()

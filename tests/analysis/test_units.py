@@ -164,6 +164,50 @@ class TestFindings:
         # ``*_bytes`` name is mixed units.
         assert [f.rule for f in findings] == ["cost-units.mixed-arithmetic"]
 
+    def test_summary_crosses_a_seven_helper_chain(self):
+        # Helpers listed caller-first: the unit climbs one helper per
+        # fixpoint pass, so a pass cap shorter than the chain loses it.
+        helpers = "".join(
+            f"""
+            def h{depth}(remote_bytes, bandwidth):
+                return h{depth + 1}(remote_bytes, bandwidth)
+            """
+            for depth in range(1, 7)
+        )
+        findings = _findings(
+            """
+            def round_cost(remote_bytes, bandwidth):
+                total_bytes = h1(remote_bytes, bandwidth)
+                return total_bytes
+            """
+            + helpers
+            + """
+            def h7(remote_bytes, bandwidth):
+                return remote_bytes / bandwidth
+            """
+        )
+        assert [f.rule for f in findings] == ["cost-units.mixed-arithmetic"]
+        assert findings[0].line == 3
+
+    def test_recursive_helpers_settle_below_the_backstop(self):
+        # Each call starts out with the unit its name declares, so
+        # without widening the product gains a bytes exponent every
+        # pass and the quotient flips between two units for ever;
+        # the solver's backstop would raise instead of reporting.
+        findings = _findings(
+            """
+            def grown_bytes(total_bytes):
+                return total_bytes * grown_bytes(total_bytes)
+
+            def ratio_bytes(total_bytes):
+                return total_bytes / ratio_bytes(total_bytes)
+            """
+        )
+        # The widened summaries report what the names declare.
+        assert [(f.rule, f.line) for f in findings] == [
+            ("cost-units.rate-inversion", 3)
+        ]
+
     def test_out_of_scope_module_is_ignored(self):
         findings = _findings(
             """

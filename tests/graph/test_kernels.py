@@ -1,7 +1,9 @@
 """Property tests: the array kernels against plain Python loops.
 
 The two triangle counts, the references' :func:`triangle_links` and
-the engines' :func:`received_links`, are held to networkx instead.
+the engines' :func:`received_links`, are held to networkx instead;
+the engines' array twin :func:`csr_received_links` is held to
+:func:`received_links`.
 """
 
 import math
@@ -22,7 +24,13 @@ from repro.graph.kernels import (
     ordered_group_sum,
     triangle_links,
 )
-from repro.graph.properties import received_links
+from repro.graph import properties
+from repro.graph.properties import (
+    csr_received_links,
+    lcc_value,
+    lcc_values,
+    received_links,
+)
 
 #: Row lengths of a CSR, zero-degree rows included.
 degree_lists = st.lists(st.integers(0, 6), min_size=1, max_size=30)
@@ -168,3 +176,53 @@ def test_wedge_block_size_does_not_change_the_counts(monkeypatch, block):
     monkeypatch.setattr(kernels, "_WEDGE_BLOCK", block)
     for graph in NAMED_GRAPHS.values():
         assert triangle_links(*graph.csr()).tolist() == _networkx_triangles(graph)
+
+
+@st.composite
+def scattered_graphs(draw) -> Graph:
+    """Undirected simple graphs on scattered ids.
+
+    Isolated and degree-1 vertices are common at these sizes.
+    """
+    ids = draw(st.lists(st.integers(0, 10**6), max_size=16, unique=True))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=50)
+    )
+    edges = [
+        (ids[u], ids[v])
+        for u, v in pairs
+        if u != v and u < len(ids) and v < len(ids)
+    ]
+    return Graph.from_edges(edges, vertices=ids)
+
+
+def _shipped(graph: Graph) -> list[int]:
+    """received_links over the lists the engines ship: degree >= 2."""
+    adjacency = graph.adjacency()
+    return [
+        received_links(
+            adjacency[v],
+            [adjacency[u] for u in adjacency[v] if len(adjacency[u]) >= 2],
+        )
+        for v in graph.vertices.tolist()
+    ]
+
+
+@given(st.one_of(simple_graphs(), scattered_graphs()))
+@settings(max_examples=150, deadline=None)
+def test_csr_received_links_equals_received_links(graph):
+    links = csr_received_links(*graph.csr())
+    assert links.tolist() == _shipped(graph)
+    degrees = graph.out_degrees()
+    coefficients = lcc_values(links, degrees)
+    assert coefficients.tolist() == [
+        lcc_value(count, degree)
+        for count, degree in zip(links.tolist(), degrees.tolist())
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 40])
+def test_path_block_size_does_not_change_the_links(monkeypatch, block):
+    monkeypatch.setattr(properties, "_PATH_BLOCK", block)
+    for graph in NAMED_GRAPHS.values():
+        assert csr_received_links(*graph.csr()).tolist() == _shipped(graph)

@@ -11,7 +11,7 @@ sequence bit for bit (see ``CostMeter.charge_worker_compute``).
 These tests hold every platform to that contract on *every*
 algorithm, discovered from the ``Algorithm`` enum rather than
 hand-listed — so an algorithm that gains a bulk kernel (BFS, CONN,
-PR and SSSP have them today) is automatically held to the bar, and
+PR, SSSP and STATS have them today) is automatically held to the bar, and
 an algorithm without one must still produce identical results and
 profiles by running the same scalar path under both flags. The sweep
 covers a directed graph, an undirected graph, and a graph with sparse
@@ -21,14 +21,19 @@ local and there is one worker pair. "Identical" means the algorithm
 outputs and the profile's ``profile_fingerprint`` (every recorded
 round field, startup and the memory peaks — the bar the pinned
 digests use) plus ``simulated_seconds``, ``total_messages`` and
-``launches`` all compare equal with ``==``. Two Pregel cases run the
-engine directly: SSSP under adaptive central supersteps, and a CONN
-program whose combiner is switched off.
+``launches`` all compare equal with ``==``. The sweep's clusters have
+ample memory; STATS, the algorithm whose message buffers and cached
+lists grow with the squared degrees, also runs on budgets that break,
+where both paths must fail with the same worker, bytes and round.
+Three Pregel cases run the engine directly: SSSP under adaptive
+central supersteps, STATS with central supersteps, and a CONN program
+whose combiner is switched off.
 """
 
 import pytest
 
 from repro.core.cost import ClusterSpec
+from repro.core.errors import SimulatedOOM
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.datasets import catalog
 from repro.graph.generators import rmat_graph
@@ -38,8 +43,13 @@ from repro.platforms.gas.driver import GraphLabPlatform
 from repro.platforms.mapreduce.driver import MapReducePlatform
 from repro.platforms.pregel.driver import GiraphPlatform
 from repro.platforms.pregel.engine import PregelEngine
-from repro.platforms.pregel.programs import ConnProgram, SSSPProgram
+from repro.platforms.pregel.programs import (
+    ConnProgram,
+    SSSPProgram,
+    StatsProgram,
+)
 from repro.platforms.rddgraph.driver import GraphXPlatform
+from repro.robustness.memory import apply_mem_limit
 
 #: Every platform with a bulk toggle.
 CONVERTED_PLATFORMS = [
@@ -132,10 +142,11 @@ def test_single_node_bulk_path_is_bit_identical(platform_cls, algorithm):
 def test_mapreduce_bulk_covers_every_job(algorithm):
     """Every job chain in ``jobs.py`` is bulk/scalar-identical.
 
-    BFS, CONN and SSSP exercise the columnar ``RecordBatch`` executor;
-    the remaining jobs (CD, STATS, EVO, and the PR/LCC chains) stay on
-    scalar records under ``bulk=True`` (their jobs carry non-columnar
-    values) but still flow through the batched shuffle accounting —
+    BFS, CONN, SSSP and the STATS triangle job exercise the columnar
+    ``RecordBatch`` executor; the remaining jobs (CD, EVO, the STATS
+    aggregation, and the PR/LCC chains) stay on scalar records under
+    ``bulk=True`` (their jobs carry non-columnar values) but still
+    flow through the batched shuffle accounting —
     either way the outputs and full cost profiles must match the
     ``bulk=False`` run exactly.
     """
@@ -146,6 +157,60 @@ def test_mapreduce_bulk_covers_every_job(algorithm):
     )
     assert bulk_output == scalar_output
     assert bulk_profile == scalar_profile
+
+
+#: The engines with a bulk STATS path.
+STATS_PLATFORMS = [GiraphPlatform, GraphXPlatform, MapReducePlatform]
+
+
+def _stats_outcome(platform_cls, bulk: bool, memory_bytes: float):
+    """STATS output and profile, or the failure and its exact cause."""
+    platform = apply_mem_limit(
+        platform_cls(ClusterSpec.paper_distributed(), bulk=bulk), memory_bytes
+    )
+    handle = platform.upload_graph("equivalence", GRAPHS["rmat-directed"]())
+    try:
+        run = platform.run_algorithm(handle, Algorithm.STATS, AlgorithmParams())
+    except SimulatedOOM as failure:
+        cause = failure.__cause__
+        return str(failure), cause.worker, cause.used, cause.round_name
+    return run.output, profile_key(run.profile)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize(
+    "platform_cls", STATS_PLATFORMS, ids=lambda cls: cls.name
+)
+def test_stats_out_of_memory_is_bit_identical(platform_cls, fraction):
+    """A budget below the run's peak fails both paths at the same charge.
+
+    MapReduce streams through a sort buffer sized from the budget, so
+    it completes on every budget, identically on both paths.
+    """
+    ample = platform_cls(ClusterSpec.paper_distributed(), bulk=False)
+    handle = ample.upload_graph("equivalence", GRAPHS["rmat-directed"]())
+    peak = ample.run_algorithm(handle, Algorithm.STATS).profile.peak_memory
+    bulk = _stats_outcome(platform_cls, True, fraction * peak)
+    scalar = _stats_outcome(platform_cls, False, fraction * peak)
+    assert bulk == scalar
+    failed = isinstance(scalar[0], str)
+    assert failed == (platform_cls is not MapReducePlatform)
+    if failed:
+        assert "out-of-memory" in scalar[0]
+
+
+def test_pregel_stats_central_supersteps_are_bit_identical():
+    """Receivers below the central fraction run superstep 1 on worker 0."""
+    graph = GRAPHS["sparse-ids"]()
+    bulk_values, bulk_key, profile = _run_pregel(
+        StatsProgram(), True, graph, adaptive_central_fraction=0.9
+    )
+    scalar_values, scalar_key, _ = _run_pregel(
+        StatsProgram(), False, graph, adaptive_central_fraction=0.9
+    )
+    assert bulk_values == scalar_values
+    assert bulk_key == scalar_key
+    assert profile.rounds[-1].name == "superstep-1-central"
 
 
 @pytest.mark.parametrize(

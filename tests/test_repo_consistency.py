@@ -143,3 +143,15 @@ def test_no_print_debugging_in_library():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_platforms_never_count_with_the_reference_triangle_kernel():
+    # The references count links with triangle_links and the engines
+    # with received_links or csr_received_links: the validator's
+    # oracle stays independent of the code it checks.
+    offenders = [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted((ROOT / "src" / "repro" / "platforms").rglob("*.py"))
+        if "triangle_links" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
