@@ -765,40 +765,20 @@ class CostMeter:
 
         Each worker's sizes are summed and added once, which is exact
         for integer-valued sizes. Sizes are non-negative, so each
-        worker peaks at its final total. When the sequence breaks a
-        worker's budget, the allocations before the first breaking
-        element are applied as totals and that element is allocated
-        on its own, so the failure names the worker, bytes and round
-        the scalar sequence fails with.
+        worker peaks at its final total. A sequence that breaks a
+        budget is replayed element by element instead, so it fails at
+        the element, worker, bytes and round the scalar calls fail at.
         """
-        num_workers = self.spec.num_workers
-        totals = np.bincount(workers, weights=num_bytes, minlength=num_workers)
-        in_use = np.array(self._memory)
+        totals = np.bincount(
+            workers, weights=num_bytes, minlength=self.spec.num_workers
+        )
         budget = self.spec.hardware.memory_bytes_per_worker
-        stop = len(workers)
-        if self.enforce_memory and (in_use + totals > budget).any():
-            # Each element's worker total once it is allocated: a
-            # cumulative sum over the elements grouped by worker, less
-            # the sum before the element's group.
-            order = np.argsort(workers, kind="stable")
-            grouped = num_bytes[order]
-            cumulative = np.cumsum(grouped)
-            group_size = np.bincount(workers, minlength=num_workers)
-            first = np.minimum(
-                np.cumsum(group_size) - group_size, len(grouped) - 1
-            )
-            before_group = cumulative[first] - grouped[first]
-            running = np.empty(len(grouped), dtype=np.float64)
-            running[order] = cumulative - before_group[workers[order]]
-            stop = int(np.argmax(in_use[workers] + running > budget))
-            totals = np.bincount(
-                workers[:stop], weights=num_bytes[:stop], minlength=num_workers
-            )
+        if self.enforce_memory and (np.array(self._memory) + totals > budget).any():
+            for worker, size in zip(workers.tolist(), num_bytes.tolist()):
+                self.allocate_memory(worker, size)
+            return
         for worker in np.flatnonzero(totals).tolist():
             self.allocate_memory(worker, float(totals[worker]))
-        if stop < len(workers):
-            # The first element past the budget: allocate_memory raises.
-            self.allocate_memory(int(workers[stop]), float(num_bytes[stop]))
 
     def release_memory(self, worker: int, num_bytes: float) -> None:
         """Lower the worker's live memory (floors at zero)."""

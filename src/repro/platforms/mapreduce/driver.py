@@ -171,12 +171,12 @@ class MapReducePlatform(Platform):
     def _run_stats(self, engine, graph, adjacency):
         # The triangle job runs columnar under bulk; the aggregation
         # job sums its record output on both paths.
-        records = (
-            RecordBatch.from_graph(graph)
-            if engine.bulk
-            else list(adjacency.items())
-        )
-        partials = engine.run_job(StatsTriangleJob(), records)
+        if engine.bulk:
+            partials = engine.run_broadcast_job(
+                StatsTriangleJob(), RecordBatch.from_graph(graph)
+            )
+        else:
+            partials = engine.run_job(StatsTriangleJob(), list(adjacency.items()))
         totals = engine.run_job(StatsAggregationJob(), partials.output)
         sums = dict(totals.output)
         num_vertices = int(sums.get("vertices", 0))

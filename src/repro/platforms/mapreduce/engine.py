@@ -126,9 +126,9 @@ class MapReduceJob(abc.ABC):
     implement the ``batch_*`` hooks and set :attr:`supports_batch`,
     unlocking the engine's
     :class:`~repro.platforms.mapreduce.batch.RecordBatch` executor.
-    Jobs that instead ship every adjacency list to the neighbors
-    (STATS) set :attr:`broadcast_min_degree` and implement
-    :meth:`batch_reduce`.
+    A job that instead ships whole adjacency lists to the neighbors
+    (STATS) implements :meth:`batch_emitters` and :meth:`batch_reduce`
+    and runs through :meth:`MapReduceEngine.run_broadcast_job`.
     """
 
     #: Job name used in round labels.
@@ -137,11 +137,6 @@ class MapReduceJob(abc.ABC):
     #: Whether the ``batch_*`` hooks are implemented; the engine falls
     #: back to the scalar record path otherwise.
     supports_batch: bool = False
-
-    #: For jobs that ship each record's adjacency list to every
-    #: neighbor (STATS): the smallest degree that ships. Such jobs
-    #: implement :meth:`batch_reduce` instead of the min-message hooks.
-    broadcast_min_degree: int | None = None
 
     def batch_emitters(self, batch: RecordBatch) -> np.ndarray:
         """Bool mask over records that broadcast to their neighbors."""
@@ -254,8 +249,6 @@ class MapReduceEngine:
                     f"job {job.name} cannot run columnar "
                     f"(bulk={self.bulk}, supports_batch={job.supports_batch})"
                 )
-            if job.broadcast_min_degree is not None:
-                return self._run_broadcast_batch(job, input_records)
             return self._run_job_batch(job, input_records)
         meter = self.meter
         spec = self.spec
@@ -428,17 +421,18 @@ class MapReduceEngine:
         meter.end_round()
         return JobResult(output=output, counters=counters)
 
-    def _run_broadcast_batch(
+    def run_broadcast_job(
         self, job: MapReduceJob, batch: RecordBatch
     ) -> JobResult:
         """Columnar adjacency broadcast (the STATS triangle job).
 
-        Each row emits its state record ``("A", adj)`` and, when its
-        degree reaches ``job.broadcast_min_degree``, one ``("N",
-        adj)`` record per neighbor; nothing combines map-side. The
-        charges are the scalar path's, in closed form: every shipped
-        record holds two top-level elements plus its sender's list.
-        The reduce round runs the job's
+        Each row emits its state record ``("A", adj)`` and, when
+        :meth:`~MapReduceJob.batch_emitters` selects it, one ``("N",
+        adj)`` record per neighbor; nothing combines map-side. Its
+        charges and output are bit-identical to :meth:`run_job` over
+        the batch's ``(key, adj)`` records, in closed form: every
+        shipped record holds two top-level elements plus its sender's
+        list. The reduce round runs the job's
         :meth:`~MapReduceJob.batch_reduce` over the rows in repr-sorted
         key order and returns its records, so a record-path job can
         follow.
@@ -455,7 +449,7 @@ class MapReduceEngine:
         meter.charge_disk_read(
             None, RECORD_BYTES * num_records + ELEMENT_BYTES * total_adjacency
         )
-        shipped = degrees * (degrees >= job.broadcast_min_degree)
+        shipped = degrees * job.batch_emitters(batch)
         # Input splits are assigned round-robin by record index.
         self._charge_records_bulk(
             np.arange(num_records, dtype=np.int64) % self.spec.num_workers,

@@ -236,8 +236,10 @@ class StatsTriangleJob(MapReduceJob):
     """
 
     name = "stats-triangles"
-    supports_batch = True
-    broadcast_min_degree = 2
+
+    def batch_emitters(self, batch) -> np.ndarray:
+        """Rows that ship their list: degree at least 2, as :meth:`map`."""
+        return batch.degrees >= 2
 
     def batch_reduce(self, batch, received, order):
         """Every key's count records, in ``order`` (see :class:`MapReduceJob`)."""
@@ -445,8 +447,6 @@ class LCCJob(StatsTriangleJob):
     """
 
     name = "lcc-triangles"
-    supports_batch = False
-    broadcast_min_degree = None
 
     def reduce(self, key: Any, values: list, counters: dict) -> Iterable[tuple[Any, Any]]:
         """Reduce one grouped key (see :class:`MapReduceJob`)."""

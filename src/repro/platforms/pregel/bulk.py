@@ -232,7 +232,7 @@ class BulkSuperstepRunner:
         """Execute to halting; returns a scalar-identical result."""
         from repro.platforms.pregel.engine import PregelResult
 
-        engine, meter, program = self.engine, self.meter, self.program
+        meter, program = self.meter, self.program
         values = self.kernel.initial_values(self.ids)
 
         meter.begin_round("init")
@@ -247,15 +247,7 @@ class BulkSuperstepRunner:
         while superstep < program.max_supersteps():
             if len(frontier) == 0:
                 break
-            central = (
-                engine.adaptive_central_fraction is not None
-                and len(frontier) < engine.adaptive_central_fraction * self.n
-            )
-            engine._central_mode = central
-            meter.begin_round(
-                f"superstep-{superstep}" + ("-central" if central else ""),
-                barrier=not central,
-            )
+            central = self._begin_superstep(superstep, len(frontier))
             computed = len(frontier)
             self._charge_compute(frontier, central, messages=min(superstep, 1))
             senders, send_values = self.kernel.compute(
@@ -276,6 +268,27 @@ class BulkSuperstepRunner:
             supersteps=superstep,
             aggregated={},
         )
+
+    # Opener half of a paired helper: each run() closes every round
+    # it opens with end_round, so the open round handed back is
+    # intentional, not a leak.
+    def _begin_superstep(  # quality: ignore[cost-protocol]
+        self, superstep: int, computing: int
+    ) -> bool:
+        """Open a superstep round, central as the scalar engine decides.
+
+        Returns whether the superstep runs central: on worker 0, with
+        no barrier, when fewer than the engine's adaptive fraction of
+        the vertices compute.
+        """
+        fraction = self.engine.adaptive_central_fraction
+        central = fraction is not None and computing < fraction * self.n
+        self.engine._central_mode = central
+        self.meter.begin_round(
+            f"superstep-{superstep}" + ("-central" if central else ""),
+            barrier=not central,
+        )
+        return central
 
     # -- charge policy ------------------------------------------------
 
@@ -545,19 +558,3 @@ class StatsBulkRunner(BulkSuperstepRunner):
             supersteps=supersteps,
             aggregated=aggregated,
         )
-
-    # Opener half of a paired helper: run() closes every round it
-    # opens with end_round, so the open round handed back is
-    # intentional, not a leak.
-    def _begin_superstep(  # quality: ignore[cost-protocol]
-        self, superstep: int, computing: int
-    ) -> bool:
-        """Open a superstep round, central as the scalar engine decides."""
-        fraction = self.engine.adaptive_central_fraction
-        central = fraction is not None and computing < fraction * self.n
-        self.engine._central_mode = central
-        self.meter.begin_round(
-            f"superstep-{superstep}" + ("-central" if central else ""),
-            barrier=not central,
-        )
-        return central

@@ -30,10 +30,28 @@ from repro.platforms.rddgraph.rdd import RDDContext
 
 __all__ = ["GraphXPlatform"]
 
-#: Algorithms the bulk path runs vectorized; the rest stay scalar.
-_BULK_ALGORITHMS = frozenset(
-    {Algorithm.BFS, Algorithm.CONN, Algorithm.PR, Algorithm.SSSP, Algorithm.STATS}
-)
+#: The algorithms the bulk path runs vectorized, each as
+#: ``runner(context, graph, params)``; the rest stay scalar.
+_BULK_RUNNERS = {
+    Algorithm.BFS: lambda context, graph, params: graphx_bfs_bulk(
+        context, graph, params.resolve_bfs_source(graph)
+    ),
+    Algorithm.CONN: lambda context, graph, params: graphx_conn_bulk(
+        context, graph
+    ),
+    Algorithm.PR: lambda context, graph, params: graphx_pagerank_bulk(
+        context,
+        graph,
+        damping=params.pagerank_damping,
+        iterations=params.pagerank_iterations,
+    ),
+    Algorithm.SSSP: lambda context, graph, params: graphx_sssp_bulk(
+        context, graph, params.resolve_sssp_source(graph)
+    ),
+    Algorithm.STATS: lambda context, graph, params: graphx_stats_bulk(
+        context, graph
+    ),
+}
 
 
 class GraphXPlatform(Platform):
@@ -88,10 +106,10 @@ class GraphXPlatform(Platform):
         meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
         meter.charge_startup()
         context = RDDContext(self.cluster, meter)
-        if self.bulk and algorithm in _BULK_ALGORITHMS:
+        if self.bulk and algorithm in _BULK_RUNNERS:
             # The bulk runners charge the loaded graph's vertex and
             # edge records from counts, without building them.
-            output = self._dispatch_bulk(context, algorithm, params, handle)
+            output = _BULK_RUNNERS[algorithm](context, handle.graph, params)
             return output, meter.profile
         adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
         graph = GraphXGraph.from_adjacency(
@@ -103,25 +121,6 @@ class GraphXPlatform(Platform):
             graph.vertices.unpersist()
             graph.edges.unpersist()
         return output, meter.profile
-
-    def _dispatch_bulk(self, context, algorithm, params, handle):
-        graph = handle.graph
-        if algorithm is Algorithm.BFS:
-            return graphx_bfs_bulk(context, graph, params.resolve_bfs_source(graph))
-        if algorithm is Algorithm.CONN:
-            return graphx_conn_bulk(context, graph)
-        if algorithm is Algorithm.PR:
-            return graphx_pagerank_bulk(
-                context,
-                graph,
-                damping=params.pagerank_damping,
-                iterations=params.pagerank_iterations,
-            )
-        if algorithm is Algorithm.SSSP:
-            return graphx_sssp_bulk(
-                context, graph, params.resolve_sssp_source(graph)
-            )
-        return graphx_stats_bulk(context, graph)  # Algorithm.STATS
 
     def _dispatch(self, graph, adjacency, algorithm, params, handle):
         if algorithm is Algorithm.BFS:

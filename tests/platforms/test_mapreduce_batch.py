@@ -239,11 +239,9 @@ class TestEngineBatchEquivalence:
             engine.run_job(BFSIterationJob(1), make_batch(dist=[0, 1, 1, 2, 3]))
 
     def test_batch_requires_batch_capable_job(self):
-        # LCC keeps the record path although its job subclasses the
-        # columnar STATS triangle job.
-        from repro.platforms.mapreduce.jobs import LCCJob
+        from repro.platforms.mapreduce.jobs import StatsTriangleJob
 
         spec = ClusterSpec.paper_distributed()
         engine = MapReduceEngine(spec, CostMeter(spec), bulk=True)
         with pytest.raises(TypeError, match="cannot run columnar"):
-            engine.run_job(LCCJob(), make_batch())
+            engine.run_job(StatsTriangleJob(), make_batch())
