@@ -23,7 +23,8 @@ from repro.datagen import (
     DatagenConfig,
     estimate_generation_time,
 )
-from repro.graph import fit_degree_distribution, graph_characteristics
+from repro.graph import graph_characteristics
+from repro.graph.fitting import fit_degree_distribution
 
 
 def generate_with_plugin(name: str, params: dict) -> None:

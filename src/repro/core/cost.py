@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -757,23 +758,26 @@ class CostMeter:
             raise budget_violation
 
     def allocate_worker_memory(
-        self, workers: np.ndarray, num_bytes: np.ndarray
+        self,
+        totals: np.ndarray,
+        sequence: Callable[[], tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Allocate ``num_bytes[i]`` on ``workers[i]``, in element order:
-        the vector form of that sequence of :meth:`allocate_memory`
-        calls.
+        """Allocate ``totals[w]`` bytes on each worker ``w``: the vector
+        form of a sequence of :meth:`allocate_memory` calls whose
+        per-worker sums those are.
 
-        Each worker's sizes are summed and added once, which is exact
-        for integer-valued sizes. Sizes are non-negative, so each
-        worker peaks at its final total. A sequence that breaks a
-        budget is replayed element by element instead, so it fails at
-        the element, worker, bytes and round the scalar calls fail at.
+        Totals that fit are added once per worker, which is exact for
+        integer-valued sizes; sizes are non-negative, so each worker
+        peaks at its final total. Totals that break a budget are
+        replayed instead: ``sequence()`` returns the calls as
+        ``(workers, num_bytes)`` arrays in call order, and they run one
+        by one, so the run fails at the element, worker, bytes and
+        round the scalar calls fail at. Only then is the sequence
+        built, so a caller can defer the cost of ordering it.
         """
-        totals = np.bincount(
-            workers, weights=num_bytes, minlength=self.spec.num_workers
-        )
         budget = self.spec.hardware.memory_bytes_per_worker
         if self.enforce_memory and (np.array(self._memory) + totals > budget).any():
+            workers, num_bytes = sequence()
             for worker, size in zip(workers.tolist(), num_bytes.tolist()):
                 self.allocate_memory(worker, size)
             return

@@ -47,6 +47,25 @@ class GraphHandle:
     storage_bytes: float = 0.0
     detail: dict = field(default_factory=dict)
 
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """The loaded graph as ``{vertex: neighbor tuple}``.
+
+        Neighbors follow :meth:`~repro.graph.graph.Graph.neighbors`
+        order. Built on first use and kept in :attr:`detail`, so the
+        per-record paths that read it build it once per upload and
+        the vectorized paths never do.
+        """
+        adjacency = self.detail.get("adjacency")
+        if adjacency is None:
+            offsets, targets = self.graph.csr()
+            bounds = offsets.tolist()
+            arcs = self.graph.vertices[targets].tolist()
+            adjacency = self.detail["adjacency"] = {
+                vertex: tuple(arcs[bounds[i]: bounds[i + 1]])
+                for i, vertex in enumerate(self.graph.vertices.tolist())
+            }
+        return adjacency
+
 
 @dataclass
 class PlatformRun:

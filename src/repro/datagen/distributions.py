@@ -21,7 +21,6 @@ import abc
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DegreeDistribution",
@@ -92,12 +91,14 @@ class ZetaDistribution(DegreeDistribution):
 
     def expected_pmf(self, degrees: np.ndarray) -> np.ndarray:
         """Theoretical P(degree = k) on the support."""
+        from scipy.special import zeta
+
         degrees = np.asarray(degrees, dtype=np.float64)
         out = np.zeros_like(degrees)
         valid = (degrees >= 1) & (degrees <= self.max_degree)
         # Use the untruncated form for comparison, as the paper plots
         # the theoretical Zeta curve.
-        out[valid] = degrees[valid] ** (-self.alpha) / special.zeta(self.alpha, 1)
+        out[valid] = degrees[valid] ** (-self.alpha) / zeta(self.alpha, 1)
         return out
 
 

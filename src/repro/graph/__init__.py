@@ -2,9 +2,12 @@
 
 This package provides the in-memory graph representation shared by the
 data generator, the reference algorithms, and the simulated platforms,
-plus edge-list I/O, synthetic graph generators, structural property
-computation (clustering coefficients, assortativity), and degree
-distribution fitting.
+plus edge-list I/O, synthetic graph generators, and structural property
+computation (clustering coefficients, assortativity).
+
+Degree-distribution fitting lives in :mod:`repro.graph.fitting` and is
+imported where it is used: it loads ``scipy.stats`` and
+``scipy.optimize``, which no harness, engine or gate path needs.
 """
 
 from repro.graph.graph import Graph, GraphBuilder
@@ -21,14 +24,6 @@ from repro.graph.properties import (
     global_clustering_coefficient,
     graph_characteristics,
     local_clustering_coefficient,
-)
-from repro.graph.fitting import (
-    DegreeFit,
-    fit_degree_distribution,
-    fit_geometric,
-    fit_poisson,
-    fit_weibull,
-    fit_zeta,
 )
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -50,12 +45,6 @@ __all__ = [
     "global_clustering_coefficient",
     "graph_characteristics",
     "local_clustering_coefficient",
-    "DegreeFit",
-    "fit_degree_distribution",
-    "fit_geometric",
-    "fit_poisson",
-    "fit_weibull",
-    "fit_zeta",
     "barabasi_albert_graph",
     "erdos_renyi_graph",
     "rmat_graph",

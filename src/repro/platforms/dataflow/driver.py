@@ -39,10 +39,6 @@ class StratospherePlatform(Platform):
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
-        adjacency = {
-            int(v): tuple(int(u) for u in undirected.neighbors(int(v)))
-            for v in undirected.vertices
-        }
         storage = (
             2 * undirected.num_edges * EDGE_BYTES
             + undirected.num_vertices * SOLUTION_ENTRY_BYTES
@@ -60,13 +56,12 @@ class StratospherePlatform(Platform):
             graph=undirected,
             storage_bytes=storage,
             etl_simulated_seconds=etl_time,
-            detail={"adjacency": adjacency},
         )
 
     def _execute(
         self, handle: GraphHandle, algorithm: Algorithm, params: AlgorithmParams
     ) -> tuple[object, RunProfile]:
-        adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
+        adjacency = handle.adjacency()
         meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
         meter.charge_startup()
         engine = DataflowEngine(adjacency, self.cluster, meter)

@@ -44,10 +44,6 @@ class GraphLabPlatform(Platform):
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
-        adjacency = {
-            int(v): tuple(int(u) for u in undirected.neighbors(int(v)))
-            for v in undirected.vertices
-        }
         storage = (
             undirected.num_vertices * REPLICA_BYTES
             + undirected.num_edges * EDGE_BYTES
@@ -67,7 +63,6 @@ class GraphLabPlatform(Platform):
             graph=undirected,
             storage_bytes=storage,
             etl_simulated_seconds=etl_time,
-            detail={"adjacency": adjacency},
         )
 
     def _execute(
@@ -76,13 +71,12 @@ class GraphLabPlatform(Platform):
         meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
         meter.charge_startup()
         engine = GASEngine(handle.graph, self.cluster, meter, bulk=self.bulk)
-        adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
-        program = self._build_program(handle, adjacency, algorithm, params)
+        program = self._build_program(handle, algorithm, params)
         result = engine.run(program)
-        output = self._extract_output(adjacency, algorithm, params, result)
+        output = self._extract_output(handle, algorithm, params, result)
         return output, meter.profile
 
-    def _build_program(self, handle, adjacency, algorithm, params):
+    def _build_program(self, handle, algorithm, params):
         if algorithm is Algorithm.BFS:
             return GASBFSProgram(params.resolve_bfs_source(handle.graph))
         if algorithm is Algorithm.CONN:
@@ -94,7 +88,7 @@ class GraphLabPlatform(Platform):
                 node_preference=params.cd_node_preference,
             )
         if algorithm in (Algorithm.STATS, Algorithm.LCC):
-            return GASStatsProgram(adjacency)
+            return GASStatsProgram(handle.adjacency())
         if algorithm is Algorithm.PR:
             return GASPageRankProgram(
                 num_vertices=handle.graph.num_vertices,
@@ -106,6 +100,7 @@ class GraphLabPlatform(Platform):
                 params.resolve_sssp_source(handle.graph), handle.graph
             )
         if algorithm is Algorithm.EVO:
+            adjacency = handle.adjacency()
             existing = sorted(adjacency)
             next_id = existing[-1] + 1
             ambassadors = {
@@ -123,8 +118,9 @@ class GraphLabPlatform(Platform):
             )
         raise ValueError(f"unsupported algorithm {algorithm}")
 
-    def _extract_output(self, adjacency, algorithm, params, result):
+    def _extract_output(self, handle, algorithm, params, result):
         if algorithm is Algorithm.STATS:
+            adjacency = handle.adjacency()
             num_vertices = len(adjacency)
             num_edges = sum(len(adj) for adj in adjacency.values()) // 2
             clustering_sum = sum(result.values.values())
@@ -140,7 +136,7 @@ class GraphLabPlatform(Platform):
             # label (CD) / rank (PR) is the output.
             return {v: value[0] for v, value in result.values.items()}
         if algorithm is Algorithm.EVO:
-            existing = sorted(adjacency)
+            existing = sorted(handle.adjacency())
             next_id = existing[-1] + 1
             links: dict[int, list[int]] = {
                 next_id + i: [] for i in range(params.evo_new_vertices)

@@ -29,7 +29,6 @@ encoded byte matrix instead of ``zlib.crc32(repr(key))`` per key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -104,46 +103,6 @@ class RecordBatch:
     def total_adjacency(self) -> int:
         """Total adjacency elements across the batch."""
         return int(self.adj_targets.size)
-
-    @classmethod
-    def from_adjacency(
-        cls,
-        adjacency: Mapping[int, Iterable[int]],
-        columns: Mapping[str, np.ndarray | Iterable[int]] | None = None,
-    ) -> "RecordBatch":
-        """Build a batch from a ``{vertex: neighbors}`` mapping.
-
-        Keys must be sortable ascending (they are: the MapReduce
-        driver materializes adjacency over ``graph.vertices``, which
-        is sorted), because neighbor ids resolve to row positions via
-        binary search.
-        """
-        keys = np.fromiter(adjacency.keys(), dtype=np.int64, count=len(adjacency))
-        counts = np.fromiter(
-            (len(adj) for adj in adjacency.values()),
-            dtype=np.int64,
-            count=len(adjacency),
-        )
-        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if int(offsets[-1]):
-            flat = np.concatenate(
-                [np.asarray(adj, dtype=np.int64) for adj in adjacency.values()]
-            )
-        else:
-            flat = np.empty(0, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        positions = order[np.searchsorted(sorted_keys, flat)]
-        return cls(
-            keys=keys,
-            adj_offsets=offsets,
-            adj_targets=positions,
-            columns={
-                name: np.asarray(values, dtype=np.int64)
-                for name, values in (columns or {}).items()
-            },
-        )
 
     @classmethod
     def from_graph(cls, graph: Graph, weighted: bool = False) -> "RecordBatch":

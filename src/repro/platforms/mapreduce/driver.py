@@ -14,7 +14,11 @@ from repro.core.platform_api import GraphHandle, Platform
 from repro.core.workload import Algorithm, AlgorithmParams, sssp_round_bound
 
 from repro.platforms.mapreduce.batch import RecordBatch
-from repro.platforms.mapreduce.engine import MapReduceEngine, record_size
+from repro.platforms.mapreduce.engine import (
+    ELEMENT_BYTES,
+    RECORD_BYTES,
+    MapReduceEngine,
+)
 from repro.platforms.mapreduce.jobs import (
     BFSIterationJob,
     CDIterationJob,
@@ -58,11 +62,16 @@ class MapReducePlatform(Platform):
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
-        adjacency = {
-            int(v): tuple(int(u) for u in undirected.neighbors(int(v)))
-            for v in undirected.vertices
-        }
-        storage = sum(record_size(k, v) for k, v in adjacency.items())
+        # One adjacency record per vertex, sized as ``record_size``
+        # sizes it; the integer-valued terms make the closed form the
+        # exact per-record sum (an empty graph stores the int 0).
+        num_vertices = undirected.num_vertices
+        storage = (
+            RECORD_BYTES * num_vertices
+            + ELEMENT_BYTES * len(undirected.csr()[1])
+            if num_vertices
+            else 0
+        )
         # ETL: copy the adjacency records into HDFS (3-way replicated);
         # no in-memory structures to build — the cheapest load of all.
         etl_time = etl.replicated_write_seconds(storage, 3, self.cluster)
@@ -72,7 +81,6 @@ class MapReducePlatform(Platform):
             graph=undirected,
             storage_bytes=storage,
             etl_simulated_seconds=etl_time,
-            detail={"adjacency": adjacency},
         )
 
     def _execute(
@@ -80,34 +88,34 @@ class MapReducePlatform(Platform):
     ) -> tuple[object, RunProfile]:
         meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
         engine = MapReduceEngine(self.cluster, meter, bulk=self.bulk)
-        adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
         try:
             if algorithm is Algorithm.BFS:
                 source = params.resolve_bfs_source(handle.graph)
-                output = self._run_bfs(engine, adjacency, source)
+                output = self._run_bfs(engine, handle, source)
             elif algorithm is Algorithm.SSSP:
                 source = params.resolve_sssp_source(handle.graph)
                 output = self._run_sssp(engine, handle.graph, source)
             elif algorithm is Algorithm.STATS:
-                output = self._run_stats(engine, handle.graph, adjacency)
+                output = self._run_stats(engine, handle)
+            elif algorithm is Algorithm.CONN:
+                output = self._run_conn(engine, handle)
             else:
                 runner = {
-                    Algorithm.CONN: self._run_conn,
                     Algorithm.CD: self._run_cd,
                     Algorithm.EVO: self._run_evo,
                     Algorithm.PR: self._run_pagerank,
                     Algorithm.LCC: self._run_lcc,
                 }[algorithm]
-                output = runner(engine, adjacency, params)
+                output = runner(engine, handle.adjacency(), params)
         finally:
             engine.close()
         return output, meter.profile
 
     # -- algorithms ------------------------------------------------------
 
-    def _run_bfs(self, engine, adjacency, source):
+    def _run_bfs(self, engine, handle, source):
         if engine.bulk:
-            batch = RecordBatch.from_adjacency(adjacency)
+            batch = RecordBatch.from_graph(handle.graph)
             batch.columns["dist"] = np.where(
                 batch.keys == source, 0, UNREACHABLE
             ).astype(np.int64)
@@ -124,7 +132,7 @@ class MapReducePlatform(Platform):
             }
         records = [
             (v, (adj, 0 if v == source else UNREACHABLE))
-            for v, adj in adjacency.items()
+            for v, adj in handle.adjacency().items()
         ]
         for iteration in range(1, self.MAX_ITERATIONS + 1):
             result = engine.run_job(BFSIterationJob(iteration), records)
@@ -133,9 +141,9 @@ class MapReducePlatform(Platform):
                 break
         return {v: dist for v, (adj, dist) in records}
 
-    def _run_conn(self, engine, adjacency, params):
+    def _run_conn(self, engine, handle):
         if engine.bulk:
-            batch = RecordBatch.from_adjacency(adjacency)
+            batch = RecordBatch.from_graph(handle.graph)
             batch.columns["label"] = batch.keys.copy()
             for iteration in range(1, self.MAX_ITERATIONS + 1):
                 result = engine.run_job(ConnIterationJob(iteration), batch)
@@ -148,7 +156,7 @@ class MapReducePlatform(Platform):
                     batch.keys.tolist(), batch.columns["label"].tolist()
                 )
             }
-        records = [(v, (adj, v)) for v, adj in adjacency.items()]
+        records = [(v, (adj, v)) for v, adj in handle.adjacency().items()]
         for iteration in range(1, self.MAX_ITERATIONS + 1):
             result = engine.run_job(ConnIterationJob(iteration), records)
             records = result.output
@@ -168,15 +176,17 @@ class MapReducePlatform(Platform):
                 break
         return {v: label for v, (adj, label, score) in records}
 
-    def _run_stats(self, engine, graph, adjacency):
+    def _run_stats(self, engine, handle):
         # The triangle job runs columnar under bulk; the aggregation
         # job sums its record output on both paths.
         if engine.bulk:
             partials = engine.run_broadcast_job(
-                StatsTriangleJob(), RecordBatch.from_graph(graph)
+                StatsTriangleJob(), RecordBatch.from_graph(handle.graph)
             )
         else:
-            partials = engine.run_job(StatsTriangleJob(), list(adjacency.items()))
+            partials = engine.run_job(
+                StatsTriangleJob(), list(handle.adjacency().items())
+            )
         totals = engine.run_job(StatsAggregationJob(), partials.output)
         sums = dict(totals.output)
         num_vertices = int(sums.get("vertices", 0))

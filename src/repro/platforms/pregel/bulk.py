@@ -23,8 +23,9 @@ path. The charge structure below therefore mirrors
 * one op per computed vertex plus one per merged message digested;
 * per distinct ``(target, source worker)`` pair, one message charge
   (sender-side combining) and queued-buffer memory on the receiving
-  worker; every further send into the pair is one combine op on the
-  source worker;
+  worker, allocated in the scalar send order on a budget that breaks;
+  every further send into the pair is one combine op on the source
+  worker;
 * at the barrier, queued buffers are released and the merged inbox is
   re-accounted on the receiving workers;
 * adaptive central supersteps run everything on worker 0 with no
@@ -47,6 +48,7 @@ on the scalar path (and is charged for every uncombined message).
 from __future__ import annotations
 
 import abc
+from typing import Callable
 
 import numpy as np
 
@@ -195,6 +197,16 @@ class SSSPBulkKernel(ConnBulkKernel):
         return senders, values[senders]
 
 
+def _first_seen(keys: np.ndarray) -> np.ndarray:
+    """Positions into ``np.unique(keys)`` ordered by first occurrence.
+
+    The scalar engine meets each (target, source worker) pair at its
+    first send, and queues the pair's buffer then.
+    """
+    _, first = np.unique(keys, return_index=True)
+    return np.argsort(first)
+
+
 class BulkSuperstepRunner:
     """Drives a :class:`BulkVertexKernel` with exact scalar-path costs.
 
@@ -314,7 +326,7 @@ class BulkSuperstepRunner:
         """
         positions, counts = csr_gather(self.offsets, senders)
         if len(positions) == 0:
-            self._barrier_memory(np.empty(0, dtype=np.int64), central)
+            self._release_queued()
             return np.empty(0, dtype=np.int64), None
 
         flat_dst = self.targets[positions]
@@ -345,40 +357,67 @@ class BulkSuperstepRunner:
                 minlength=self.num_workers,
             )
         )
-        self._queue_memory(pair_dst_w)
+        # One queued buffer per pair, allocated at the pair's first send.
+        self._queue_sends(
+            self._buffer_totals(pair_dst_w),
+            lambda: self._buffers(pair_dst_w[_first_seen(key)]),
+        )
 
         # Receiver-side merge: reduce all values aimed at each target.
         new_frontier, merged = group_reduce(
             self.kernel.reduce, flat_dst, flat_values
         )
-        self._barrier_memory(new_frontier, central)
+        # Barrier: the merged inbox holds one buffer per target.
+        self._release_queued()
+        receivers = (
+            np.zeros(len(new_frontier), dtype=np.int64)
+            if central
+            else self.workers[new_frontier]
+        )
+        self._queue_bytes(self._buffer_totals(receivers))
         return new_frontier, merged
 
-    def _queue_memory(self, dst_workers: np.ndarray) -> None:
-        """Allocate queued-message buffers on the receiving workers."""
-        self._queue_bytes(
+    def _buffer_totals(self, dst_workers: np.ndarray) -> np.ndarray:
+        """Per-worker bytes of one queued buffer per ``dst_workers`` entry."""
+        return (
             np.bincount(dst_workers, minlength=self.num_workers)
             * self.message_memory
         )
 
+    def _buffers(self, dst_workers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One queued buffer per ``dst_workers`` entry, as a sequence."""
+        return dst_workers, np.full(len(dst_workers), self.message_memory)
+
+    def _queue_sends(
+        self,
+        bytes_per_worker: np.ndarray,
+        sequence: Callable[[], tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """Queue a superstep's outgoing buffers.
+
+        ``sequence()`` returns the buffers as ``(workers, sizes)`` in
+        the scalar engine's send order; it is built only when the
+        per-worker totals break the budget (see
+        :meth:`~repro.core.cost.CostMeter.allocate_worker_memory`).
+        """
+        self.meter.allocate_worker_memory(bytes_per_worker, sequence)
+        queued = self.engine._message_bytes_queued
+        for worker in np.flatnonzero(bytes_per_worker).tolist():
+            queued[worker] += float(bytes_per_worker[worker])
+
     def _queue_bytes(self, bytes_per_worker: np.ndarray) -> None:
-        """Allocate queued buffers of the given per-worker sizes."""
+        """Re-account a barrier's inbox of the given per-worker sizes.
+
+        No worker gets more than the barrier just released: one buffer
+        per target where the sends queued one per (target, source
+        worker) pair, or the very buffers sent. The totals therefore
+        fit whenever the sends did, and need no scalar-order replay.
+        """
         engine, meter = self.engine, self.meter
         for worker in np.flatnonzero(bytes_per_worker).tolist():
             size = float(bytes_per_worker[worker])
             engine._message_bytes_queued[worker] += size
             meter.allocate_memory(worker, size)
-
-    def _barrier_memory(self, new_frontier: np.ndarray, central: bool) -> None:
-        """Release queued buffers, re-account the merged inbox."""
-        self._release_queued()
-        if len(new_frontier) == 0:
-            return
-        if central:
-            receivers = np.zeros(len(new_frontier), dtype=np.int64)
-        else:
-            receivers = self.workers[new_frontier]
-        self._queue_memory(receivers)
 
     def _release_queued(self) -> None:
         """Release all queued message memory (scalar barrier step)."""
@@ -434,6 +473,9 @@ class PageRankBulkRunner(BulkSuperstepRunner):
             self.workers, weights=in_counts, minlength=num_workers
         )
 
+        # Every arc queues one buffer, in CSR order (the send order).
+        queued = self._buffer_totals(dst_workers)
+
         values = np.full(n, 1.0 / n, dtype=np.float64)
         base = (1.0 - damping) / n
         shares: np.ndarray | None = None  # per-arc messages in flight
@@ -453,9 +495,9 @@ class PageRankBulkRunner(BulkSuperstepRunner):
                 meter.charge_worker_messages(
                     src_workers, dst_workers, self.payload
                 )
-                self._queue_memory(dst_workers)  # outbox during compute
+                self._queue_sends(queued, lambda: self._buffers(dst_workers))
                 self._release_queued()  # barrier: inbox + outbox
-                self._queue_memory(dst_workers)  # re-account new inbox
+                self._queue_bytes(queued)  # re-account new inbox
             else:
                 shares = None
                 self._release_queued()
@@ -516,9 +558,7 @@ class StatsBulkRunner(BulkSuperstepRunner):
 
         self._begin_superstep(0, n)
         meter.charge_worker_messages(workers[senders], dst_workers, payloads)
-        meter.allocate_worker_memory(dst_workers, buffers)
-        for worker in np.flatnonzero(queued).tolist():
-            self.engine._message_bytes_queued[worker] += float(queued[worker])
+        self._queue_sends(queued, lambda: (dst_workers, buffers))
         meter.charge_worker_compute(np.bincount(workers, minlength=num_workers))
         # Barrier: queued buffers are released and the inbox is
         # re-accounted per receiver, the same bytes on the same workers.

@@ -74,10 +74,6 @@ class GraphXPlatform(Platform):
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
-        adjacency = {
-            int(v): tuple(int(u) for u in undirected.neighbors(int(v)))
-            for v in undirected.vertices
-        }
         storage = float(
             48 * undirected.num_vertices + 2 * 48 * undirected.num_edges
         )
@@ -97,7 +93,6 @@ class GraphXPlatform(Platform):
             graph=undirected,
             storage_bytes=storage,
             etl_simulated_seconds=etl_time,
-            detail={"adjacency": adjacency},
         )
 
     def _execute(
@@ -111,7 +106,7 @@ class GraphXPlatform(Platform):
             # edge records from counts, without building them.
             output = _BULK_RUNNERS[algorithm](context, handle.graph, params)
             return output, meter.profile
-        adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
+        adjacency = handle.adjacency()
         graph = GraphXGraph.from_adjacency(
             {v: list(adj) for v, adj in adjacency.items()}, context
         )

@@ -94,3 +94,21 @@ def test_foreign_handle_rejected(cluster_spec, graph):
     handle = owner.upload_graph("g", graph)
     with pytest.raises(ValueError, match="loaded into"):
         other.run_algorithm(handle, Algorithm.BFS)
+
+
+def test_handle_adjacency_is_built_once_in_neighbor_order():
+    graph = Graph.from_edges(
+        [(10, 20), (20, 400), (400, 10), (7, 9)],
+        vertices=[10, 20, 400, 7, 9, 100_000],
+        directed=False,
+    )
+    handle = GraphHandle(name="g", platform="minimal", graph=graph)
+    assert "adjacency" not in handle.detail
+    adjacency = handle.adjacency()
+    assert adjacency == {
+        int(v): tuple(int(u) for u in graph.neighbors(int(v)))
+        for v in graph.vertices
+    }
+    assert list(adjacency) == graph.vertices.tolist()
+    assert handle.detail["adjacency"] is adjacency
+    assert handle.adjacency() is adjacency

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost import ClusterSpec, CostMeter
+from repro.graph.graph import Graph
 from repro.platforms.mapreduce.batch import (
     RecordBatch,
     combine_min_messages,
@@ -28,17 +29,15 @@ from repro.platforms.mapreduce.jobs import (
     ConnIterationJob,
 )
 
-ADJACENCY = {
-    0: (1, 2),
-    1: (0, 2, 3),
-    2: (0, 1),
-    3: (1,),
-    4: (),  # isolated
-}
-
-
 def make_batch(**columns):
-    return RecordBatch.from_adjacency(ADJACENCY, columns=columns or None)
+    """Rows 0-4: edges 0-1, 0-2, 1-2, 1-3; vertex 4 is isolated."""
+    graph = Graph.from_edges(
+        [(0, 1), (0, 2), (1, 2), (1, 3)], vertices=range(5), directed=False
+    )
+    batch = RecordBatch.from_graph(graph)
+    for name, values in columns.items():
+        batch.columns[name] = np.asarray(values, dtype=np.int64)
+    return batch
 
 
 class TestRecordBatch:
@@ -60,7 +59,9 @@ class TestRecordBatch:
     def test_adjacency_targets_are_row_positions(self):
         # Keys with gaps: positions must resolve through the key
         # column, not act as vertex ids.
-        batch = RecordBatch.from_adjacency({10: (30,), 30: (10,)})
+        batch = RecordBatch.from_graph(
+            Graph.from_edges([(10, 30)], directed=False)
+        )
         assert batch.keys.tolist() == [10, 30]
         assert batch.adj_targets.tolist() == [1, 0]
 

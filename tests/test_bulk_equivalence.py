@@ -24,7 +24,9 @@ digests use) plus ``simulated_seconds``, ``total_messages`` and
 ``launches`` all compare equal with ``==``. The sweep's clusters have
 ample memory; STATS, the algorithm whose message buffers and cached
 lists grow with the squared degrees, also runs on budgets that break,
-where both paths must fail with the same worker, bytes and round.
+where both paths must fail with the same worker, bytes and round, and
+so do giraph's BFS, CONN, PR and SSSP, whose queued message buffers
+grow with the frontier.
 Three Pregel cases run the engine directly: SSSP under adaptive
 central supersteps, STATS with central supersteps, and a CONN program
 whose combiner is switched off.
@@ -163,18 +165,36 @@ def test_mapreduce_bulk_covers_every_job(algorithm):
 STATS_PLATFORMS = [GiraphPlatform, GraphXPlatform, MapReducePlatform]
 
 
-def _stats_outcome(platform_cls, bulk: bool, memory_bytes: float):
-    """STATS output and profile, or the failure and its exact cause."""
+def _oom_graph(algorithm: Algorithm) -> Graph:
+    graph = GRAPHS["rmat-directed"]()
+    if algorithm is Algorithm.SSSP:
+        graph = graph.with_uniform_weights(seed=3)
+    return graph
+
+
+def _oom_outcome(platform_cls, algorithm, bulk: bool, memory_bytes: float):
+    """The run's output and profile, or the failure and its exact cause."""
     platform = apply_mem_limit(
         platform_cls(ClusterSpec.paper_distributed(), bulk=bulk), memory_bytes
     )
-    handle = platform.upload_graph("equivalence", GRAPHS["rmat-directed"]())
+    handle = platform.upload_graph("equivalence", _oom_graph(algorithm))
     try:
-        run = platform.run_algorithm(handle, Algorithm.STATS, AlgorithmParams())
+        run = platform.run_algorithm(handle, algorithm, AlgorithmParams())
     except SimulatedOOM as failure:
         cause = failure.__cause__
         return str(failure), cause.worker, cause.used, cause.round_name
     return run.output, profile_key(run.profile)
+
+
+def _oom_outcomes(platform_cls, algorithm, fraction):
+    """Bulk and scalar outcomes on ``fraction`` of the scalar run's peak."""
+    ample = platform_cls(ClusterSpec.paper_distributed(), bulk=False)
+    handle = ample.upload_graph("equivalence", _oom_graph(algorithm))
+    peak = ample.run_algorithm(handle, algorithm).profile.peak_memory
+    return (
+        _oom_outcome(platform_cls, algorithm, True, fraction * peak),
+        _oom_outcome(platform_cls, algorithm, False, fraction * peak),
+    )
 
 
 @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99])
@@ -187,16 +207,93 @@ def test_stats_out_of_memory_is_bit_identical(platform_cls, fraction):
     MapReduce streams through a sort buffer sized from the budget, so
     it completes on every budget, identically on both paths.
     """
-    ample = platform_cls(ClusterSpec.paper_distributed(), bulk=False)
-    handle = ample.upload_graph("equivalence", GRAPHS["rmat-directed"]())
-    peak = ample.run_algorithm(handle, Algorithm.STATS).profile.peak_memory
-    bulk = _stats_outcome(platform_cls, True, fraction * peak)
-    scalar = _stats_outcome(platform_cls, False, fraction * peak)
+    bulk, scalar = _oom_outcomes(platform_cls, Algorithm.STATS, fraction)
     assert bulk == scalar
     failed = isinstance(scalar[0], str)
     assert failed == (platform_cls is not MapReducePlatform)
     if failed:
         assert "out-of-memory" in scalar[0]
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize(
+    "algorithm",
+    [Algorithm.BFS, Algorithm.CONN, Algorithm.PR, Algorithm.SSSP],
+    ids=lambda a: a.value,
+)
+def test_giraph_out_of_memory_is_bit_identical(algorithm, fraction):
+    """Queued message buffers break a budget at the scalar send.
+
+    The bulk runners allocate a superstep's buffers as per-worker
+    totals; on a budget those break, they replay the scalar engine's
+    send order, so both paths fail at the same worker, bytes and
+    round. Half the peak already breaks on the loaded partitions;
+    the larger budgets break on queued buffers.
+    """
+    bulk, scalar = _oom_outcomes(GiraphPlatform, algorithm, fraction)
+    assert bulk == scalar
+    assert "out-of-memory" in scalar[0]
+    if fraction > 0.5:
+        assert scalar[3].startswith("superstep-")
+
+
+#: ``(storage_bytes, etl_simulated_seconds)`` of each upload, as
+#: measured when the uploads still built the per-vertex adjacency
+#: mapping; an empty graph stores the int ``0`` on MapReduce.
+UPLOAD_PINS = {
+    ("graphx", "rmat-directed"): (62016.0, 10.000059523692308),
+    ("graphx", "rmat-undirected"): (28416.0, 10.000027219692308),
+    ("graphx", "sparse-ids"): (672.0, 10.000000598153846),
+    ("graphx", "empty"): (0.0, 10.0),
+    ("mapreduce", "rmat-directed"): (12384.0, 4.9747692307692304e-05),
+    ("mapreduce", "rmat-undirected"): (5760.0, 2.3138461538461537e-05),
+    ("mapreduce", "sparse-ids"): (208.0, 8.355555555555555e-07),
+    ("mapreduce", "empty"): (0, 0.0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(UPLOAD_PINS), ids="-".join)
+def test_upload_cost_is_pinned(key):
+    platform_name, graph_name = key
+    platform_cls = {"graphx": GraphXPlatform, "mapreduce": MapReducePlatform}
+    graph = (
+        Graph.from_edges([], vertices=[], directed=False)
+        if graph_name == "empty"
+        else GRAPHS[graph_name]()
+    )
+    platform = platform_cls[platform_name](ClusterSpec.paper_distributed())
+    handle = platform.upload_graph("equivalence", graph)
+    storage, etl_seconds = UPLOAD_PINS[key]
+    assert handle.storage_bytes == storage
+    assert type(handle.storage_bytes) is type(storage)
+    assert handle.etl_simulated_seconds == etl_seconds
+
+
+#: Per platform, algorithms whose bulk paths never read the handle's
+#: per-vertex adjacency mapping.
+MAPPING_FREE = {
+    GraphLabPlatform: (Algorithm.BFS, Algorithm.CONN, Algorithm.PR),
+    GraphXPlatform: (Algorithm.BFS, Algorithm.CONN, Algorithm.PR, Algorithm.STATS),
+    MapReducePlatform: (Algorithm.BFS, Algorithm.CONN, Algorithm.STATS),
+}
+
+
+@pytest.mark.parametrize("platform_cls", MAPPING_FREE, ids=lambda cls: cls.name)
+def test_bulk_runs_build_no_adjacency_mapping(platform_cls):
+    """Only the paths that read the adjacency mapping build it, once."""
+    graph = GRAPHS["rmat-undirected"]()
+    platform = platform_cls(ClusterSpec.paper_distributed())
+    handle = platform.upload_graph("equivalence", graph)
+    for algorithm in MAPPING_FREE[platform_cls]:
+        platform.run_algorithm(handle, algorithm)
+    assert "adjacency" not in handle.detail
+
+    scalar = platform_cls(ClusterSpec.paper_distributed(), bulk=False)
+    handle = scalar.upload_graph("equivalence", graph)
+    scalar.run_algorithm(handle, Algorithm.STATS)
+    adjacency = handle.detail["adjacency"]
+    scalar.run_algorithm(handle, Algorithm.STATS)
+    assert handle.detail["adjacency"] is adjacency
 
 
 def test_pregel_stats_central_supersteps_are_bit_identical():

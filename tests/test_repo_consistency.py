@@ -1,6 +1,7 @@
 """Meta-tests keeping code, docs, and benches consistent."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -40,6 +41,11 @@ def test_design_covers_every_registered_platform():
 
 
 def test_every_example_is_a_runnable_script():
+    """Examples parse, have an entry point and resolve their imports.
+
+    No example is executed: every ``from repro... import ...`` module
+    is imported and every name it imports must exist there.
+    """
     examples = sorted((ROOT / "examples").glob("*.py"))
     assert len(examples) >= 7
     for path in examples:
@@ -52,6 +58,18 @@ def test_every_example_is_a_runnable_script():
         }
         assert "main" in names, f"{path.name} lacks a main() entry point"
         assert '__name__ == "__main__"' in path.read_text()
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and node.module.split(".")[0] == "repro"
+            ):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"{path.name}: {node.module} has no {alias.name}"
+                )
 
 
 def test_experiments_covers_every_figure_and_table():
