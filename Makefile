@@ -46,8 +46,9 @@ audit-fixtures:
 
 # Quick harness for a local signal, then the tracked floors (frontier
 # and all-active PageRank kernels, the columnar MapReduce shuffle, the
-# STATS triangle kernels, scale-18 datagen, and mmap graph load) — the
-# same suite CI's "Performance floors" step runs.
+# STATS triangle kernels, the neo4j/virtuoso BFS and PageRank kernels,
+# scale-18 datagen, and mmap graph load) — the same suite CI's
+# "Performance floors" step runs.
 perf:
 	$(PYTHON) -m repro.cli perf --quick
 	$(PYTHON) -m pytest -x -q benchmarks/perf

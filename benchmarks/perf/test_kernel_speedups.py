@@ -20,6 +20,9 @@ at scale 18 (multi-million-edge regime) — refreshes the repository's
 * the vectorized STATS paths of giraph, graphx and mapreduce must beat
   their scalar adjacency-list exchange by at least 3x
   (``*-stats-triangles``);
+* the neo4j and virtuoso BFS and PageRank procedures over one CSR
+  must beat their per-node procedures by at least 3x
+  (``neo4j-*``, ``virtuoso-*``; run on their own single machine);
 * vectorized R-MAT generation must beat the per-edge builder by at
   least 10x at scale 18, and mmap graph loading must beat the pickle
   round-trip by at least 3x;
@@ -61,6 +64,10 @@ SPEEDUP_FLOORS = {
     "pregel-stats-triangles": 3.0,
     "graphx-stats-triangles": 3.0,
     "mapreduce-stats-triangles": 3.0,
+    "neo4j-bfs-traversal": 3.0,
+    "neo4j-pagerank-allactive": 3.0,
+    "virtuoso-bfs-traversal": 3.0,
+    "virtuoso-pagerank-allactive": 3.0,
     "datagen-rmat": 10.0,
     "graph-load": 3.0,
 }

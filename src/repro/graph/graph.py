@@ -415,17 +415,17 @@ class Graph:
 
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over edges as Python int pairs."""
-        for source, target in self._edge_list:
-            yield int(source), int(target)
+        return zip(self._edge_list[:, 0].tolist(), self._edge_list[:, 1].tolist())
 
     def iter_weighted_edges(self) -> Iterator[tuple[int, int, float]]:
         """Iterate over ``(source, target, weight)`` triples."""
         if self._weight_list is None:
             raise ValueError("graph has no edge weights")
-        for (source, target), weight in zip(
-            self._edge_list, self._weight_list
-        ):
-            yield int(source), int(target), float(weight)
+        return zip(
+            self._edge_list[:, 0].tolist(),
+            self._edge_list[:, 1].tolist(),
+            self._weight_list.tolist(),
+        )
 
     def has_vertex(self, vertex: int) -> bool:
         """Whether the vertex id exists in the graph."""

@@ -2,8 +2,10 @@
 
 Option-free numpy primitives over CSR arrays and grouped keys: the
 dense index of a vertex id, the CSR range gather, a sorted
-group-reduce, an order-preserving float group-sum, the multiplicative
-vertex-placement hash, and the per-vertex triangle count behind the
+group-reduce, a key grouping and the order-preserving float group-sum
+over it, the multiplicative vertex-placement hash, the traversals the
+database engines run whole (BFS levels, minimum component labels and
+damped PageRank rounds), and the per-vertex triangle count behind the
 STATS and LCC references. None
 of them touches a :class:`~repro.core.cost.CostMeter`; the engines
 decide what each array means, what to charge and to which worker, and
@@ -14,11 +16,18 @@ charge per-worker tallies through
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
+    "KeyGroups",
     "dense_index",
     "csr_gather",
+    "csr_bfs_levels",
+    "csr_min_labels",
+    "csr_pagerank",
+    "group_keys",
     "group_reduce",
     "ordered_group_sum",
     "hash_worker",
@@ -99,23 +108,111 @@ def group_reduce(
     return sorted_keys[first], ufunc.reduceat(values[order], first)
 
 
-def ordered_group_sum(
-    keys: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float sum of ``values`` per distinct key, added in input order.
+class KeyGroups(NamedTuple):
+    """The distinct values of a key array and where each element falls."""
+
+    #: The sorted distinct keys.
+    keys: np.ndarray
+    #: Index of each distinct key's first occurrence in the input.
+    first: np.ndarray
+    #: Position in :attr:`keys` of every input element.
+    inverse: np.ndarray
+
+
+def group_keys(keys: np.ndarray) -> KeyGroups:
+    """Group ``keys`` once, for any number of :func:`ordered_group_sum`
+    calls over values aligned with them."""
+    return KeyGroups(*np.unique(keys, return_index=True, return_inverse=True))
+
+
+def ordered_group_sum(groups: KeyGroups, values: np.ndarray) -> np.ndarray:
+    """Float sum of ``values`` per key of ``groups``, added in input order.
 
     ``np.add.at`` applies its additions one at a time in index order,
     so each sum is the left fold ``0.0 + v0 + v1 + ...`` of its key's
     values in input order, which is what a scalar loop accumulating
-    into a dict computes. Returns the sorted distinct keys, the index
-    of each key's first occurrence, and the sums.
+    into a dict computes. Entry ``i`` belongs to ``groups.keys[i]``.
     """
-    unique_keys, first, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    sums = np.zeros(len(unique_keys), dtype=np.float64)
-    np.add.at(sums, inverse, values)
-    return unique_keys, first, sums
+    sums = np.zeros(len(groups.keys), dtype=np.float64)
+    np.add.at(sums, groups.inverse, values)
+    return sums
+
+
+def csr_bfs_levels(
+    offsets: np.ndarray, targets: np.ndarray, source: int
+) -> np.ndarray:
+    """Hop distance of every row from row ``source``, ``-1`` if unreached
+    (the ``UNREACHABLE`` marker of the BFS output convention).
+
+    Expands one frontier of rows per level; the level of a row is the
+    same whichever order a level's rows are expanded in.
+    """
+    levels = np.full(len(offsets) - 1, -1, dtype=np.int64)
+    levels[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    depth = 0
+    while len(frontier):
+        depth += 1
+        positions, _ = csr_gather(offsets, frontier)
+        reached = targets[positions]
+        frontier = np.unique(reached[levels[reached] < 0])
+        levels[frontier] = depth
+    return levels
+
+
+def csr_min_labels(offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Smallest row index in each row's component of a symmetric CSR.
+
+    A min-label fixpoint: every row takes the least label among its
+    own and its neighbors', then labels jump to their label's label
+    until they stop moving. Labels only fall and always name a row of
+    the same component, so at the fixpoint every component carries
+    the label of its least row.
+    """
+    n = len(offsets) - 1
+    labels = np.arange(n, dtype=np.int64)
+    linked = np.flatnonzero(np.diff(offsets))
+    while len(linked):
+        hooked = labels.copy()
+        hooked[linked] = np.minimum(
+            labels[linked],
+            np.minimum.reduceat(labels[targets], offsets[linked]),
+        )
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    return labels
+
+
+def csr_pagerank(
+    offsets: np.ndarray, targets: np.ndarray, damping: float, iterations: int
+) -> np.ndarray:
+    """``iterations`` damped PageRank rounds over a symmetric CSR.
+
+    Each row sends ``rank / degree`` to every entry of its row, and a
+    row's new rank is ``base + damping * total``, ``total`` being the
+    left fold ``0.0 + s0 + s1 + ...`` of its neighbors' shares in row
+    order, so the ranks equal the scalar per-vertex loop's bit for bit.
+    """
+    n = len(offsets) - 1
+    if n == 0:
+        return np.zeros(0)
+    degrees = np.diff(offsets)
+    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    base = (1.0 - damping) / n
+    ranks = np.full(n, 1.0 / n)
+    divisors = np.maximum(degrees, 1)
+    for _iteration in range(iterations):
+        shares = ranks / divisors
+        ranks = base + damping * np.bincount(
+            rows, weights=shares[targets], minlength=n
+        )
+    return ranks
 
 
 def triangle_links(offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:

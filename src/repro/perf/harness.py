@@ -39,7 +39,9 @@ from repro.core.stats import RuntimeStats
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
+from repro.platforms.columnar.driver import VirtuosoPlatform
 from repro.platforms.gas.driver import GraphLabPlatform
+from repro.platforms.graphdb.driver import Neo4jPlatform
 from repro.platforms.mapreduce.driver import MapReducePlatform
 from repro.platforms.pregel.driver import GiraphPlatform
 from repro.platforms.rddgraph.driver import GraphXPlatform
@@ -64,6 +66,8 @@ _PLATFORM_CLASSES = {
     "graphlab": GraphLabPlatform,
     "graphx": GraphXPlatform,
     "mapreduce": MapReducePlatform,
+    "neo4j": Neo4jPlatform,
+    "virtuoso": VirtuosoPlatform,
 }
 
 
@@ -93,8 +97,10 @@ def default_kernels() -> list[KernelSpec]:
     every arc and counts triangles; giraph, graphx and mapreduce run
     it vectorized. The MapReduce kernels time the columnar
     ``RecordBatch`` executor against the per-record scalar engine. The
-    micro kernels cover the rest of the data plane: vectorized R-MAT
-    generation and mmap graph loading.
+    neo4j and virtuoso kernels time BFS and PR over one CSR (the
+    relationship chains, the edge table's key ranges) against the
+    per-node procedures. The micro kernels cover the rest of the data
+    plane: vectorized R-MAT generation and mmap graph loading.
     """
     return [
         KernelSpec("pregel-bfs-frontier", "giraph", Algorithm.BFS),
@@ -114,6 +120,10 @@ def default_kernels() -> list[KernelSpec]:
         KernelSpec("pregel-stats-triangles", "giraph", Algorithm.STATS),
         KernelSpec("graphx-stats-triangles", "graphx", Algorithm.STATS),
         KernelSpec("mapreduce-stats-triangles", "mapreduce", Algorithm.STATS),
+        KernelSpec("neo4j-bfs-traversal", "neo4j", Algorithm.BFS),
+        KernelSpec("neo4j-pagerank-allactive", "neo4j", Algorithm.PR),
+        KernelSpec("virtuoso-bfs-traversal", "virtuoso", Algorithm.BFS),
+        KernelSpec("virtuoso-pagerank-allactive", "virtuoso", Algorithm.PR),
         KernelSpec("datagen-rmat", "datagen", Algorithm.BFS, kind="micro"),
         KernelSpec("graph-load", "datasets", Algorithm.BFS, kind="micro"),
     ]
@@ -310,7 +320,8 @@ def run_perf(
     cached instance; it must match the stated generation parameters,
     which are recorded verbatim in the report. SSSP kernels run on
     the graph weighted once with ``with_uniform_weights()``, as
-    ``BenchmarkCore.run`` weights it. ``datagen_scale`` (default
+    ``BenchmarkCore.run`` weights it. Single-machine platforms
+    (neo4j, virtuoso) run on their own machine, not on ``cluster``. ``datagen_scale`` (default
     ``scale + 5``) is where the ``datagen-rmat`` micro kernel
     measures — five scales past the platform graph, the
     multi-million-edge regime the vectorized generator exists for.
@@ -350,8 +361,9 @@ def run_perf(
             )
             continue
         platform_cls = _PLATFORM_CLASSES[spec.platform]
-        bulk_platform = platform_cls(cluster, bulk=True)
-        scalar_platform = platform_cls(cluster, bulk=False)
+        platform_cluster = None if platform_cls.single_machine else cluster
+        bulk_platform = platform_cls(platform_cluster, bulk=True)
+        scalar_platform = platform_cls(platform_cluster, bulk=False)
         kernel_graph = graph
         if spec.algorithm is Algorithm.SSSP:
             if weighted is None:

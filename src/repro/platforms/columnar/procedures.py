@@ -12,6 +12,16 @@ with per-vertex outbound ranges located by binary search.
 Each procedure returns its result plus a :class:`ProcedureStats`
 work profile (random lookups + edge endpoints visited) that the
 platform driver converts into cost-meter charges.
+
+BFS, CONN and PR also run whole over the table's CSR
+(:func:`table_csr`: the ``spe_from`` key range of every vertex):
+``csr_bfs_distances``, ``csr_connected_components`` and
+``csr_pagerank`` return what their per-vertex twins return, with the
+counters in closed form. A per-vertex procedure looks up each vertex
+it expands once and visits that vertex's arcs, so BFS counts the
+vertices it reaches and the sum of their degrees, CONN every vertex
+and every arc, and PR every vertex and every arc once per round plus
+once for the adjacency read.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import numpy as np
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.graph import kernels
 from repro.graph.properties import lcc_value, received_links
 from repro.platforms.columnar.table import ColumnTable
 
@@ -37,6 +48,10 @@ __all__ = [
     "pagerank",
     "sssp_distances",
     "local_clustering",
+    "table_csr",
+    "csr_bfs_distances",
+    "csr_connected_components",
+    "csr_pagerank",
 ]
 
 
@@ -344,3 +359,62 @@ def forest_fire(
             len(adjacency[burned]) for burned in links[arrival]
         )
     return links, stats
+
+
+def table_csr(
+    table: ColumnTable, vertex_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edge table as CSR ``(offsets, targets)`` over dense indices.
+
+    Row ``i`` is the ``spe_from`` key range of ``vertex_ids[i]``
+    (sorted ascending, as the table's keys are), and ``targets`` holds
+    each arc's ``spe_to`` as a position in ``vertex_ids``.
+    """
+    keys = table.column("spe_from").to_numpy()
+    offsets = np.append(np.searchsorted(keys, vertex_ids), len(keys))
+    targets = np.searchsorted(vertex_ids, table.column("spe_to").to_numpy())
+    return offsets, targets
+
+
+def csr_bfs_distances(
+    csr: tuple[np.ndarray, np.ndarray], vertex_ids: np.ndarray, start: int
+) -> tuple[dict[int, int], ProcedureStats]:
+    """:func:`bfs_distances` over the table's CSR (:func:`table_csr`)."""
+    offsets, targets = csr
+    levels = kernels.csr_bfs_levels(
+        offsets, targets, kernels.dense_index(vertex_ids, start)
+    )
+    reached = levels != UNREACHABLE
+    stats = ProcedureStats(
+        random_lookups=int(np.count_nonzero(reached)),
+        endpoints_visited=int(np.diff(offsets)[reached].sum()),
+    )
+    return dict(zip(vertex_ids.tolist(), levels.tolist())), stats
+
+
+def csr_connected_components(
+    csr: tuple[np.ndarray, np.ndarray], vertex_ids: np.ndarray
+) -> tuple[dict[int, int], ProcedureStats]:
+    """:func:`connected_components` over the table's CSR."""
+    offsets, targets = csr
+    labels = vertex_ids[kernels.csr_min_labels(offsets, targets)]
+    stats = ProcedureStats(
+        random_lookups=len(vertex_ids), endpoints_visited=len(targets)
+    )
+    return dict(zip(vertex_ids.tolist(), labels.tolist())), stats
+
+
+def csr_pagerank(
+    csr: tuple[np.ndarray, np.ndarray],
+    vertex_ids: np.ndarray,
+    damping: float,
+    iterations: int,
+) -> tuple[dict[int, float], ProcedureStats]:
+    """:func:`pagerank` over the table's CSR."""
+    offsets, targets = csr
+    ranks = kernels.csr_pagerank(offsets, targets, damping, iterations)
+    stats = ProcedureStats(
+        random_lookups=len(vertex_ids),
+        endpoints_visited=(1 + iterations) * len(targets),
+    )
+    return dict(zip(vertex_ids.tolist(), ranks.tolist())), stats

@@ -1,9 +1,10 @@
 """Tables over compressed columns, plus the partitioned hash table.
 
 :class:`ColumnTable` holds named compressed columns of equal length;
-the edge table ``sp_edge(spe_from, spe_to)`` is stored sorted by
-``spe_from`` so outbound-edge lookups are binary searches over the
-delta-compressed key column.
+the edge table ``sp_edge(spe_from, spe_to)`` is built from arc arrays
+with one ``np.lexsort`` and stored sorted by ``spe_from``, so
+outbound-edge lookups are binary searches over the delta-compressed
+key column, and the key ranges of all vertices form a CSR.
 
 :class:`PartitionedHashTable` is the paper's border structure: "The
 state of the computation is kept in a partitioned hash table, with one
@@ -35,40 +36,36 @@ class ColumnTable:
         self.num_rows = lengths.pop() if lengths else 0
 
     @classmethod
-    def edge_table(cls, edges, name: str = "sp_edge") -> "ColumnTable":
-        """Build ``sp_edge`` sorted by source (directed arc list)."""
-        arcs = sorted((int(s), int(t)) for s, t in edges)
-        sources = np.array([a[0] for a in arcs], dtype=np.int64)
-        targets = np.array([a[1] for a in arcs], dtype=np.int64)
-        return cls(
-            name,
-            {
-                "spe_from": CompressedColumn(sources, "spe_from"),
-                "spe_to": CompressedColumn(targets, "spe_to"),
-            },
-        )
+    def arc_table(
+        cls,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        weights: np.ndarray | None = None,
+        name: str = "sp_edge",
+    ) -> "ColumnTable":
+        """Build ``sp_edge`` from aligned arc arrays, sorted by source.
+
+        One ``np.lexsort`` orders the arcs by ``(source, target)``, and
+        by weight among equal pairs. A ``weights`` array adds a plain
+        float ``spe_weight`` column aligned with the key column, so
+        ``spe_weight[left:right]`` holds the weights of the ``spe_to``
+        span of the same lookup.
+        """
+        keys = (targets, sources) if weights is None else (weights, targets, sources)
+        order = np.lexsort(keys)
+        columns: dict[str, CompressedColumn] = {
+            "spe_from": CompressedColumn(sources[order], "spe_from"),
+            "spe_to": CompressedColumn(targets[order], "spe_to"),
+        }
+        if weights is not None:
+            columns["spe_weight"] = FloatColumn(weights[order], "spe_weight")
+        return cls(name, columns)
 
     @classmethod
-    def weighted_edge_table(cls, edges, name: str = "sp_edge") -> "ColumnTable":
-        """``sp_edge`` plus an aligned ``spe_weight`` property column.
-
-        Arcs are sorted by (source, target) exactly as the unweighted
-        table, so the plain float weight column shares the key column's
-        row ranges: ``spe_weight[left:right]`` aligns with the
-        ``spe_to`` span of the same lookup.
-        """
-        arcs = sorted((int(s), int(t), float(w)) for s, t, w in edges)
-        sources = np.array([a[0] for a in arcs], dtype=np.int64)
-        targets = np.array([a[1] for a in arcs], dtype=np.int64)
-        weights = np.array([a[2] for a in arcs], dtype=np.float64)
-        return cls(
-            name,
-            {
-                "spe_from": CompressedColumn(sources, "spe_from"),
-                "spe_to": CompressedColumn(targets, "spe_to"),
-                "spe_weight": FloatColumn(weights, "spe_weight"),
-            },
-        )
+    def edge_table(cls, edges, name: str = "sp_edge") -> "ColumnTable":
+        """Build ``sp_edge`` sorted by source (directed arc list)."""
+        arcs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        return cls.arc_table(arcs[:, 0], arcs[:, 1], name=name)
 
     def column(self, name: str) -> CompressedColumn:
         """Look up a column by name."""

@@ -50,6 +50,7 @@ from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.graph.kernels import (
     csr_gather,
     dense_index,
+    group_keys,
     group_reduce,
     ordered_group_sum,
 )
@@ -400,7 +401,9 @@ class GASPageRankBulkRunner(BulkRoundRunner):
     mirror→master partials in dict-insertion (first-contributing-arc)
     order. ``np.add.at`` performs additions sequentially in index
     order, so streaming the arcs in that exact order gives bit-equal
-    ranks.
+    ranks. Everything but the ranks depends only on the active set,
+    which is every vertex with an edge from the second round on, so
+    each distinct active set gets one :class:`_GatherPlan`.
     """
 
     def __init__(self, engine, program):
@@ -424,28 +427,26 @@ class GASPageRankBulkRunner(BulkRoundRunner):
             else np.empty(0, dtype=np.int64)
         )
         rounds = 0
+        plan = None
         while len(active):
+            if plan is None or not np.array_equal(active, plan.active):
+                plan = _GatherPlan(self, active)
             meter.begin_round(f"gas-{rounds}")
-            _, arc_owner, arc_neighbor, arc_counts = self._expand_arcs(active)
-            arc_ops = np.bincount(arc_owner, minlength=self.num_workers)
-            meter.charge_worker_compute(arc_ops)  # gather: one op per incident arc
-            contributions = values[arc_neighbor] / degrees[arc_neighbor]
-            gathered = self._exchange_sum_partials(
-                np.repeat(active, arc_counts), arc_owner, contributions, active
-            )
+            meter.charge_worker_compute(plan.arc_ops)  # gather: one op per incident arc
+            contributions = values[plan.arc_neighbor] / degrees[plan.arc_neighbor]
+            self._sync_partials(plan.pairs.keys)
+            gathered = plan.fold(contributions)
             # Apply on the masters; every vertex's (rank, iteration)
             # value changes, so every mirror hears about it.
-            meter.charge_worker_compute(
-                np.bincount(self.masters[active], minlength=self.num_workers)
-            )
+            meter.charge_worker_compute(plan.apply_ops)
             values[active] = base + damping * gathered
             applied[active] += 1
             self._broadcast_changes(active)
-            meter.charge_worker_compute(arc_ops)  # scatter: one op per incident arc
+            meter.charge_worker_compute(plan.arc_ops)  # scatter: one op per incident arc
             meter.end_round(active_vertices=len(active))
             rounds += 1
             if rounds < iterations:
-                active = np.unique(arc_neighbor)
+                active = plan.next_active
             else:
                 active = np.empty(0, dtype=np.int64)
         return GASResult(
@@ -457,30 +458,34 @@ class GASPageRankBulkRunner(BulkRoundRunner):
             replication_factor=self.engine.replication_factor,
         )
 
-    def _exchange_sum_partials(
-        self,
-        contrib_vertices: np.ndarray,
-        contrib_workers: np.ndarray,
-        contributions: np.ndarray,
-        active: np.ndarray,
-    ) -> np.ndarray:
-        """Float-sum partials per (vertex, worker), sync to masters.
 
-        Same charge structure as :meth:`BulkRoundRunner._exchange_partials`
-        but with order-preserving summation: each pair's contributions
-        fold in arc order (the scalar per-worker accumulation), then
-        the pairs fold per vertex in first-contributing-arc order (the
-        scalar dict-insertion merge). Returns a dense gather sum
-        aligned with ``active`` (0.0 where nothing gathered, which is
-        exactly what the PageRank apply uses for a ``None`` gather).
-        """
-        pair_keys, first, pair_partials = ordered_group_sum(
-            contrib_vertices * self.num_workers + contrib_workers,
-            contributions,
-        )
-        pair_vertex = self._sync_partials(pair_keys)
-        slots = np.searchsorted(active, pair_vertex)
-        insertion = np.argsort(first, kind="stable")
-        gathered = np.zeros(len(active), dtype=np.float64)
-        np.add.at(gathered, slots[insertion], pair_partials[insertion])
+class _GatherPlan:
+    """The incident arcs and partial groupings of one active set.
+
+    Contributions sum per ``(vertex, worker)`` pair in arc order (the
+    scalar per-worker accumulation); the pairs then fold per vertex in
+    first-contributing-arc order (the scalar dict-insertion merge).
+    """
+
+    def __init__(self, runner: BulkRoundRunner, active: np.ndarray):
+        num_workers = runner.num_workers
+        self.active = active
+        _, arc_owner, self.arc_neighbor, arc_counts = runner._expand_arcs(active)
+        self.arc_ops = np.bincount(arc_owner, minlength=num_workers)
+        self.apply_ops = np.bincount(runner.masters[active], minlength=num_workers)
+        #: Contributions grouped per ``vertex * num_workers + worker``.
+        self.pairs = group_keys(np.repeat(active, arc_counts) * num_workers + arc_owner)
+        self._insertion = np.argsort(self.pairs.first, kind="stable")
+        self._slots = np.searchsorted(active, self.pairs.keys // num_workers)[
+            self._insertion
+        ]
+        #: Every vertex a scatter reaches: the next round's active set.
+        self.next_active = np.unique(self.arc_neighbor)
+
+    def fold(self, contributions: np.ndarray) -> np.ndarray:
+        """The gather sum per active vertex (0.0 where nothing gathered,
+        which is what the PageRank apply uses for a ``None`` gather)."""
+        partials = ordered_group_sum(self.pairs, contributions)
+        gathered = np.zeros(len(self.active), dtype=np.float64)
+        np.add.at(gathered, self._slots, partials[self._insertion])
         return gathered

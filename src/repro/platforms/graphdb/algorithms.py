@@ -4,16 +4,34 @@ Each runs single-threaded against the record store, the way embedded
 Neo4j algorithms do: no network, no barriers, but every neighbor
 expansion chases relationship-chain pointers (charged as random
 accesses by the store).
+
+BFS, CONN and PR also run whole over the relationship chains as one
+CSR (:func:`~repro.platforms.graphdb.store.relationship_chains`):
+``chain_bfs``, ``chain_conn`` and ``chain_pagerank`` return what
+``db_bfs``, ``db_conn`` and ``db_pagerank`` return and charge the
+same totals, one ``charge_compute`` for the ``node_ids()`` scan (and
+PageRank's per-round scans) and one ``charge_random_access`` for the
+``1 + len(chain)`` accesses of every chain walked. The counts are
+integers, so one total equals the scalar call sequence bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
+from repro.core.cost import CostMeter
+from repro.graph.kernels import (
+    csr_bfs_levels,
+    csr_min_labels,
+    csr_pagerank,
+    dense_index,
+)
 from repro.graph.properties import lcc_value, received_links
 from repro.platforms.graphdb.store import GraphStore
 from repro.platforms.graphdb.traversal import TraversalDescription
@@ -27,7 +45,13 @@ __all__ = [
     "db_pagerank",
     "db_sssp",
     "db_lcc",
+    "chain_bfs",
+    "chain_conn",
+    "chain_pagerank",
 ]
+
+#: A node's relationship chains as CSR ``(offsets, neighbors)`` arrays.
+Chains = tuple[np.ndarray, np.ndarray]
 
 
 def db_bfs(store: GraphStore, source: int) -> dict[int, int]:
@@ -214,3 +238,47 @@ def db_evo(
         )
         store._charge_scan(sum(len(adjacency[b]) for b in links[arrival]))
     return links
+
+
+def chain_bfs(
+    node_ids: np.ndarray, chains: Chains, meter: CostMeter, source: int
+) -> dict[int, int]:
+    """:func:`db_bfs` over the chain CSR: every reached node's chain is
+    walked once."""
+    offsets, neighbors = chains
+    meter.charge_compute(0, len(node_ids))
+    levels = csr_bfs_levels(offsets, neighbors, dense_index(node_ids, source))
+    reached = levels != UNREACHABLE
+    meter.charge_random_access(
+        0, int(np.count_nonzero(reached) + np.diff(offsets)[reached].sum())
+    )
+    return dict(zip(node_ids.tolist(), levels.tolist()))
+
+
+def chain_conn(
+    node_ids: np.ndarray, chains: Chains, meter: CostMeter
+) -> dict[int, int]:
+    """:func:`db_conn` over the chain CSR: every node's chain is walked
+    once, and each node is labeled with its component's minimum id."""
+    offsets, neighbors = chains
+    meter.charge_compute(0, len(node_ids))
+    meter.charge_random_access(0, len(node_ids) + len(neighbors))
+    labels = node_ids[csr_min_labels(offsets, neighbors)]
+    return dict(zip(node_ids.tolist(), labels.tolist()))
+
+
+def chain_pagerank(
+    node_ids: np.ndarray,
+    chains: Chains,
+    meter: CostMeter,
+    damping: float,
+    iterations: int,
+) -> dict[int, float]:
+    """:func:`db_pagerank` over the chain CSR: the chains are walked
+    once, and each round scans every node and its neighbors."""
+    offsets, neighbors = chains
+    n, arcs = len(node_ids), len(neighbors)
+    meter.charge_compute(0, n + iterations * (n + arcs))
+    meter.charge_random_access(0, n + arcs)
+    ranks = csr_pagerank(offsets, neighbors, damping, iterations)
+    return dict(zip(node_ids.tolist(), ranks.tolist()))

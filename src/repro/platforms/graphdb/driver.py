@@ -1,14 +1,24 @@
-"""Neo4j platform driver."""
+"""Neo4j platform driver.
+
+The upload keeps the graph as every node's relationship chain in one
+CSR; ``bulk=True`` (the default) charges the record store's bytes from
+counts and runs BFS, CONN and PR over that CSR. The linked record
+store the other procedures walk is built when one of them first needs
+it, at upload under ``bulk=False``. Both paths produce the same
+outputs and cost profiles.
+"""
 
 from __future__ import annotations
 
 from repro.core import etl
-from repro.core.cost import ClusterSpec, CostMeter, MemoryBudgetExceeded, RunProfile
-from repro.core.errors import SimulatedOOM
+from repro.core.cost import ClusterSpec, CostMeter, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.graph.graph import Graph
 from repro.platforms.graphdb.algorithms import (
+    chain_bfs,
+    chain_conn,
+    chain_pagerank,
     db_bfs,
     db_cd,
     db_conn,
@@ -18,9 +28,35 @@ from repro.platforms.graphdb.algorithms import (
     db_sssp,
     db_stats,
 )
-from repro.platforms.graphdb.store import GraphStore
+from repro.platforms.graphdb.store import (
+    GraphStore,
+    allocate_records,
+    build_store,
+    relationship_chains,
+)
 
 __all__ = ["Neo4jPlatform"]
+
+#: The algorithms the bulk path runs over the chain CSR, each as
+#: ``runner(handle, meter, params)``; the rest walk the record store.
+_CHAIN_RUNNERS = {
+    Algorithm.BFS: lambda handle, meter, params: chain_bfs(
+        handle.graph.vertices,
+        handle.detail["chains"],
+        meter,
+        params.resolve_bfs_source(handle.graph),
+    ),
+    Algorithm.CONN: lambda handle, meter, params: chain_conn(
+        handle.graph.vertices, handle.detail["chains"], meter
+    ),
+    Algorithm.PR: lambda handle, meter, params: chain_pagerank(
+        handle.graph.vertices,
+        handle.detail["chains"],
+        meter,
+        params.pagerank_damping,
+        params.pagerank_iterations,
+    ),
+}
 
 
 class Neo4jPlatform(Platform):
@@ -35,31 +71,25 @@ class Neo4jPlatform(Platform):
     name = "neo4j"
     single_machine = True
 
-    def __init__(self, cluster: ClusterSpec | None = None):
+    def __init__(self, cluster: ClusterSpec | None = None, bulk: bool = True):
         super().__init__(cluster or ClusterSpec.paper_single_node())
         if self.cluster.num_workers != 1:
             raise ValueError("the graph database is non-distributed")
-        self._stores: dict[str, tuple[GraphStore, CostMeter]] = {}
+        #: Vectorized upload and BFS, CONN and PR; ``bulk=False``
+        #: builds the linked record store at upload and runs every
+        #: algorithm over it (the cost profile is identical either way).
+        self.bulk = bulk
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
         meter = CostMeter(self.cluster)
-        store = GraphStore(meter)
-        try:
-            for vertex in undirected.vertices:
-                store.create_node(int(vertex))
-            # Inserts charge the meter inside the store (memory per
-            # record); insert *time* is the explicit ETL model below.
-            if undirected.weights is not None:
-                for source, target, weight in undirected.iter_weighted_edges():  # quality: ignore[cost-accounting]
-                    store.create_relationship(source, target, weight)
-            else:
-                for source, target in undirected.iter_edges():
-                    store.create_relationship(source, target)
-        except MemoryBudgetExceeded as exc:
-            store.release()
-            raise SimulatedOOM(self.name, str(exc)) from exc
-        self._stores[name] = (store, meter)
+        detail = {"chains": relationship_chains(undirected)}
+        # The store's records charge the upload meter's memory; insert
+        # *time* is the explicit ETL model below.
+        if self.bulk:
+            allocate_records(meter, undirected)
+        else:
+            detail["store"] = build_store(undirected, meter)
         storage = meter.memory_in_use(0)
         # ETL: transactional inserts — every relationship updates two
         # chain heads (random accesses), then the store flushes to disk.
@@ -78,60 +108,87 @@ class Neo4jPlatform(Platform):
             graph=undirected,
             storage_bytes=storage,
             etl_simulated_seconds=etl_time,
-            detail={"store": store},
+            detail=detail,
         )
 
     def delete_graph(self, handle: GraphHandle) -> None:
         """Drop the graph's record store and release its memory."""
-        entry = self._stores.pop(handle.name, None)
-        if entry is not None:
-            entry[0].release()
+        store = handle.detail.pop("store", None)
+        if store is not None:
+            store.release()
+
+    def _store(self, handle: GraphHandle) -> GraphStore:
+        """The handle's linked record store, built on first use.
+
+        The upload already charged (and fit) the store's bytes, so the
+        late build does not enforce the budget again.
+        """
+        store = handle.detail.get("store")
+        if store is None:
+            store = handle.detail["store"] = build_store(
+                handle.graph, CostMeter(self.cluster, enforce_memory=False)
+            )
+        return store
 
     def _execute(
         self, handle: GraphHandle, algorithm: Algorithm, params: AlgorithmParams
     ) -> tuple[object, RunProfile]:
-        store: GraphStore = handle.detail["store"]
         # Each run gets a fresh meter but shares the loaded store's
         # memory accounting baseline.
         meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
         meter.allocate_memory(0, handle.storage_bytes)
-        original_meter = store.meter
-        store.meter = meter
         meter.charge_startup()
         meter.begin_round(algorithm.value.lower())
         try:
+            if self.bulk and algorithm in _CHAIN_RUNNERS:
+                output = _CHAIN_RUNNERS[algorithm](handle, meter, params)
+            else:
+                output = self._walk_store(handle, meter, algorithm, params)
+        finally:
+            meter.end_round(active_vertices=handle.graph.num_vertices)
+        return output, meter.profile
+
+    def _walk_store(
+        self,
+        handle: GraphHandle,
+        meter: CostMeter,
+        algorithm: Algorithm,
+        params: AlgorithmParams,
+    ) -> object:
+        """Run ``algorithm`` over the record store, charging ``meter``."""
+        store = self._store(handle)
+        original_meter = store.meter
+        store.meter = meter
+        try:
             if algorithm is Algorithm.BFS:
-                output = db_bfs(store, params.resolve_bfs_source(handle.graph))
-            elif algorithm is Algorithm.CONN:
-                output = db_conn(store)
-            elif algorithm is Algorithm.CD:
-                output = db_cd(
+                return db_bfs(store, params.resolve_bfs_source(handle.graph))
+            if algorithm is Algorithm.CONN:
+                return db_conn(store)
+            if algorithm is Algorithm.CD:
+                return db_cd(
                     store,
                     params.cd_max_iterations,
                     params.cd_hop_attenuation,
                     params.cd_node_preference,
                 )
-            elif algorithm is Algorithm.STATS:
-                output = db_stats(store)
-            elif algorithm is Algorithm.PR:
-                output = db_pagerank(
+            if algorithm is Algorithm.STATS:
+                return db_stats(store)
+            if algorithm is Algorithm.PR:
+                return db_pagerank(
                     store, params.pagerank_damping, params.pagerank_iterations
                 )
-            elif algorithm is Algorithm.SSSP:
-                output = db_sssp(store, params.resolve_sssp_source(handle.graph))
-            elif algorithm is Algorithm.LCC:
-                output = db_lcc(store)
-            elif algorithm is Algorithm.EVO:
-                output = db_evo(
+            if algorithm is Algorithm.SSSP:
+                return db_sssp(store, params.resolve_sssp_source(handle.graph))
+            if algorithm is Algorithm.LCC:
+                return db_lcc(store)
+            if algorithm is Algorithm.EVO:
+                return db_evo(
                     store,
                     params.evo_new_vertices,
                     params.evo_p_forward,
                     params.evo_max_hops,
                     params.evo_seed,
                 )
-            else:
-                raise ValueError(f"unsupported algorithm {algorithm}")
+            raise ValueError(f"unsupported algorithm {algorithm}")
         finally:
-            meter.end_round(active_vertices=store.num_nodes)
             store.meter = original_meter
-        return output, meter.profile

@@ -14,15 +14,33 @@ RAM.
 
 Record sizes follow Neo4j's on-disk format of the era (node 14 B,
 relationship 33 B) plus page/cache overhead.
+
+The linked :class:`GraphStore` is what the scalar procedures walk.
+The bulk procedures read the same chains as one CSR
+(:func:`relationship_chains`), and a bulk upload charges the store's
+record bytes from counts (:func:`allocate_records`), so the linked
+records are built (:func:`build_store`) only when a scalar procedure
+first needs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cost import CostMeter
+import numpy as np
 
-__all__ = ["GraphStore", "NODE_RECORD_BYTES", "REL_RECORD_BYTES", "NO_RELATIONSHIP"]
+from repro.core.cost import CostMeter, MemoryBudgetExceeded
+from repro.graph.graph import Graph
+
+__all__ = [
+    "GraphStore",
+    "NODE_RECORD_BYTES",
+    "REL_RECORD_BYTES",
+    "NO_RELATIONSHIP",
+    "allocate_records",
+    "build_store",
+    "relationship_chains",
+]
 
 #: In-memory bytes per node record (14 B record + page-cache overhead).
 NODE_RECORD_BYTES = 32.0
@@ -212,3 +230,71 @@ class GraphStore:
     def degree(self, node_id: int) -> int:
         """Number of relationships on ``node_id``'s chain."""
         return len(self.relationships_of(node_id))
+
+
+def build_store(graph: Graph, meter: CostMeter) -> GraphStore:
+    """Insert ``graph``'s nodes, then its relationships, into a new store.
+
+    Every record charges its bytes to ``meter`` as it is created, so a
+    store that does not fit fails at the record that breaks the
+    budget, after releasing what it had allocated.
+    """
+    store = GraphStore(meter)
+    try:
+        for vertex in graph.vertices.tolist():
+            store.create_node(vertex)
+        # Inserts charge the meter inside the store (memory per
+        # record); insert *time* is the uploading driver's ETL model.
+        if graph.weights is not None:
+            for source, target, weight in graph.iter_weighted_edges():  # quality: ignore[cost-accounting]
+                store.create_relationship(source, target, weight)
+        else:
+            for source, target in graph.iter_edges():
+                store.create_relationship(source, target)
+    except MemoryBudgetExceeded:
+        store.release()
+        raise
+    return store
+
+
+def allocate_records(meter: CostMeter, graph: Graph) -> None:
+    """Charge the bytes :func:`build_store` allocates, without the records.
+
+    The node records, then one relationship record (plus a property
+    record when weighted) per edge: one allocation of the total when
+    it fits, else the per-record sequence, which fails where
+    :meth:`GraphStore.create_relationship` (or ``create_node``) does.
+    """
+    rel_bytes = REL_RECORD_BYTES
+    if graph.weights is not None:
+        rel_bytes += PROPERTY_RECORD_BYTES
+    counts = [graph.num_vertices, graph.num_edges]
+    record_bytes = [NODE_RECORD_BYTES, rel_bytes]
+    meter.allocate_worker_memory(
+        np.array([counts[0] * record_bytes[0] + counts[1] * record_bytes[1]]),
+        lambda: (
+            np.zeros(sum(counts), dtype=np.int64),
+            np.repeat(record_bytes, counts),
+        ),
+    )
+
+
+def relationship_chains(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's relationship chain as a CSR over dense node indices.
+
+    Returns ``(offsets, neighbors)``: row ``i`` lists the other
+    endpoint of each relationship on ``graph.vertices[i]``'s chain, in
+    ascending order, as :meth:`GraphStore.neighbors` returns them. A
+    relationship sits on both endpoints' chains, but a self-loop only
+    once on its node's chain, where :meth:`Graph.csr` lists it twice.
+    """
+    n = graph.num_vertices
+    sources = graph.indices_of(graph.edges[:, 0])
+    targets = graph.indices_of(graph.edges[:, 1])
+    links = sources != targets
+    keys = np.concatenate([sources * n + targets, targets[links] * n + sources[links]])
+    keys.sort()
+    rows, neighbors = np.divmod(keys, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return offsets, neighbors

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import abc
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -58,7 +59,9 @@ from repro.algorithms.stats import GraphStats
 from repro.core.workload import sssp_round_bound
 from repro.graph.graph import Graph
 from repro.graph.kernels import (
+    KeyGroups,
     dense_index,
+    group_keys,
     group_reduce,
     hash_workers,
     ordered_group_sum,
@@ -78,6 +81,7 @@ __all__ = [
     "RDDConnBulkKernel",
     "RDDPageRankBulkKernel",
     "RDDSSSPBulkKernel",
+    "MessageGroups",
     "BulkPregelRunner",
     "graphx_bfs_bulk",
     "graphx_conn_bulk",
@@ -153,8 +157,7 @@ class RDDBulkKernel(abc.ABC):
         self,
         payloads: np.ndarray,
         message_targets: np.ndarray,
-        message_workers: np.ndarray,
-        num_workers: int,
+        groups: "MessageGroups",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fold message payloads per target; returns ``(targets, incoming)``.
 
@@ -306,27 +309,48 @@ class RDDPageRankBulkKernel(RDDBulkKernel):
         """Each arc carries its source's ``rank / degree`` share."""
         return values[senders] / self.degrees[senders]
 
-    def merge_messages(self, payloads, message_targets, message_workers, num_workers):
+    def merge_messages(self, payloads, message_targets, groups):
         """Two-level sequential float fold matching ``reduce_by_key``."""
         # Level 1 — map-side combine: one partial per (target, source
         # worker), accumulated in arc-stream order, which within any
         # one worker's slots is exactly that partition's record order.
-        pair_keys, _, pair_partials = ordered_group_sum(
-            message_targets * num_workers + message_workers, payloads
-        )
-        # Level 2 — reducer fold: pair_keys sort as (target, worker),
-        # so folding in slot order adds each target's partials in
+        pair_partials = ordered_group_sum(groups.pairs, payloads)
+        # Level 2 — reducer fold: pairs sort as (target, worker), so
+        # folding in pair order adds each target's partials in
         # source-worker-ascending order, as ``_shuffle_pairs`` does.
-        targets, _, incoming = ordered_group_sum(
-            pair_keys // num_workers, pair_partials
-        )
-        return targets, incoming
+        incoming = ordered_group_sum(groups.targets, pair_partials)
+        return groups.targets.keys, incoming
 
     def absorb(self, values, changed, targets, incoming):
         """Damped update for message targets, bare base for the rest."""
         values[:] = self.base
         values[targets] = self.base + self.damping * incoming
         self.iteration += 1
+
+
+class MessageGroups:
+    """One round's messages grouped per ``(target, source worker)`` pair.
+
+    The groupings depend only on which arcs send, so
+    :class:`BulkPregelRunner` reuses one instance while its arc mask
+    repeats (every PageRank round sends along every arc).
+    """
+
+    def __init__(
+        self,
+        message_targets: np.ndarray,
+        message_workers: np.ndarray,
+        num_workers: int,
+    ):
+        #: Messages grouped by ``target * num_workers + source worker``.
+        self.pairs = group_keys(message_targets * num_workers + message_workers)
+        self.pair_targets = self.pairs.keys // num_workers
+        self.pair_workers = self.pairs.keys % num_workers
+
+    @cached_property
+    def targets(self) -> KeyGroups:
+        """The pairs grouped per target, for the ordered float fold."""
+        return group_keys(self.pair_targets)
 
 
 class BulkPregelRunner:
@@ -371,6 +395,9 @@ class BulkPregelRunner:
         self.arcs_per_worker = np.bincount(
             self.arc_workers, minlength=self.num_workers
         )
+        #: The arc mask :attr:`_groups` was built for.
+        self._groups_mask: np.ndarray | None = None
+        self._groups: MessageGroups | None = None
 
     @contextmanager
     def graph_rdds(self) -> Iterator[None]:
@@ -416,8 +443,10 @@ class BulkPregelRunner:
             sending = kernel.send_mask(values, changed)
             arc_mask = sending[self.arc_source]
             message_targets = self.arc_target[arc_mask]
-            message_workers = self.arc_workers[arc_mask]
-            messages = np.bincount(message_workers, minlength=self.num_workers)
+            groups = self._message_groups(arc_mask, message_targets)
+            messages = np.bincount(
+                self.arc_workers[arc_mask], minlength=self.num_workers
+            )
             self._narrow_stage(
                 "sendMsg", arcs, messages, int(messages.sum())
             )
@@ -428,23 +457,13 @@ class BulkPregelRunner:
                 payloads = payloads + self.arc_weights[arc_mask]
             self._begin_stage("mergeMsg")
             meter.charge_worker_compute(RECORD_CPU_OPS * messages)
-            pair_keys = np.unique(
-                message_targets * self.num_workers + message_workers
-            )
-            pair_target = pair_keys // self.num_workers
-            pair_worker = pair_keys % self.num_workers
-            remote = int(
-                np.count_nonzero(
-                    pair_worker != self.vertex_workers[pair_target]
-                )
-            )
+            pair_homes = self.vertex_workers[groups.pair_targets]
+            remote = int(np.count_nonzero(groups.pair_workers != pair_homes))
             meter.charge_shuffle(remote * _PAIR_WIRE_BYTES, count=remote)
-            received = np.bincount(
-                self.vertex_workers[pair_target], minlength=self.num_workers
-            )
+            received = np.bincount(pair_homes, minlength=self.num_workers)
             meter.charge_worker_compute(RECORD_CPU_OPS * received)
             targets, incoming = kernel.merge_messages(
-                payloads, message_targets, message_workers, self.num_workers
+                payloads, message_targets, groups
             )
             merged = np.bincount(
                 self.vertex_workers[targets], minlength=self.num_workers
@@ -477,6 +496,18 @@ class BulkPregelRunner:
         if has_previous:
             self._release(_VERTEX_BYTES * vertices)
         return values, name
+
+    def _message_groups(
+        self, arc_mask: np.ndarray, message_targets: np.ndarray
+    ) -> MessageGroups:
+        """The groupings of the messages sent along ``arc_mask``, built
+        again only when the mask differs from the last round's."""
+        if self._groups is None or not np.array_equal(arc_mask, self._groups_mask):
+            self._groups_mask = arc_mask
+            self._groups = MessageGroups(
+                message_targets, self.arc_workers[arc_mask], self.num_workers
+            )
+        return self._groups
 
     def collect(self, name: str, record_wire_bytes: float) -> None:
         """Replay :meth:`RDD.collect`'s charges for the final RDD."""
@@ -627,7 +658,8 @@ class BulkPregelRunner:
             csr_received_links(self.offsets, self.arc_target), self.degrees
         )
         clustering_sum = 0.0
-        for partial in ordered_group_sum(vertex_workers, coefficients)[2].tolist():
+        worker_sums = ordered_group_sum(group_keys(vertex_workers), coefficients)
+        for partial in worker_sums.tolist():
             clustering_sum += partial
         return GraphStats(
             num_vertices=n,

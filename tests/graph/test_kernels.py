@@ -1,5 +1,9 @@
 """Property tests: the array kernels against plain Python loops.
 
+The database engines' traversal kernels (BFS levels, component
+labels) are held to networkx, and their PageRank rounds to the
+per-vertex loop the scalar procedures run.
+
 The two triangle counts, the references' :func:`triangle_links` and
 the engines' :func:`received_links`, are held to networkx instead;
 the engines' array twin :func:`csr_received_links` is held to
@@ -17,7 +21,11 @@ from hypothesis import strategies as st
 from repro.graph import kernels
 from repro.graph.graph import Graph
 from repro.graph.kernels import (
+    csr_bfs_levels,
     csr_gather,
+    csr_min_labels,
+    csr_pagerank,
+    group_keys,
     group_reduce,
     hash_worker,
     hash_workers,
@@ -88,9 +96,10 @@ def test_ordered_group_sum_folds_in_input_order(records):
     for index, (key, value) in enumerate(records):
         sums[key] = sums.get(key, 0.0) + value
         first.setdefault(key, index)
-    distinct, first_index, folded = ordered_group_sum(keys, values)
-    assert distinct.tolist() == sorted(sums)
-    assert first_index.tolist() == [first[key] for key in sorted(sums)]
+    groups = group_keys(keys)
+    folded = ordered_group_sum(groups, values)
+    assert groups.keys.tolist() == sorted(sums)
+    assert groups.first.tolist() == [first[key] for key in sorted(sums)]
     # Exact equality: the same additions in the same order.
     assert folded.tolist() == [sums[key] for key in sorted(sums)]
 
@@ -226,3 +235,61 @@ def test_path_block_size_does_not_change_the_links(monkeypatch, block):
     monkeypatch.setattr(properties, "_PATH_BLOCK", block)
     for graph in NAMED_GRAPHS.values():
         assert csr_received_links(*graph.csr()).tolist() == _shipped(graph)
+
+
+def _networkx_graph(graph: Graph) -> nx.Graph:
+    reference = nx.Graph()
+    reference.add_nodes_from(graph.vertices.tolist())
+    reference.add_edges_from(graph.edges.tolist())
+    return reference
+
+
+def _assert_traversals_match_networkx(graph: Graph) -> None:
+    reference = _networkx_graph(graph)
+    ids = graph.vertices.tolist()
+    offsets, targets = graph.csr()
+    least = {
+        vertex: min(component)
+        for component in nx.connected_components(reference)
+        for vertex in component
+    }
+    labels = csr_min_labels(offsets, targets)
+    assert [ids[label] for label in labels.tolist()] == [least[v] for v in ids]
+    for source in range(min(len(ids), 3)):
+        hops = nx.single_source_shortest_path_length(reference, ids[source])
+        levels = csr_bfs_levels(offsets, targets, source)
+        assert levels.tolist() == [hops.get(v, -1) for v in ids]
+
+
+@given(scattered_graphs())
+@settings(max_examples=150, deadline=None)
+def test_traversal_kernels_match_networkx(graph):
+    _assert_traversals_match_networkx(graph)
+
+
+def test_component_labels_cross_a_long_path():
+    # The least id sits mid-path, so labels must travel both ways.
+    order = list(range(250, 500)) + [0] + list(range(1, 250))
+    _assert_traversals_match_networkx(Graph.from_edges(zip(order, order[1:])))
+
+
+@given(scattered_graphs(), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_pagerank_rounds_match_the_per_vertex_loop(graph, iterations):
+    damping = 0.85
+    adjacency = graph.adjacency()
+    vertices = graph.vertices.tolist()
+    n = len(vertices)
+    ranks = {v: 1.0 / n for v in vertices}
+    for _iteration in range(iterations):
+        shares = {v: ranks[v] / len(adjacency[v]) for v in vertices if adjacency[v]}
+        new_ranks = {}
+        for v in vertices:
+            total = 0.0
+            for neighbor in adjacency[v]:
+                total += shares[neighbor]
+            new_ranks[v] = (1.0 - damping) / n + damping * total
+        ranks = new_ranks
+    folded = csr_pagerank(*graph.csr(), damping, iterations)
+    # Exact equality: the same operations in the same order.
+    assert folded.tolist() == [ranks[v] for v in vertices]

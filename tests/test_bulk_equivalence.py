@@ -1,7 +1,8 @@
 """Exact scalar/bulk equivalence across every converted platform.
 
 The vectorized bulk paths (``pregel/bulk.py``, ``gas/bulk.py``,
-``rddgraph/bulk.py``, and the batched MapReduce shuffle accounting)
+``rddgraph/bulk.py``, the batched MapReduce shuffle accounting, and
+the neo4j relationship-chain and virtuoso table CSR procedures)
 promise *bit-identical* results to the scalar per-record paths — not
 approximately equal. The charges they batch are all integer-valued
 floats, and float64 addition of integers below 2**53 is exact, so one
@@ -14,19 +15,24 @@ hand-listed — so an algorithm that gains a bulk kernel (BFS, CONN,
 PR, SSSP and STATS have them today) is automatically held to the bar, and
 an algorithm without one must still produce identical results and
 profiles by running the same scalar path under both flags. The sweep
-covers a directed graph, an undirected graph, and a graph with sparse
-vertex ids plus an isolated vertex, on the 10-worker cluster; one
-graph also runs on the single-node cluster, where every message is
-local and there is one worker pair. "Identical" means the algorithm
-outputs and the profile's ``profile_fingerprint`` (every recorded
-round field, startup and the memory peaks — the bar the pinned
-digests use) plus ``simulated_seconds``, ``total_messages`` and
-``launches`` all compare equal with ``==``. The sweep's clusters have
-ample memory; STATS, the algorithm whose message buffers and cached
-lists grow with the squared degrees, also runs on budgets that break,
-where both paths must fail with the same worker, bytes and round, and
-so do giraph's BFS, CONN, PR and SSSP, whose queued message buffers
-grow with the frontier.
+covers a directed graph, an undirected graph, a graph with sparse
+vertex ids plus an isolated vertex, and a graph with self-loops (which
+a neo4j relationship chain holds once and the virtuoso edge table
+twice), on the 10-worker cluster; one graph also runs on the
+single-node cluster, where every message is local and there is one
+worker pair. The single-machine platforms (neo4j, virtuoso) run on
+their own default machine. "Identical" means the algorithm outputs
+compare equal as text, so an int and an equal float, or a Python
+float and a numpy scalar, differ; and so does the ``repr`` of the
+profile's ``profile_fingerprint`` (every recorded round field,
+startup and the memory peaks — the text the pinned digests hash),
+plus ``simulated_seconds``, ``total_messages`` and ``launches``. The
+sweep's clusters have ample memory; STATS, the algorithm whose message
+buffers and cached lists grow with the squared degrees, also runs on
+budgets that break, where both paths must fail with the same worker,
+bytes and round, and so do giraph's BFS, CONN, PR and SSSP, whose
+queued message buffers grow with the frontier, and the neo4j upload,
+whose record store must fit its one machine.
 Three Pregel cases run the engine directly: SSSP under adaptive
 central supersteps, STATS with central supersteps, and a CONN program
 whose combiner is switched off.
@@ -41,7 +47,10 @@ from repro.datasets import catalog
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
 from repro.observability import profile_fingerprint
+from repro.platforms.columnar.driver import VirtuosoPlatform
 from repro.platforms.gas.driver import GraphLabPlatform
+from repro.platforms.graphdb.driver import Neo4jPlatform
+from repro.platforms.graphdb.store import NODE_RECORD_BYTES
 from repro.platforms.mapreduce.driver import MapReducePlatform
 from repro.platforms.pregel.driver import GiraphPlatform
 from repro.platforms.pregel.engine import PregelEngine
@@ -59,6 +68,8 @@ CONVERTED_PLATFORMS = [
     GraphLabPlatform,
     GraphXPlatform,
     MapReducePlatform,
+    Neo4jPlatform,
+    VirtuosoPlatform,
 ]
 
 #: Every algorithm, auto-discovered from the enum: new algorithms (and
@@ -76,6 +87,15 @@ def _sparse_id_graph() -> Graph:
     )
 
 
+def _self_loop_graph() -> Graph:
+    """Self-loops on a triangle corner, a pendant pair and a leaf."""
+    return Graph.from_edges(
+        [(1, 1), (1, 2), (2, 3), (3, 1), (3, 3), (3, 8), (5, 6), (6, 6)],
+        vertices=[1, 2, 3, 5, 6, 8, 11],
+        directed=False,
+    )
+
+
 GRAPHS = {
     "rmat-directed": lambda: rmat_graph(
         scale=7, edge_factor=8, seed=42, directed=True
@@ -84,17 +104,38 @@ GRAPHS = {
         scale=6, edge_factor=8, seed=7, directed=False
     ),
     "sparse-ids": _sparse_id_graph,
+    "self-loops": _self_loop_graph,
 }
 
 
 def profile_key(profile):
-    """Everything a profile says, minus nothing: the exactness bar."""
+    """Everything a profile says, minus nothing: the exactness bar.
+
+    The fingerprint is compared as the text the pinned digests hash,
+    where ``np.float64(3.0)`` and ``3.0`` differ although they are
+    equal.
+    """
     return (
-        profile_fingerprint(profile),
+        repr(profile_fingerprint(profile)),
         profile.simulated_seconds,
         profile.total_messages,
         profile.launches,
     )
+
+
+def output_key(output):
+    """An algorithm output as text: values must match in type too."""
+    if isinstance(output, dict):
+        output = sorted(output.items())
+    return repr(output)
+
+
+def _platform(platform_cls, bulk: bool = True, cluster: ClusterSpec | None = None):
+    """A driver on ``cluster``; by default the 10-worker cluster, or
+    the single-machine platforms' own machine."""
+    if cluster is None and not platform_cls.single_machine:
+        cluster = ClusterSpec.paper_distributed()
+    return platform_cls(cluster, bulk=bulk)
 
 
 def _run(
@@ -106,10 +147,10 @@ def _run(
 ):
     if algorithm is Algorithm.SSSP and not graph.is_weighted:
         graph = graph.with_uniform_weights(seed=3)
-    platform = platform_cls(cluster or ClusterSpec.paper_distributed(), bulk=bulk)
+    platform = _platform(platform_cls, bulk, cluster)
     handle = platform.upload_graph("equivalence", graph)
     run = platform.run_algorithm(handle, algorithm, AlgorithmParams())
-    return run.output, profile_key(run.profile)
+    return output_key(run.output), profile_key(run.profile)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -181,9 +222,14 @@ def _oom_outcome(platform_cls, algorithm, bulk: bool, memory_bytes: float):
     try:
         run = platform.run_algorithm(handle, algorithm, AlgorithmParams())
     except SimulatedOOM as failure:
-        cause = failure.__cause__
-        return str(failure), cause.worker, cause.used, cause.round_name
-    return run.output, profile_key(run.profile)
+        return _failure(failure)
+    return "completed", output_key(run.output), profile_key(run.profile)
+
+
+def _failure(failure: SimulatedOOM):
+    """The failure's text and the worker, bytes and round it names."""
+    cause = failure.__cause__
+    return str(failure), cause.worker, cause.used, cause.round_name
 
 
 def _oom_outcomes(platform_cls, algorithm, fraction):
@@ -209,7 +255,7 @@ def test_stats_out_of_memory_is_bit_identical(platform_cls, fraction):
     """
     bulk, scalar = _oom_outcomes(platform_cls, Algorithm.STATS, fraction)
     assert bulk == scalar
-    failed = isinstance(scalar[0], str)
+    failed = scalar[0] != "completed"
     assert failed == (platform_cls is not MapReducePlatform)
     if failed:
         assert "out-of-memory" in scalar[0]
@@ -239,7 +285,8 @@ def test_giraph_out_of_memory_is_bit_identical(algorithm, fraction):
 
 #: ``(storage_bytes, etl_simulated_seconds)`` of each upload, as
 #: measured when the uploads still built the per-vertex adjacency
-#: mapping; an empty graph stores the int ``0`` on MapReduce.
+#: mapping (graphx, mapreduce) or their records one at a time (neo4j,
+#: virtuoso); an empty graph stores the int ``0`` on MapReduce.
 UPLOAD_PINS = {
     ("graphx", "rmat-directed"): (62016.0, 10.000059523692308),
     ("graphx", "rmat-undirected"): (28416.0, 10.000027219692308),
@@ -249,24 +296,64 @@ UPLOAD_PINS = {
     ("mapreduce", "rmat-undirected"): (5760.0, 2.3138461538461537e-05),
     ("mapreduce", "sparse-ids"): (208.0, 8.355555555555555e-07),
     ("mapreduce", "empty"): (0, 0.0),
+    ("neo4j", "rmat-directed"): (41344.0, 0.00027008800000000003),
+    ("neo4j", "rmat-undirected"): (18944.0, 0.000123488),
+    ("neo4j", "sparse-ids"): (448.0, 2.696e-06),
+    ("neo4j", "self-loops"): (544.0, 3.288e-06),
+    ("neo4j", "empty"): (0.0, 0.0),
+    ("virtuoso", "rmat-directed"): (4534.625, 7.664576360873678e-05),
+    ("virtuoso", "rmat-undirected"): (2071.75, 3.30944447083924e-05),
+    ("virtuoso", "sparse-ids"): (162.0, 3.6711111111111115e-07),
+    ("virtuoso", "self-loops"): (178.0, 4.678313359690934e-07),
+    ("virtuoso", "empty"): (0.0, 0.0),
 }
 
 
 @pytest.mark.parametrize("key", sorted(UPLOAD_PINS), ids="-".join)
 def test_upload_cost_is_pinned(key):
     platform_name, graph_name = key
-    platform_cls = {"graphx": GraphXPlatform, "mapreduce": MapReducePlatform}
+    platform_cls = {cls.name: cls for cls in CONVERTED_PLATFORMS}
     graph = (
         Graph.from_edges([], vertices=[], directed=False)
         if graph_name == "empty"
         else GRAPHS[graph_name]()
     )
-    platform = platform_cls[platform_name](ClusterSpec.paper_distributed())
-    handle = platform.upload_graph("equivalence", graph)
     storage, etl_seconds = UPLOAD_PINS[key]
-    assert handle.storage_bytes == storage
-    assert type(handle.storage_bytes) is type(storage)
-    assert handle.etl_simulated_seconds == etl_seconds
+    for bulk in (True, False):
+        platform = _platform(platform_cls[platform_name], bulk)
+        handle = platform.upload_graph("equivalence", graph)
+        assert handle.storage_bytes == storage
+        assert type(handle.storage_bytes) is type(storage)
+        assert handle.etl_simulated_seconds == etl_seconds
+        assert type(handle.etl_simulated_seconds) is float
+
+
+def _neo4j_upload(bulk: bool, memory_bytes: float, graph: Graph):
+    """The upload's storage bytes, or the failure and its exact cause."""
+    platform = apply_mem_limit(Neo4jPlatform(bulk=bulk), memory_bytes)
+    try:
+        return repr(platform.upload_graph("equivalence", graph).storage_bytes)
+    except SimulatedOOM as failure:
+        return _failure(failure)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_neo4j_upload_out_of_memory_is_bit_identical(fraction, weighted):
+    """A store that does not fit fails at the record the scalar insert
+    fails at, on the upload (no round), whether the budget breaks on a
+    relationship or, far below the store, on a node."""
+    graph = GRAPHS["rmat-directed"]()
+    if weighted:
+        graph = graph.with_uniform_weights(seed=3)
+    store = Neo4jPlatform(bulk=False).upload_graph("equivalence", graph)
+    for budget in (fraction * store.storage_bytes, 2.5 * NODE_RECORD_BYTES):
+        bulk = _neo4j_upload(True, budget, graph)
+        scalar = _neo4j_upload(False, budget, graph)
+        assert bulk == scalar
+        assert "out-of-memory" in scalar[0]
+        assert scalar[3] is None
+    assert scalar[2] == 3 * NODE_RECORD_BYTES
 
 
 #: Per platform, algorithms whose bulk paths never read the handle's
@@ -296,6 +383,20 @@ def test_bulk_runs_build_no_adjacency_mapping(platform_cls):
     assert handle.detail["adjacency"] is adjacency
 
 
+def test_neo4j_bulk_runs_build_no_record_store():
+    """The linked record store is built once, on first scalar use."""
+    platform = Neo4jPlatform()
+    handle = platform.upload_graph("equivalence", GRAPHS["rmat-undirected"]())
+    for algorithm in (Algorithm.BFS, Algorithm.CONN, Algorithm.PR):
+        platform.run_algorithm(handle, algorithm)
+    assert "store" not in handle.detail
+    platform.run_algorithm(handle, Algorithm.STATS)
+    store = handle.detail["store"]
+    platform.run_algorithm(handle, Algorithm.LCC)
+    assert handle.detail["store"] is store
+    assert store.num_relationships == handle.graph.num_edges
+
+
 def test_pregel_stats_central_supersteps_are_bit_identical():
     """Receivers below the central fraction run superstep 1 on worker 0."""
     graph = GRAPHS["sparse-ids"]()
@@ -315,7 +416,8 @@ def test_pregel_stats_central_supersteps_are_bit_identical():
 )
 def test_bulk_is_the_default(platform_cls):
     # The fast path must be what the benchmark actually runs.
-    assert platform_cls(ClusterSpec.paper_distributed()).bulk is True
+    cluster = None if platform_cls.single_machine else ClusterSpec.paper_distributed()
+    assert platform_cls(cluster).bulk is True
 
 
 def _run_pregel(program, bulk: bool, graph: Graph, **engine_options):
