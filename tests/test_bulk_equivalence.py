@@ -353,6 +353,7 @@ def test_neo4j_upload_out_of_memory_is_bit_identical(fraction, weighted):
         assert bulk == scalar
         assert "out-of-memory" in scalar[0]
         assert scalar[3] is None
+    # The last budget breaks on the third node record.
     assert scalar[2] == 3 * NODE_RECORD_BYTES
 
 
