@@ -48,7 +48,9 @@ from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
 from repro.observability import profile_fingerprint
 from repro.platforms.columnar.driver import VirtuosoPlatform
+from repro.platforms.dataflow.driver import StratospherePlatform
 from repro.platforms.gas.driver import GraphLabPlatform
+from repro.platforms.gpu.driver import MedusaPlatform
 from repro.platforms.graphdb.driver import Neo4jPlatform
 from repro.platforms.graphdb.store import NODE_RECORD_BYTES
 from repro.platforms.mapreduce.driver import MapReducePlatform
@@ -286,8 +288,20 @@ def test_giraph_out_of_memory_is_bit_identical(algorithm, fraction):
 #: ``(storage_bytes, etl_simulated_seconds)`` of each upload, as
 #: measured when the uploads still built the per-vertex adjacency
 #: mapping (graphx, mapreduce) or their records one at a time (neo4j,
-#: virtuoso); an empty graph stores the int ``0`` on MapReduce.
+#: virtuoso), and when each cluster driver summed its own load-time
+#: terms (giraph, graphlab, medusa, stratosphere); an empty graph
+#: stores the int ``0`` on MapReduce.
 UPLOAD_PINS = {
+    ("giraph", "rmat-directed"): (35104.0, 10.000035330153846),
+    ("giraph", "rmat-undirected"): (16256.0, 10.000016281846152),
+    ("giraph", "sparse-ids"): (528.0, 10.000000463384616),
+    ("giraph", "self-loops"): (632.0, 10.000000557692308),
+    ("giraph", "empty"): (0.0, 10.0),
+    ("graphlab", "rmat-directed"): (15456.0, 10.000020798307693),
+    ("graphlab", "rmat-undirected"): (7296.0, 10.000009653538461),
+    ("graphlab", "sparse-ids"): (352.0, 10.000000331999999),
+    ("graphlab", "self-loops"): (416.0, 10.00000039653846),
+    ("graphlab", "empty"): (0.0, 10.0),
     ("graphx", "rmat-directed"): (62016.0, 10.000059523692308),
     ("graphx", "rmat-undirected"): (28416.0, 10.000027219692308),
     ("graphx", "sparse-ids"): (672.0, 10.000000598153846),
@@ -306,21 +320,40 @@ UPLOAD_PINS = {
     ("virtuoso", "sparse-ids"): (162.0, 3.6711111111111115e-07),
     ("virtuoso", "self-loops"): (178.0, 4.678313359690934e-07),
     ("virtuoso", "empty"): (0.0, 0.0),
+    ("medusa", "rmat-directed"): (12384.0, 1.0000049484175826),
+    ("medusa", "rmat-undirected"): (5760.0, 1.0000022683956045),
+    ("medusa", "sparse-ids"): (208.0, 1.0000000544908425),
+    ("medusa", "self-loops"): (248.0, 1.0000000661135533),
+    ("medusa", "empty"): (0.0, 1.0),
+    ("stratosphere", "rmat-directed"): (23744.0, 10.000026882692307),
+    ("stratosphere", "rmat-undirected"): (11008.0, 10.000012376923076),
+    ("stratosphere", "sparse-ids"): (368.0, 10.000000342307693),
+    ("stratosphere", "self-loops"): (440.0, 10.000000412499999),
+    ("stratosphere", "empty"): (0.0, 10.0),
 }
+
+
+def _uploaders(platform_name: str) -> list:
+    """The drivers whose uploads the pins hold: both bulk settings of a
+    converted platform, the one driver of a platform without the toggle."""
+    converted = {cls.name: cls for cls in CONVERTED_PLATFORMS}
+    if platform_name in converted:
+        return [_platform(converted[platform_name], bulk) for bulk in (True, False)]
+    if platform_name == MedusaPlatform.name:
+        return [MedusaPlatform()]
+    return [StratospherePlatform(ClusterSpec.paper_distributed())]
 
 
 @pytest.mark.parametrize("key", sorted(UPLOAD_PINS), ids="-".join)
 def test_upload_cost_is_pinned(key):
     platform_name, graph_name = key
-    platform_cls = {cls.name: cls for cls in CONVERTED_PLATFORMS}
     graph = (
         Graph.from_edges([], vertices=[], directed=False)
         if graph_name == "empty"
         else GRAPHS[graph_name]()
     )
     storage, etl_seconds = UPLOAD_PINS[key]
-    for bulk in (True, False):
-        platform = _platform(platform_cls[platform_name], bulk)
+    for platform in _uploaders(platform_name):
         handle = platform.upload_graph("equivalence", graph)
         assert handle.storage_bytes == storage
         assert type(handle.storage_bytes) is type(storage)

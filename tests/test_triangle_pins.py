@@ -1,13 +1,14 @@
-"""STATS, LCC and SSSP pinned on every platform, cell by cell.
+"""STATS, LCC, EVO, CD and SSSP pinned on every platform, cell by cell.
 
 Every registered platform runs STATS and LCC on ``graph500-8`` and on
 the ``amazon`` stand-in (which goes through the rewiring generator),
-and SSSP on ``graph500-8`` and ``road-16``, each weighted with
-``with_uniform_weights()`` as ``BenchmarkCore.run`` weights them.
-Each cell must reproduce the committed pins in
-``triangle_pins.json``: the digest of its ``profile_fingerprint``
-(computed as perfbench does), a digest of the LCC or SSSP output's
-sorted items, and the STATS vertex and edge counts. The STATS mean is
+EVO and CD on ``graph500-8``, and SSSP on ``graph500-8`` and
+``road-16``, each weighted with ``with_uniform_weights()`` as
+``BenchmarkCore.run`` weights them. Each cell must reproduce the
+committed pins in ``triangle_pins.json``: the digest of its
+``profile_fingerprint`` (computed as perfbench does), a digest of the
+LCC, EVO, CD or SSSP output's sorted items, and the STATS vertex and
+edge counts. The STATS mean is
 left out on purpose: some platforms fold it with ``sum()``, which
 rounds differently across Python versions.
 
@@ -33,12 +34,14 @@ from repro.platforms.registry import available_platforms, create_platform_fleet
 PINS_PATH = Path(__file__).with_name("triangle_pins.json")
 GRAPHS = ("graph500-8", "amazon")
 ALGORITHMS = (Algorithm.STATS, Algorithm.LCC)
+GRAPH500_ALGORITHMS = (Algorithm.EVO, Algorithm.CD)
 SSSP_GRAPHS = ("graph500-8", "road-16")
 CELLS = [
     (platform, graph, algorithm)
     for platform in available_platforms()
     for graph, algorithm in [
         *((graph, algorithm) for graph in GRAPHS for algorithm in ALGORITHMS),
+        *(("graph500-8", algorithm) for algorithm in GRAPH500_ALGORITHMS),
         *((graph, Algorithm.SSSP) for graph in SSSP_GRAPHS),
     ]
 ]
