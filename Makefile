@@ -55,8 +55,8 @@ perf:
 
 # Hardware what-if smoke: execute giraph BFS once, re-cost it under
 # the network-tier profiles, and render the sweep table. Exercises the
-# profile registry, the exact re-coster, and dominant-component
-# attribution in one command.
+# profile registry, the exact re-coster, and each cell's breakdown
+# letter (the largest part of its re-costed time) in one command.
 whatif-smoke:
 	$(PYTHON) -m repro.cli whatif --platforms giraph --graphs graph500-8 \
 		--algorithms BFS --profiles paper-1gbe,10gbe,rdma

@@ -30,7 +30,7 @@ which is what lets the Output Validator check EVO results exactly.
 from __future__ import annotations
 
 import hashlib
-
+from typing import Iterable
 
 from repro.graph.graph import Graph
 
@@ -38,6 +38,8 @@ __all__ = [
     "forest_fire_evolution",
     "forest_fire_links",
     "ambassador_for",
+    "evo_arrivals",
+    "evo_links",
     "burn_budget",
     "burn_victims",
     "single_fire",
@@ -67,6 +69,42 @@ def ambassador_for(seed: int, new_vertex: int, existing: list[int]) -> int:
         raise ValueError("cannot pick an ambassador in an empty graph")
     index = int(_hash_fraction(seed, new_vertex, 0xA3BA55AD) * len(existing))
     return existing[min(index, len(existing) - 1)]
+
+
+def evo_arrivals(
+    existing: list[int], num_new_vertices: int, seed: int
+) -> dict[int, int]:
+    """Every arrival's ambassador: ``{new_vertex: ambassador}``.
+
+    New vertex ids continue after the largest of the sorted
+    ``existing`` ids, in arrival order. This is the step every platform
+    implementation starts from; the reference derives its own.
+    """
+    if num_new_vertices < 0:
+        raise ValueError("num_new_vertices must be >= 0")
+    if not existing:
+        raise ValueError("cannot evolve an empty graph")
+    next_id = existing[-1] + 1
+    return {
+        arrival: ambassador_for(seed, arrival, existing)
+        for arrival in range(next_id, next_id + num_new_vertices)
+    }
+
+
+def evo_links(
+    arrivals: Iterable[int], burned_by: Iterable[tuple[int, Iterable[int]]]
+) -> dict[int, list[int]]:
+    """EVO's output from per-vertex burns: ``{new_vertex: [targets]}``.
+
+    ``burned_by`` pairs each vertex with the arrivals whose fire burned
+    it; the result keeps the order of ``arrivals`` and sorts each
+    arrival's targets.
+    """
+    links: dict[int, list[int]] = {arrival: [] for arrival in arrivals}
+    for vertex, burned in burned_by:
+        for arrival in burned:
+            links[arrival].append(vertex)
+    return {arrival: sorted(targets) for arrival, targets in links.items()}
 
 
 def burn_budget(seed: int, new_vertex: int, at_vertex: int, p_forward: float) -> int:

@@ -23,6 +23,22 @@ class GraphStats:
     num_edges: int
     mean_local_clustering: float
 
+    @classmethod
+    def from_sum(
+        cls, num_vertices: int, num_edges: int, clustering_sum: float
+    ) -> GraphStats:
+        """The record of a platform that summed the local coefficients.
+
+        The mean is over every vertex, and ``0.0`` on an empty graph.
+        """
+        return cls(
+            num_vertices=num_vertices,
+            num_edges=num_edges,
+            mean_local_clustering=(
+                clustering_sum / num_vertices if num_vertices else 0.0
+            ),
+        )
+
 
 def stats(graph: Graph) -> GraphStats:
     """Compute vertex count, edge count, and mean local clustering.

@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.core.cost import ClusterSpec
 
 __all__ = [
+    "cluster_load_seconds",
     "edge_file_bytes",
     "distributed_read_seconds",
     "parse_seconds",
@@ -52,6 +53,24 @@ def partition_shuffle_seconds(num_bytes: float, spec: ClusterSpec) -> float:
         return 0.0
     remote = num_bytes * (spec.num_workers - 1) / spec.num_workers
     return remote / (spec.num_workers * spec.hardware.nic.bandwidth)
+
+
+def cluster_load_seconds(
+    num_edges: int,
+    parse_records: float,
+    ops_per_record: float,
+    storage_bytes: float,
+    spec: ClusterSpec,
+) -> float:
+    """Loading onto an in-memory cluster platform: startup, reading the
+    edge file from distributed storage, parsing ``parse_records``
+    records, and shuffling ``storage_bytes`` into the partitions."""
+    return (
+        spec.hardware.startup_seconds
+        + distributed_read_seconds(edge_file_bytes(num_edges), spec)
+        + parse_seconds(parse_records, ops_per_record, spec)
+        + partition_shuffle_seconds(storage_bytes, spec)
+    )
 
 
 def replicated_write_seconds(

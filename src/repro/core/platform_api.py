@@ -47,23 +47,17 @@ class GraphHandle:
     storage_bytes: float = 0.0
     detail: dict = field(default_factory=dict)
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """The loaded graph as ``{vertex: neighbor tuple}``.
+    def adjacency(self) -> dict[int, list[int]]:
+        """The loaded graph's :meth:`~repro.graph.graph.Graph.adjacency`.
 
-        Neighbors follow :meth:`~repro.graph.graph.Graph.neighbors`
-        order. Built on first use and kept in :attr:`detail`, so the
+        Built on first use and kept in :attr:`detail`, so the
         per-record paths that read it build it once per upload and
-        the vectorized paths never do.
+        the vectorized paths never do. Callers share the lists and do
+        not modify them.
         """
         adjacency = self.detail.get("adjacency")
         if adjacency is None:
-            offsets, targets = self.graph.csr()
-            bounds = offsets.tolist()
-            arcs = self.graph.vertices[targets].tolist()
-            adjacency = self.detail["adjacency"] = {
-                vertex: tuple(arcs[bounds[i]: bounds[i + 1]])
-                for i, vertex in enumerate(self.graph.vertices.tolist())
-            }
+            adjacency = self.detail["adjacency"] = self.graph.adjacency()
         return adjacency
 
 

@@ -776,10 +776,16 @@ class Graph:
     # -- adjacency export ----------------------------------------------
 
     def adjacency(self) -> dict[int, list[int]]:
-        """Full ``{vertex: [neighbors]}`` mapping (out-adjacency)."""
+        """Full ``{vertex: [neighbors]}`` mapping (out-adjacency).
+
+        Keys and neighbors are Python ints, in :meth:`neighbors` order;
+        every call builds a new mapping from one pass over the CSR.
+        """
+        bounds = self._offsets.tolist()
+        arcs = self._vertex_ids[self._targets].tolist()
         return {
-            int(v): [int(u) for u in self.neighbors(int(v))]
-            for v in self._vertex_ids
+            vertex: arcs[bounds[i]: bounds[i + 1]]
+            for i, vertex in enumerate(self._vertex_ids.tolist())
         }
 
     def weighted_adjacency(self) -> dict[int, list[tuple[int, float]]]:

@@ -11,7 +11,7 @@ which is the bulk paths' exactness contract (see
 Two kernel kinds are tracked:
 
 * ``platform`` kernels time ``run_algorithm`` with ``bulk=True``
-  against ``bulk=False`` on one shared graph handle;
+  against ``bulk=False``, each on its own upload of one graph;
 * ``micro`` kernels time data-plane primitives that have no platform
   driver — dataset generation (``datagen-rmat``) and graph
   deserialization (``graph-load``: mmap ``.npy`` load versus the
@@ -350,8 +350,6 @@ def run_perf(
     )
     params = AlgorithmParams()
     weighted: Graph | None = None
-    # The handle does not depend on the bulk toggle, so both paths
-    # share one ETL per kernel.
     for spec in kernels:
         if spec.kind == "micro":
             report.kernels.append(
@@ -369,13 +367,21 @@ def run_perf(
             if weighted is None:
                 weighted = graph.with_uniform_weights()
             kernel_graph = weighted
-        handle = bulk_platform.upload_graph(graph_name, kernel_graph)
-        bulk_walls, bulk_sim = _time_run(
-            bulk_platform, handle, spec.algorithm, params, repeats
-        )
-        scalar_walls, scalar_sim = _time_run(
-            scalar_platform, handle, spec.algorithm, params, repeats
-        )
+        # Each path runs on its own upload, made outside the timing: a
+        # neo4j upload builds the linked record store only under
+        # ``bulk=False``.
+        bulk_handle = bulk_platform.upload_graph(graph_name, kernel_graph)
+        scalar_handle = scalar_platform.upload_graph(graph_name, kernel_graph)
+        try:
+            bulk_walls, bulk_sim = _time_run(
+                bulk_platform, bulk_handle, spec.algorithm, params, repeats
+            )
+            scalar_walls, scalar_sim = _time_run(
+                scalar_platform, scalar_handle, spec.algorithm, params, repeats
+            )
+        finally:
+            bulk_platform.delete_graph(bulk_handle)
+            scalar_platform.delete_graph(scalar_handle)
         bulk_best, bulk_mean, bulk_std = _wall_stats(bulk_walls)
         scalar_best, scalar_mean, scalar_std = _wall_stats(scalar_walls)
         report.kernels.append(

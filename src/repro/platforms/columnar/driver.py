@@ -29,7 +29,6 @@ from repro.core import etl
 from repro.core.cost import ClusterSpec, CostMeter, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
 from repro.core.workload import Algorithm, AlgorithmParams
-from repro.algorithms.stats import GraphStats
 from repro.graph.graph import Graph
 from repro.platforms.columnar import procedures
 from repro.platforms.columnar.table import ColumnTable
@@ -152,15 +151,7 @@ class VirtuosoPlatform(Platform):
         if algorithm is Algorithm.CONN:
             return procedures.connected_components(table, vertices)
         if algorithm is Algorithm.STATS:
-            (num_vertices, num_edges, mean), stats = (
-                procedures.clustering_statistics(table, vertices)
-            )
-            output = GraphStats(
-                num_vertices=num_vertices,
-                num_edges=num_edges,
-                mean_local_clustering=mean,
-            )
-            return output, stats
+            return procedures.clustering_statistics(table, vertices)
         if algorithm is Algorithm.CD:
             return procedures.label_propagation(
                 table,

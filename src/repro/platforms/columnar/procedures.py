@@ -34,6 +34,7 @@ import numpy as np
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
+from repro.algorithms.stats import GraphStats
 from repro.graph import kernels
 from repro.graph.properties import lcc_value, received_links
 from repro.platforms.columnar.table import ColumnTable
@@ -167,8 +168,8 @@ def connected_components(
 
 def clustering_statistics(
     table: ColumnTable, vertices: list[int]
-) -> tuple[tuple[int, int, float], ProcedureStats]:
-    """(vertices, edges, mean local clustering) from one clustering pass.
+) -> tuple[GraphStats, ProcedureStats]:
+    """The STATS record from one clustering pass.
 
     The table reads and work counters of :func:`local_clustering`,
     with the coefficients folded into their mean.
@@ -177,8 +178,10 @@ def clustering_statistics(
     clustering_sum = 0.0
     for coefficient in coefficients.values():
         clustering_sum += coefficient
-    mean = clustering_sum / len(vertices) if vertices else 0.0
-    return (len(vertices), total_arcs // 2, mean), stats
+    return (
+        GraphStats.from_sum(len(vertices), total_arcs // 2, clustering_sum),
+        stats,
+    )
 
 
 def label_propagation(
@@ -348,10 +351,8 @@ def forest_fire(
         vertex: reader.out_neighbors(vertex).tolist() for vertex in vertices
     }
     existing = sorted(adjacency)
-    next_id = existing[-1] + 1 if existing else 0
     links: dict[int, list[int]] = {}
-    for arrival_index in range(num_new_vertices):
-        arrival = next_id + arrival_index
+    for arrival in evo_ref.evo_arrivals(existing, num_new_vertices, seed):
         links[arrival] = evo_ref.single_fire(
             adjacency, existing, arrival, p_forward, max_hops, seed
         )

@@ -149,15 +149,10 @@ def dataflow_stats(engine: DataflowEngine) -> GraphStats:
     """STATS: the :func:`dataflow_lcc` pipeline, folded into one mean."""
     adjacency = engine.adjacency
     coefficients = dataflow_lcc(engine)
-    num_vertices = len(adjacency)
-    num_edges = sum(len(adj) for adj in adjacency.values()) // 2
-    clustering_sum = sum(coefficients.values())
-    return GraphStats(
-        num_vertices=num_vertices,
-        num_edges=num_edges,
-        mean_local_clustering=(
-            clustering_sum / num_vertices if num_vertices else 0.0
-        ),
+    return GraphStats.from_sum(
+        len(adjacency),
+        sum(len(adj) for adj in adjacency.values()) // 2,
+        sum(coefficients.values()),
     )
 
 
@@ -351,8 +346,4 @@ def dataflow_evo(
         for vertex, burns in sorted(by_ambassador.items())
     ]
     engine.delta_iteration(initial, workset, step)
-    links: dict[int, list[int]] = {arrival: [] for arrival in ambassadors}
-    for vertex, burned in engine.solution.items():
-        for arrival in burned:
-            links[arrival].append(vertex)
-    return {arrival: sorted(targets) for arrival, targets in links.items()}
+    return evo_ref.evo_links(ambassadors, engine.solution.items())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals
 from repro.core import etl
 from repro.core.cost import CostMeter, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
@@ -43,19 +43,18 @@ class StratospherePlatform(Platform):
             2 * undirected.num_edges * EDGE_BYTES
             + undirected.num_vertices * SOLUTION_ENTRY_BYTES
         )
-        file_bytes = etl.edge_file_bytes(undirected.num_edges)
-        etl_time = (
-            self.cluster.hardware.startup_seconds
-            + etl.distributed_read_seconds(file_bytes, self.cluster)
-            + etl.parse_seconds(undirected.num_edges, 5.0, self.cluster)
-            + etl.partition_shuffle_seconds(storage, self.cluster)
-        )
         return GraphHandle(
             name=name,
             platform=self.name,
             graph=undirected,
             storage_bytes=storage,
-            etl_simulated_seconds=etl_time,
+            etl_simulated_seconds=etl.cluster_load_seconds(
+                undirected.num_edges,
+                undirected.num_edges,
+                5.0,
+                storage,
+                self.cluster,
+            ),
         )
 
     def _execute(
@@ -97,17 +96,13 @@ class StratospherePlatform(Platform):
             elif algorithm is Algorithm.LCC:
                 output = dataflow_lcc(engine)
             elif algorithm is Algorithm.EVO:
-                existing = sorted(adjacency)
-                next_id = existing[-1] + 1
-                ambassadors = {
-                    next_id + arrival: ambassador_for(
-                        params.evo_seed, next_id + arrival, existing
-                    )
-                    for arrival in range(params.evo_new_vertices)
-                }
                 output = dataflow_evo(
                     engine,
-                    ambassadors,
+                    evo_arrivals(
+                        sorted(adjacency),
+                        params.evo_new_vertices,
+                        params.evo_seed,
+                    ),
                     p_forward=params.evo_p_forward,
                     max_hops=params.evo_max_hops,
                     seed=params.evo_seed,

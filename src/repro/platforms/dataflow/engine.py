@@ -52,7 +52,7 @@ class DataflowEngine:
 
     def __init__(
         self,
-        adjacency: dict[int, tuple[int, ...]],
+        adjacency: dict[int, list[int]],
         spec: ClusterSpec,
         meter: CostMeter | None = None,
     ):

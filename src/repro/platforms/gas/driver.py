@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals, evo_links
 from repro.algorithms.stats import GraphStats
 from repro.core import etl
 from repro.core.cost import ClusterSpec, CostMeter, RunProfile
@@ -50,19 +50,18 @@ class GraphLabPlatform(Platform):
         )
         # ETL: read the edge file, hash every edge into the vertex
         # cut, and set up mirror replicas.
-        file_bytes = etl.edge_file_bytes(undirected.num_edges)
-        etl_time = (
-            self.cluster.hardware.startup_seconds
-            + etl.distributed_read_seconds(file_bytes, self.cluster)
-            + etl.parse_seconds(undirected.num_edges, 6.0, self.cluster)
-            + etl.partition_shuffle_seconds(storage, self.cluster)
-        )
         return GraphHandle(
             name=name,
             platform=self.name,
             graph=undirected,
             storage_bytes=storage,
-            etl_simulated_seconds=etl_time,
+            etl_simulated_seconds=etl.cluster_load_seconds(
+                undirected.num_edges,
+                undirected.num_edges,
+                6.0,
+                storage,
+                self.cluster,
+            ),
         )
 
     def _execute(
@@ -73,7 +72,7 @@ class GraphLabPlatform(Platform):
         engine = GASEngine(handle.graph, self.cluster, meter, bulk=self.bulk)
         program = self._build_program(handle, algorithm, params)
         result = engine.run(program)
-        output = self._extract_output(handle, algorithm, params, result)
+        output = self._extract_output(handle, algorithm, program, result)
         return output, meter.profile
 
     def _build_program(self, handle, algorithm, params):
@@ -101,48 +100,32 @@ class GraphLabPlatform(Platform):
             )
         if algorithm is Algorithm.EVO:
             adjacency = handle.adjacency()
-            existing = sorted(adjacency)
-            next_id = existing[-1] + 1
-            ambassadors = {
-                next_id + arrival: ambassador_for(
-                    params.evo_seed, next_id + arrival, existing
-                )
-                for arrival in range(params.evo_new_vertices)
-            }
             return GASEvoProgram(
                 adjacency,
-                ambassadors,
+                evo_arrivals(
+                    sorted(adjacency), params.evo_new_vertices, params.evo_seed
+                ),
                 p_forward=params.evo_p_forward,
                 max_hops=params.evo_max_hops,
                 seed=params.evo_seed,
             )
         raise ValueError(f"unsupported algorithm {algorithm}")
 
-    def _extract_output(self, handle, algorithm, params, result):
+    def _extract_output(self, handle, algorithm, program, result):
         if algorithm is Algorithm.STATS:
             adjacency = handle.adjacency()
-            num_vertices = len(adjacency)
-            num_edges = sum(len(adj) for adj in adjacency.values()) // 2
-            clustering_sum = sum(result.values.values())
-            return GraphStats(
-                num_vertices=num_vertices,
-                num_edges=num_edges,
-                mean_local_clustering=(
-                    clustering_sum / num_vertices if num_vertices else 0.0
-                ),
+            return GraphStats.from_sum(
+                len(adjacency),
+                sum(len(adj) for adj in adjacency.values()) // 2,
+                sum(result.values.values()),
             )
         if algorithm in (Algorithm.CD, Algorithm.PR):
             # The vertex value carries an iteration counter; only the
             # label (CD) / rank (PR) is the output.
             return {v: value[0] for v, value in result.values.items()}
         if algorithm is Algorithm.EVO:
-            existing = sorted(handle.adjacency())
-            next_id = existing[-1] + 1
-            links: dict[int, list[int]] = {
-                next_id + i: [] for i in range(params.evo_new_vertices)
-            }
-            for vertex, (burned, _fresh) in result.values.items():
-                for arrival in burned:
-                    links[arrival].append(vertex)
-            return {arrival: sorted(targets) for arrival, targets in links.items()}
+            return evo_links(
+                program.ambassadors,
+                ((v, burned) for v, (burned, _fresh) in result.values.items()),
+            )
         return dict(result.values)

@@ -240,10 +240,7 @@ class GASEngine:
     def adjacency(self) -> dict[int, list[int]]:
         """Neighbor lists as Python ints, built on first (scalar) use."""
         if self._adjacency is None:
-            self._adjacency = {
-                int(v): [int(u) for u in self.graph.neighbors(int(v))]
-                for v in self.graph.vertices
-            }
+            self._adjacency = self.graph.adjacency()
         return self._adjacency
 
     @property

@@ -340,7 +340,7 @@ class GASStatsProgram(GASProgram):
     read edge-adjacent state).
     """
 
-    def __init__(self, adjacency: dict[int, tuple[int, ...]]):
+    def __init__(self, adjacency: dict[int, list[int]]):
         self.adjacency = adjacency
 
     def initial_value(self, vertex: int, degree: int) -> float:
@@ -388,13 +388,15 @@ class GASEvoProgram(GASProgram):
 
     def __init__(
         self,
-        adjacency: dict[int, tuple[int, ...]],
+        adjacency: dict[int, list[int]],
         ambassadors: dict[int, int],
         p_forward: float,
         max_hops: int,
         seed: int,
     ):
         self.adjacency = adjacency
+        #: arrival id -> ambassador vertex
+        self.ambassadors = ambassadors
         self.p_forward = p_forward
         self.max_hops = max_hops
         self.seed = seed

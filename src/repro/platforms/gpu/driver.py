@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.core import etl
-from repro.core.cost import ClusterSpec, CostMeter, RunProfile
-from repro.core.platform_api import GraphHandle, Platform
-from repro.core.workload import Algorithm, AlgorithmParams
+from repro.core.cost import ClusterSpec, CostMeter
+from repro.core.platform_api import GraphHandle
 from repro.graph.graph import Graph
 from repro.platforms.gpu.engine import EDGE_BYTES, VERTEX_BYTES, GPUEngine, gpu_device_spec
 from repro.platforms.pregel.driver import GiraphPlatform
@@ -60,13 +59,5 @@ class MedusaPlatform(GiraphPlatform):
             etl_simulated_seconds=etl_time,
         )
 
-    def _execute(
-        self, handle: GraphHandle, algorithm: Algorithm, params: AlgorithmParams
-    ) -> tuple[object, RunProfile]:
-        meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
-        meter.charge_startup()
-        engine = GPUEngine(handle.graph, self.cluster, meter)
-        program = self._build_program(handle.graph, algorithm, params)
-        result = engine.run(program)
-        output = self._extract_output(handle.graph, algorithm, params, result)
-        return output, meter.profile
+    def _engine(self, graph: Graph, meter: CostMeter) -> GPUEngine:
+        return GPUEngine(graph, self.cluster, meter)

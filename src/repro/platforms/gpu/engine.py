@@ -120,10 +120,7 @@ class GPUEngine:
         self.graph = undirected
         self.spec = spec
         self.meter = meter or CostMeter(spec)
-        self.adjacency = {
-            int(v): [int(u) for u in undirected.neighbors(int(v))]
-            for v in undirected.vertices
-        }
+        self.adjacency = undirected.adjacency()
         self._weighted_adjacency: dict[int, list[tuple[int, float]]] | None = None
         self.num_arcs = sum(len(adj) for adj in self.adjacency.values())
         #: Dense thread order: consecutive vertex ids share a warp.

@@ -134,11 +134,8 @@ def db_stats(store: GraphStore) -> GraphStats:
     clustering_sum = 0.0
     for coefficient in coefficients.values():
         clustering_sum += coefficient
-    num_nodes = store.num_nodes
-    return GraphStats(
-        num_vertices=num_nodes,
-        num_edges=store.num_relationships,
-        mean_local_clustering=clustering_sum / num_nodes if num_nodes else 0.0,
+    return GraphStats.from_sum(
+        store.num_nodes, store.num_relationships, clustering_sum
     )
 
 
@@ -229,10 +226,8 @@ def db_evo(
     """EVO: per-arrival forest fires via store traversals."""
     existing = store.node_ids()
     adjacency = {node: store.neighbors(node) for node in existing}
-    next_id = existing[-1] + 1 if existing else 0
     links: dict[int, list[int]] = {}
-    for arrival_index in range(num_new_vertices):
-        arrival = next_id + arrival_index
+    for arrival in evo_ref.evo_arrivals(existing, num_new_vertices, seed):
         links[arrival] = evo_ref.single_fire(
             adjacency, existing, arrival, p_forward, max_hops, seed
         )

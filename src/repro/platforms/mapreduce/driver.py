@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals, evo_links
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
 from repro.core import etl
@@ -189,15 +189,10 @@ class MapReducePlatform(Platform):
             )
         totals = engine.run_job(StatsAggregationJob(), partials.output)
         sums = dict(totals.output)
-        num_vertices = int(sums.get("vertices", 0))
-        return GraphStats(
-            num_vertices=num_vertices,
-            num_edges=int(sums.get("edges", 0)) // 2,
-            mean_local_clustering=(
-                sums.get("clustering_sum", 0.0) / num_vertices
-                if num_vertices
-                else 0.0
-            ),
+        return GraphStats.from_sum(
+            int(sums.get("vertices", 0)),
+            int(sums.get("edges", 0)) // 2,
+            sums.get("clustering_sum", 0.0),
         )
 
     def _run_pagerank(self, engine, adjacency, params):
@@ -244,12 +239,11 @@ class MapReducePlatform(Platform):
         return dict(engine.run_job(LCCJob(), records).output)
 
     def _run_evo(self, engine, adjacency, params):
-        existing = sorted(adjacency)
-        next_id = existing[-1] + 1
+        arrivals = evo_arrivals(
+            sorted(adjacency), params.evo_new_vertices, params.evo_seed
+        )
         seeds: dict[int, dict[int, int]] = {}
-        for arrival_index in range(params.evo_new_vertices):
-            arrival = next_id + arrival_index
-            ambassador = ambassador_for(params.evo_seed, arrival, existing)
+        for arrival, ambassador in arrivals.items():
             seeds.setdefault(ambassador, {})[arrival] = 0
         records = [
             (v, (adj, dict(seeds.get(v, {})), dict(seeds.get(v, {}))))
@@ -263,10 +257,6 @@ class MapReducePlatform(Platform):
             records = result.output
             if result.counters.get("burned", 0) == 0:
                 break
-        links: dict[int, list[int]] = {
-            next_id + i: [] for i in range(params.evo_new_vertices)
-        }
-        for v, (adj, burned, fresh) in records:
-            for arrival in burned:
-                links[arrival].append(v)
-        return {arrival: sorted(targets) for arrival, targets in links.items()}
+        return evo_links(
+            arrivals, ((v, burned) for v, (_adj, burned, _fresh) in records)
+        )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals, evo_links
 from repro.algorithms.stats import GraphStats
 from repro.core import etl
 from repro.core.cost import ClusterSpec, CostMeter, RunProfile
@@ -49,19 +49,18 @@ class GiraphPlatform(Platform):
             + 2 * undirected.num_edges * EDGE_BYTES
         )
         # ETL: read the edge file from HDFS, parse, hash-partition.
-        file_bytes = etl.edge_file_bytes(undirected.num_edges)
-        etl_time = (
-            self.cluster.hardware.startup_seconds
-            + etl.distributed_read_seconds(file_bytes, self.cluster)
-            + etl.parse_seconds(undirected.num_edges, 4.0, self.cluster)
-            + etl.partition_shuffle_seconds(storage, self.cluster)
-        )
         return GraphHandle(
             name=name,
             platform=self.name,
             graph=undirected,
             storage_bytes=storage,
-            etl_simulated_seconds=etl_time,
+            etl_simulated_seconds=etl.cluster_load_seconds(
+                undirected.num_edges,
+                undirected.num_edges,
+                4.0,
+                storage,
+                self.cluster,
+            ),
         )
 
     def _execute(
@@ -69,11 +68,15 @@ class GiraphPlatform(Platform):
     ) -> tuple[object, RunProfile]:
         meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
         meter.charge_startup()
-        engine = PregelEngine(handle.graph, self.cluster, meter, bulk=self.bulk)
+        engine = self._engine(handle.graph, meter)
         program = self._build_program(handle.graph, algorithm, params)
         result = engine.run(program)
-        output = self._extract_output(handle.graph, algorithm, params, result)
+        output = self._extract_output(algorithm, program, result)
         return output, meter.profile
+
+    def _engine(self, graph: Graph, meter: CostMeter):
+        """The engine that runs the vertex programs."""
+        return PregelEngine(graph, self.cluster, meter, bulk=self.bulk)
 
     def _build_program(
         self, graph: Graph, algorithm: Algorithm, params: AlgorithmParams
@@ -103,54 +106,30 @@ class GiraphPlatform(Platform):
         if algorithm is Algorithm.LCC:
             return LCCProgram()
         if algorithm is Algorithm.EVO:
-            existing = [int(v) for v in graph.to_undirected().vertices]
-            next_id = existing[-1] + 1
-            ambassadors = {
-                next_id + arrival: ambassador_for(
-                    params.evo_seed, next_id + arrival, existing
-                )
-                for arrival in range(params.evo_new_vertices)
-            }
             return EvoProgram(
-                ambassadors=ambassadors,
+                ambassadors=evo_arrivals(
+                    graph.vertices.tolist(),
+                    params.evo_new_vertices,
+                    params.evo_seed,
+                ),
                 p_forward=params.evo_p_forward,
                 max_hops=params.evo_max_hops,
                 seed=params.evo_seed,
             )
         raise ValueError(f"unsupported algorithm {algorithm}")
 
-    def _extract_output(
-        self,
-        graph: Graph,
-        algorithm: Algorithm,
-        params: AlgorithmParams,
-        result,
-    ):
+    def _extract_output(self, algorithm: Algorithm, program, result):
         if algorithm is Algorithm.STATS:
-            num_vertices = result.aggregated.get("vertices", 0)
             # Each undirected edge was counted from both endpoints.
-            num_edges = result.aggregated.get("edges", 0) // 2
-            clustering_sum = result.aggregated.get("clustering_sum", 0.0)
-            mean_cc = clustering_sum / num_vertices if num_vertices else 0.0
-            return GraphStats(
-                num_vertices=num_vertices,
-                num_edges=num_edges,
-                mean_local_clustering=mean_cc,
+            return GraphStats.from_sum(
+                result.aggregated.get("vertices", 0),
+                result.aggregated.get("edges", 0) // 2,
+                result.aggregated.get("clustering_sum", 0.0),
             )
         if algorithm is Algorithm.CD:
             return {v: value[0] for v, value in result.values.items()}
         if algorithm is Algorithm.EVO:
-            # Transpose per-vertex burned-arrival sets into the
-            # reference's {new_vertex: [targets]} mapping.
-            links: dict[int, list[int]] = {}
-            undirected = graph.to_undirected()
-            existing = [int(v) for v in undirected.vertices]
-            next_id = existing[-1] + 1
-            for arrival in range(params.evo_new_vertices):
-                links[next_id + arrival] = []
-            for vertex, arrivals in result.values.items():
-                for arrival in arrivals:
-                    links[arrival].append(vertex)
-            return {arrival: sorted(targets) for arrival, targets in links.items()}
+            # Each vertex's value is the set of arrivals that burned it.
+            return evo_links(program.ambassadors, result.values.items())
         # BFS / CONN / PR / SSSP / LCC: plain {vertex: value} maps.
         return dict(result.values)

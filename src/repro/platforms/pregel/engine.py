@@ -283,10 +283,7 @@ class PregelEngine:
         undirected graphs as symmetric arc sets.
         """
         if self._adjacency is None:
-            self._adjacency = {
-                int(v): [int(u) for u in self.graph.neighbors(int(v))]
-                for v in self.graph.vertices
-            }
+            self._adjacency = self.graph.adjacency()
         return self._adjacency
 
     @property

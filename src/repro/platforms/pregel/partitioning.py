@@ -100,11 +100,7 @@ def greedy_partition(
         raise ValueError("num_workers must be >= 1")
     if slack < 1.0:
         raise ValueError("slack must be >= 1")
-    undirected = graph.to_undirected()
-    adjacency = {
-        int(v): [int(u) for u in undirected.neighbors(int(v))]
-        for v in undirected.vertices
-    }
+    adjacency = graph.to_undirected().adjacency()
     capacity = slack * len(adjacency) / num_workers if adjacency else 1.0
     placement: dict[int, int] = {}
     sizes = [0] * num_workers

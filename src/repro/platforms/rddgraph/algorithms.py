@@ -188,7 +188,7 @@ def graphx_sssp(
 
 
 def _neighbor_list_join(
-    graph: GraphXGraph, adjacency: dict[int, tuple[int, ...]], name: str
+    graph: GraphXGraph, adjacency: dict[int, list[int]], name: str
 ):
     """Ship every adjacency list across its edges; join it to the vertex.
 
@@ -223,7 +223,7 @@ def _local_clustering(record) -> float:
 
 
 def graphx_lcc(
-    graph: GraphXGraph, adjacency: dict[int, tuple[int, ...]]
+    graph: GraphXGraph, adjacency: dict[int, list[int]]
 ) -> dict[int, float]:
     """LCC via one ``aggregate_messages`` neighbor-list exchange.
 
@@ -247,7 +247,7 @@ def graphx_lcc(
 
 
 def graphx_stats(
-    graph: GraphXGraph, adjacency: dict[int, tuple[int, ...]]
+    graph: GraphXGraph, adjacency: dict[int, list[int]]
 ) -> GraphStats:
     """STATS via built-in counts plus a neighbor-list aggregation.
 
@@ -268,16 +268,12 @@ def graphx_stats(
     neighbor_lists.unpersist()
     with_adjacency.vertices.unpersist()
     clustering_sum = total[0][1] if total else 0.0
-    return GraphStats(
-        num_vertices=num_vertices,
-        num_edges=num_edges,
-        mean_local_clustering=clustering_sum / num_vertices if num_vertices else 0.0,
-    )
+    return GraphStats.from_sum(num_vertices, num_edges, clustering_sum)
 
 
 def graphx_evo(
     graph: GraphXGraph,
-    adjacency: dict[int, tuple[int, ...]],
+    adjacency: dict[int, list[int]],
     ambassadors: dict[int, int],
     p_forward: float,
     max_hops: int,
@@ -336,8 +332,7 @@ def graphx_evo(
         return (burned, fresh)
 
     result = graph.pregel(initial, vprog, send, merge, max_hops + 1)
-    links: dict[int, list[int]] = {arrival: [] for arrival in ambassadors}
-    for vertex, (burned, _fresh) in result.collect():
-        for arrival in burned:
-            links[arrival].append(vertex)
-    return {arrival: sorted(targets) for arrival, targets in links.items()}
+    return evo_ref.evo_links(
+        ambassadors,
+        ((vertex, burned) for vertex, (burned, _fresh) in result.collect()),
+    )

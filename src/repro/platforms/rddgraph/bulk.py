@@ -661,11 +661,7 @@ class BulkPregelRunner:
         worker_sums = ordered_group_sum(group_keys(vertex_workers), coefficients)
         for partial in worker_sums.tolist():
             clustering_sum += partial
-        return GraphStats(
-            num_vertices=n,
-            num_edges=int(arcs.sum()) // 2,
-            mean_local_clustering=clustering_sum / n if n else 0.0,
-        )
+        return GraphStats.from_sum(n, int(arcs.sum()) // 2, clustering_sum)
 
     # -- charge helpers -----------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals
 from repro.core import etl
 from repro.core.cost import ClusterSpec, CostMeter, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
@@ -80,19 +80,18 @@ class GraphXPlatform(Platform):
         # ETL: read from HDFS, deserialize into JVM objects (more ops
         # per record than Giraph's primitives), shuffle into the hash
         # partitioner's layout.
-        file_bytes = etl.edge_file_bytes(undirected.num_edges)
-        etl_time = (
-            self.cluster.hardware.startup_seconds
-            + etl.distributed_read_seconds(file_bytes, self.cluster)
-            + etl.parse_seconds(2 * undirected.num_edges, 8.0, self.cluster)
-            + etl.partition_shuffle_seconds(storage, self.cluster)
-        )
         return GraphHandle(
             name=name,
             platform=self.name,
             graph=undirected,
             storage_bytes=storage,
-            etl_simulated_seconds=etl_time,
+            etl_simulated_seconds=etl.cluster_load_seconds(
+                undirected.num_edges,
+                2 * undirected.num_edges,
+                8.0,
+                storage,
+                self.cluster,
+            ),
         )
 
     def _execute(
@@ -107,9 +106,7 @@ class GraphXPlatform(Platform):
             output = _BULK_RUNNERS[algorithm](context, handle.graph, params)
             return output, meter.profile
         adjacency = handle.adjacency()
-        graph = GraphXGraph.from_adjacency(
-            {v: list(adj) for v, adj in adjacency.items()}, context
-        )
+        graph = GraphXGraph.from_adjacency(adjacency, context)
         try:
             output = self._dispatch(graph, adjacency, algorithm, params, handle)
         finally:
@@ -162,18 +159,12 @@ class GraphXPlatform(Platform):
         if algorithm is Algorithm.LCC:
             return graphx_lcc(graph, adjacency)
         if algorithm is Algorithm.EVO:
-            existing = sorted(adjacency)
-            next_id = existing[-1] + 1
-            ambassadors = {
-                next_id + arrival: ambassador_for(
-                    params.evo_seed, next_id + arrival, existing
-                )
-                for arrival in range(params.evo_new_vertices)
-            }
             return graphx_evo(
                 graph,
                 adjacency,
-                ambassadors,
+                evo_arrivals(
+                    sorted(adjacency), params.evo_new_vertices, params.evo_seed
+                ),
                 p_forward=params.evo_p_forward,
                 max_hops=params.evo_max_hops,
                 seed=params.evo_seed,

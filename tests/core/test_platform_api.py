@@ -106,7 +106,7 @@ def test_handle_adjacency_is_built_once_in_neighbor_order():
     assert "adjacency" not in handle.detail
     adjacency = handle.adjacency()
     assert adjacency == {
-        int(v): tuple(int(u) for u in graph.neighbors(int(v)))
+        int(v): [int(u) for u in graph.neighbors(int(v))]
         for v in graph.vertices
     }
     assert list(adjacency) == graph.vertices.tolist()

@@ -3,7 +3,7 @@
 Every platform must compute outputs equal to the reference
 implementation on every fuzzed graph — the strongest cross-platform
 equivalence statement the reproduction makes: eight execution models,
-twenty adversarial graphs, four deterministic algorithms, zero
+twenty adversarial graphs, five deterministic algorithms, zero
 disagreements.
 """
 
@@ -18,10 +18,13 @@ from tests.differential.conftest import (
     PLATFORM_FACTORIES,
 )
 
-#: EVO is excluded: forest-fire sampling is seeded but its reference
-#: is distributional, not exact — the differential contract covers
-#: the four deterministic kernels.
-ALGORITHMS = [Algorithm.BFS, Algorithm.CONN, Algorithm.CD, Algorithm.STATS]
+ALGORITHMS = [
+    Algorithm.BFS,
+    Algorithm.CONN,
+    Algorithm.CD,
+    Algorithm.STATS,
+    Algorithm.EVO,
+]
 
 #: The LDBC-parity algorithms run over the *weighted* pool (SSSP needs
 #: edge weights; PR and LCC ignore them). SSSP and LCC compare exactly,
@@ -42,7 +45,7 @@ def validator():
 def test_platform_matches_reference_on_fuzzed_graphs(
     platform_name, graph_name, validator
 ):
-    """One platform, one fuzzed graph, all four algorithms: the
+    """One platform, one fuzzed graph, all five algorithms: the
     platform's outputs equal the reference's."""
     platform = PLATFORM_FACTORIES[platform_name]()
     graph = FUZZED_GRAPHS[graph_name]

@@ -69,20 +69,22 @@ class TestComponents:
 class TestClusteringStatistics:
     def test_matches_reference(self, fixture_graph, table_vertices):
         table, vertices = table_vertices
-        (num_vertices, num_edges, mean), _stats = (
-            procedures.clustering_statistics(table, vertices)
-        )
+        record, _stats = procedures.clustering_statistics(table, vertices)
         reference = stats(fixture_graph)
-        assert num_vertices == reference.num_vertices
-        assert num_edges == reference.num_edges
-        assert mean == pytest.approx(reference.mean_local_clustering, abs=1e-9)
+        assert record.num_vertices == reference.num_vertices
+        assert record.num_edges == reference.num_edges
+        assert record.mean_local_clustering == pytest.approx(
+            reference.mean_local_clustering, abs=1e-9
+        )
 
     def test_empty_vertex_list(self):
         table, _ = _table_and_vertices(Graph.from_edges([(0, 1)]))
-        (num_vertices, num_edges, mean), _stats = (
-            procedures.clustering_statistics(table, [])
-        )
-        assert (num_vertices, num_edges, mean) == (0, 0, 0.0)
+        record, _stats = procedures.clustering_statistics(table, [])
+        assert (
+            record.num_vertices,
+            record.num_edges,
+            record.mean_local_clustering,
+        ) == (0, 0, 0.0)
 
 
 class TestLabelPropagation:

@@ -12,6 +12,7 @@ a weighted twin of the graph).
 
 import pytest
 
+from repro.algorithms.evo import forest_fire_links
 from repro.core.cost import ClusterSpec
 from repro.core.validation import OutputValidator
 from repro.core.workload import Algorithm, AlgorithmParams
@@ -25,6 +26,7 @@ from repro.platforms.graphdb.driver import Neo4jPlatform
 from repro.platforms.mapreduce.driver import MapReducePlatform
 from repro.platforms.pregel.driver import GiraphPlatform
 from repro.platforms.rddgraph.driver import GraphXPlatform
+from repro.platforms.registry import available_platforms, create_platform_fleet
 
 PLATFORM_FACTORIES = {
     "giraph": lambda: GiraphPlatform(ClusterSpec.paper_distributed()),
@@ -107,3 +109,21 @@ def test_platforms_agree_with_each_other(algorithm):
                 assert output[vertex] == pytest.approx(rank, abs=1e-9)
     else:
         assert all(output == first for output in outputs[1:])
+
+
+@pytest.mark.parametrize("new_vertices", [0, 3])
+@pytest.mark.parametrize("platform_name", available_platforms())
+def test_evo_rejects_an_empty_graph_as_the_reference_does(
+    platform_name, new_vertices
+):
+    empty = Graph.from_edges([], vertices=[], directed=False)
+    message = "^cannot evolve an empty graph$"
+    with pytest.raises(ValueError, match=message):
+        forest_fire_links(empty, new_vertices)
+    (platform,) = create_platform_fleet(
+        ClusterSpec.paper_distributed(), names=[platform_name]
+    )
+    handle = platform.upload_graph("empty", empty)
+    params = AlgorithmParams(evo_new_vertices=new_vertices)
+    with pytest.raises(ValueError, match=message):
+        platform.run_algorithm(handle, Algorithm.EVO, params)
