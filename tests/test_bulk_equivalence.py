@@ -48,9 +48,7 @@ from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
 from repro.observability import profile_fingerprint
 from repro.platforms.columnar.driver import VirtuosoPlatform
-from repro.platforms.dataflow.driver import StratospherePlatform
 from repro.platforms.gas.driver import GraphLabPlatform
-from repro.platforms.gpu.driver import MedusaPlatform
 from repro.platforms.graphdb.driver import Neo4jPlatform
 from repro.platforms.graphdb.store import NODE_RECORD_BYTES
 from repro.platforms.mapreduce.driver import MapReducePlatform
@@ -62,6 +60,7 @@ from repro.platforms.pregel.programs import (
     StatsProgram,
 )
 from repro.platforms.rddgraph.driver import GraphXPlatform
+from repro.platforms.registry import create_platform_fleet
 from repro.robustness.memory import apply_mem_limit
 
 #: Every platform with a bulk toggle.
@@ -339,9 +338,9 @@ def _uploaders(platform_name: str) -> list:
     converted = {cls.name: cls for cls in CONVERTED_PLATFORMS}
     if platform_name in converted:
         return [_platform(converted[platform_name], bulk) for bulk in (True, False)]
-    if platform_name == MedusaPlatform.name:
-        return [MedusaPlatform()]
-    return [StratospherePlatform(ClusterSpec.paper_distributed())]
+    return create_platform_fleet(
+        ClusterSpec.paper_distributed(), names=[platform_name]
+    )
 
 
 @pytest.mark.parametrize("key", sorted(UPLOAD_PINS), ids="-".join)
