@@ -287,8 +287,8 @@ def test_giraph_out_of_memory_is_bit_identical(algorithm, fraction):
 #: ``(storage_bytes, etl_simulated_seconds)`` of each upload, as
 #: measured when the uploads still built the per-vertex adjacency
 #: mapping (graphx, mapreduce) or their records one at a time (neo4j,
-#: virtuoso), and when each cluster driver summed its own load-time
-#: terms (giraph, graphlab, medusa, stratosphere); an empty graph
+#: virtuoso), and when the giraph, graphlab, medusa and stratosphere
+#: drivers each summed their own load-time terms; an empty graph
 #: stores the int ``0`` on MapReduce.
 UPLOAD_PINS = {
     ("giraph", "rmat-directed"): (35104.0, 10.000035330153846),
