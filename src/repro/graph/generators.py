@@ -53,10 +53,10 @@ def rmat_graph(
         Deterministic RNG seed.
     bulk:
         Feed the sampled edge arrays straight into :class:`Graph`
-        (vectorized self-loop drop + sort/dedup), which is what makes
-        multi-million-edge scales practical; ``bulk=False`` keeps the
-        per-edge :class:`GraphBuilder` path. Both produce the
-        identical graph.
+        (its constructor's vectorized self-loop drop + sort/dedup),
+        which is what makes multi-million-edge scales practical;
+        ``bulk=False`` keeps the per-edge :class:`GraphBuilder` path.
+        Both produce the identical graph.
 
     Notes
     -----
@@ -105,10 +105,9 @@ def rmat_graph(
         np.add(targets, bit, out=targets, where=c0)
 
     if bulk:
-        keep = sources != targets
         return Graph(
             np.arange(n, dtype=np.int64),
-            np.column_stack([sources[keep], targets[keep]]),
+            np.column_stack([sources, targets]),
             directed=directed,
         )
     builder = GraphBuilder(directed=directed)

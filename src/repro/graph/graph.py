@@ -13,12 +13,16 @@ need to be dense. Internally vertices are mapped to dense indices so
 that adjacency can be stored in two numpy arrays (offsets + targets),
 which keeps even multi-million-edge graphs comfortably in memory.
 
+A graph holds no self-loop: the benchmark operates on simple graphs,
+and the constructor drops every edge whose endpoints are equal, so
+every engine that reads the graph sees the same arcs.
+
 Graphs may optionally carry **edge weights** (one float per edge,
 required by the SSSP workload of LDBC Graphalytics). Weights ride
 alongside the edge list, survive :meth:`Graph.save`/:meth:`Graph.load`
 (on-disk format v2), participate in :meth:`Graph.content_key`, and
-propagate through the directed/undirected views. When duplicate edges
-are supplied with different weights, the minimum wins — the
+propagate through the undirected view. When duplicate edges are
+supplied with different weights, the minimum wins — the
 shortest-path-relevant value, and a deterministic choice.
 """
 
@@ -31,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.graph.kernels import csr_gather, group_reduce
+from repro.graph.kernels import group_reduce
 
 __all__ = ["Graph", "GraphBuilder"]
 
@@ -46,9 +50,9 @@ GRAPH_FORMAT_WEIGHTED = "graphalytics-graph/2"
 class GraphBuilder:
     """Mutable accumulator used to construct a :class:`Graph`.
 
-    The builder deduplicates edges and ignores self-loops by default,
-    mirroring how Graphalytics preprocesses its datasets (the benchmark
-    operates on simple graphs).
+    The builder deduplicates edges and ignores self-loops, mirroring
+    how Graphalytics preprocesses its datasets (the benchmark operates
+    on simple graphs).
 
     Parameters
     ----------
@@ -56,13 +60,10 @@ class GraphBuilder:
         Whether the resulting graph is directed. In an undirected
         graph, ``add_edge(u, v)`` and ``add_edge(v, u)`` are the same
         edge.
-    allow_self_loops:
-        Keep self-loops instead of silently dropping them.
     """
 
-    def __init__(self, directed: bool = False, allow_self_loops: bool = False):
+    def __init__(self, directed: bool = False):
         self.directed = directed
-        self.allow_self_loops = allow_self_loops
         self._vertices: set[int] = set()
         self._edges: set[tuple[int, int]] = set()
         self._weights: dict[tuple[int, int], float] = {}
@@ -83,17 +84,16 @@ class GraphBuilder:
     ) -> bool:
         """Add an edge; returns ``True`` if it was new.
 
-        Self-loops are dropped (returning ``False``) unless the builder
-        was created with ``allow_self_loops=True``. When a ``weight``
-        is supplied for an edge that already exists, the minimum of the
-        two weights is kept (duplicate-edge resolution for weighted
-        datasets).
+        Self-loops are dropped (returning ``False``). When a
+        ``weight`` is supplied for an edge that already exists, the
+        minimum of the two weights is kept (duplicate-edge resolution
+        for weighted datasets).
         """
         source = int(source)
         target = int(target)
         if source < 0 or target < 0:
             raise ValueError("vertex ids must be non-negative")
-        if source == target and not self.allow_self_loops:
+        if source == target:
             return False
         self._vertices.add(source)
         self._vertices.add(target)
@@ -187,6 +187,9 @@ class Graph:
     Use :class:`GraphBuilder`, :meth:`from_edges`, or
     :meth:`from_adjacency` rather than calling the constructor with raw
     edge lists, unless the input is already deduplicated and sorted.
+    The constructor itself drops self-loops (and their weights), after
+    checking that every endpoint is a registered vertex and every
+    weight is valid.
 
     Attributes
     ----------
@@ -217,7 +220,6 @@ class Graph:
         else:
             self._vertex_ids = np.unique(vertex_array)
         self._index_cache: dict[int, int] | None = None
-        self._directed_view: "Graph" | None = None
         self._undirected_view: "Graph" | None = None
         self._csr_weight_cache: np.ndarray | None = None
         n = len(self._vertex_ids)
@@ -276,8 +278,9 @@ class Graph:
                         f"edge ({source}, {target}) references an "
                         "unregistered vertex"
                     )
-        src_idx = positions[0::2]
-        dst_idx = positions[1::2]
+        src_idx, dst_idx, weight_array = _without_self_loops(
+            positions[0::2], positions[1::2], weight_array
+        )
         if not directed and len(src_idx):
             src_idx, dst_idx = (
                 np.minimum(src_idx, dst_idx),
@@ -548,18 +551,6 @@ class Graph:
         """
         return np.diff(self._offsets)
 
-    def frontier_neighbors(self, frontier: Iterable[int]) -> np.ndarray:
-        """Concatenated out-neighbor ids of every frontier vertex.
-
-        The result lists neighbors *with multiplicity*, grouped by
-        frontier vertex in the given frontier order (each group sorted
-        ascending, like :meth:`neighbors`). One call replaces
-        ``len(frontier)`` per-vertex ``neighbors()`` CSR slices — the
-        core primitive of the bulk BFS/CONN kernels.
-        """
-        positions, _ = csr_gather(self._offsets, self.indices_of(frontier))
-        return self._vertex_ids[self._targets[positions]]
-
     # -- derived graphs -----------------------------------------------
 
     def to_undirected(self) -> "Graph":
@@ -578,26 +569,6 @@ class Graph:
                 weights=self._weight_list,
             )
         return self._undirected_view
-
-    def to_directed(self) -> "Graph":
-        """Directed view: every undirected edge becomes two arcs.
-
-        Cached like :meth:`to_undirected`.
-        """
-        if self.directed:
-            return self
-        if self._directed_view is None:
-            reversed_edges = self._edge_list[:, ::-1]
-            both = np.concatenate([self._edge_list, reversed_edges])
-            both_weights = (
-                None
-                if self._weight_list is None
-                else np.concatenate([self._weight_list, self._weight_list])
-            )
-            self._directed_view = Graph(
-                self._vertex_ids, both, directed=True, weights=both_weights
-            )
-        return self._directed_view
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertex set."""
@@ -768,7 +739,6 @@ class Graph:
             graph._in_targets = graph._targets
         graph._weight_list = _read("weights") if weighted else None
         graph._index_cache = None
-        graph._directed_view = None
         graph._undirected_view = None
         graph._csr_weight_cache = None
         return graph
@@ -854,6 +824,19 @@ def _validated_weights(
     ):
         raise ValueError("edge weights must be finite and positive")
     return weight_array
+
+
+def _without_self_loops(
+    sources: np.ndarray, targets: np.ndarray, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Drop the edges whose endpoints are equal, with their weights:
+    a graph holds no self-loop."""
+    links = sources != targets
+    if links.all():
+        return sources, targets, weights
+    if weights is not None:
+        weights = weights[links]
+    return sources[links], targets[links], weights
 
 
 def _build_csr(

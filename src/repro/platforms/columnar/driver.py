@@ -14,11 +14,11 @@ scan operations; the machine is a single multi-core node, so there is
 no network and no barrier cost — but the *whole compressed table plus
 the traversal state* must fit its memory.
 
-The upload builds ``sp_edge`` from the graph's edge arrays and keeps
-the table's key ranges as a CSR. With ``bulk=True`` (the default) BFS,
-CONN and PR run over that CSR with their work counters in closed
-form; ``bulk=False`` runs every procedure vertex by vertex. Both give
-the same outputs and counters.
+The upload builds ``sp_edge`` from the graph's edge arrays. With
+``bulk=True`` (the default) BFS, CONN and PR run over the uploaded
+graph's CSR, whose rows list the arcs of the table's key ranges, with
+their work counters in closed form; ``bulk=False`` runs every
+procedure vertex by vertex. Both give the same outputs and counters.
 """
 
 from __future__ import annotations
@@ -44,20 +44,17 @@ ACCESSES_PER_LOOKUP = 2.0
 STATE_BYTES_PER_VERTEX = 24.0
 
 
-#: The procedures the bulk path runs over the table's CSR, each as
-#: ``procedure(csr, handle, params)``; the rest run vertex by vertex.
+#: The procedures the bulk path runs over the graph's CSR, each as
+#: ``procedure(graph, params)``; the rest run vertex by vertex.
 _CSR_PROCEDURES = {
-    Algorithm.BFS: lambda csr, handle, params: procedures.csr_bfs_distances(
-        csr, handle.graph.vertices, params.resolve_bfs_source(handle.graph)
+    Algorithm.BFS: lambda graph, params: procedures.csr_bfs_distances(
+        graph, params.resolve_bfs_source(graph)
     ),
-    Algorithm.CONN: lambda csr, handle, params: (
-        procedures.csr_connected_components(csr, handle.graph.vertices)
+    Algorithm.CONN: lambda graph, params: (
+        procedures.csr_connected_components(graph)
     ),
-    Algorithm.PR: lambda csr, handle, params: procedures.csr_pagerank(
-        csr,
-        handle.graph.vertices,
-        params.pagerank_damping,
-        params.pagerank_iterations,
+    Algorithm.PR: lambda graph, params: procedures.csr_pagerank(
+        graph, params.pagerank_damping, params.pagerank_iterations
     ),
 }
 
@@ -77,7 +74,7 @@ class VirtuosoPlatform(Platform):
         super().__init__(cluster or paper_dbms_spec())
         if self.cluster.num_workers != 1:
             raise ValueError("the column store is a single-machine DBMS")
-        #: BFS, CONN and PR over the table's CSR; ``bulk=False`` runs
+        #: BFS, CONN and PR over the graph's CSR; ``bulk=False`` runs
         #: them vertex by vertex (the cost profile is identical either
         #: way).
         self.bulk = bulk
@@ -113,11 +110,7 @@ class VirtuosoPlatform(Platform):
             graph=undirected,
             storage_bytes=storage,
             etl_simulated_seconds=etl_time,
-            detail={
-                "table": table,
-                "vertices": vertices,
-                "csr": procedures.table_csr(table, undirected.vertices),
-            },
+            detail={"table": table, "vertices": vertices},
         )
 
     def _execute(
@@ -144,7 +137,7 @@ class VirtuosoPlatform(Platform):
 
     def _run_procedure(self, table, vertices, handle, algorithm, params):
         if self.bulk and algorithm in _CSR_PROCEDURES:
-            return _CSR_PROCEDURES[algorithm](handle.detail["csr"], handle, params)
+            return _CSR_PROCEDURES[algorithm](handle.graph, params)
         if algorithm is Algorithm.BFS:
             start = params.resolve_bfs_source(handle.graph)
             return procedures.bfs_distances(table, vertices, start)

@@ -13,9 +13,10 @@ Each procedure returns its result plus a :class:`ProcedureStats`
 work profile (random lookups + edge endpoints visited) that the
 platform driver converts into cost-meter charges.
 
-BFS, CONN and PR also run whole over the table's CSR
-(:func:`table_csr`: the ``spe_from`` key range of every vertex):
-``csr_bfs_distances``, ``csr_connected_components`` and
+BFS, CONN and PR also run whole over the uploaded graph's CSR
+(:meth:`~repro.graph.graph.Graph.csr`), whose row ``i`` lists the
+same arcs as the ``spe_from`` key range of vertex ``i`` in
+``sp_edge``: ``csr_bfs_distances``, ``csr_connected_components`` and
 ``csr_pagerank`` return what their per-vertex twins return, with the
 counters in closed form. A per-vertex procedure looks up each vertex
 it expands once and visits that vertex's arcs, so BFS counts the
@@ -36,6 +37,7 @@ from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
 from repro.graph import kernels
+from repro.graph.graph import Graph
 from repro.graph.properties import lcc_value, received_links
 from repro.platforms.columnar.table import ColumnTable
 
@@ -49,7 +51,6 @@ __all__ = [
     "pagerank",
     "sssp_distances",
     "local_clustering",
-    "table_csr",
     "csr_bfs_distances",
     "csr_connected_components",
     "csr_pagerank",
@@ -362,26 +363,12 @@ def forest_fire(
     return links, stats
 
 
-def table_csr(
-    table: ColumnTable, vertex_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The edge table as CSR ``(offsets, targets)`` over dense indices.
-
-    Row ``i`` is the ``spe_from`` key range of ``vertex_ids[i]``
-    (sorted ascending, as the table's keys are), and ``targets`` holds
-    each arc's ``spe_to`` as a position in ``vertex_ids``.
-    """
-    keys = table.column("spe_from").to_numpy()
-    offsets = np.append(np.searchsorted(keys, vertex_ids), len(keys))
-    targets = np.searchsorted(vertex_ids, table.column("spe_to").to_numpy())
-    return offsets, targets
-
-
 def csr_bfs_distances(
-    csr: tuple[np.ndarray, np.ndarray], vertex_ids: np.ndarray, start: int
+    graph: Graph, start: int
 ) -> tuple[dict[int, int], ProcedureStats]:
-    """:func:`bfs_distances` over the table's CSR (:func:`table_csr`)."""
-    offsets, targets = csr
+    """:func:`bfs_distances` over the graph's CSR."""
+    vertex_ids = graph.vertices
+    offsets, targets = graph.csr()
     levels = kernels.csr_bfs_levels(
         offsets, targets, kernels.dense_index(vertex_ids, start)
     )
@@ -394,10 +381,11 @@ def csr_bfs_distances(
 
 
 def csr_connected_components(
-    csr: tuple[np.ndarray, np.ndarray], vertex_ids: np.ndarray
+    graph: Graph,
 ) -> tuple[dict[int, int], ProcedureStats]:
-    """:func:`connected_components` over the table's CSR."""
-    offsets, targets = csr
+    """:func:`connected_components` over the graph's CSR."""
+    vertex_ids = graph.vertices
+    offsets, targets = graph.csr()
     labels = vertex_ids[kernels.csr_min_labels(offsets, targets)]
     stats = ProcedureStats(
         random_lookups=len(vertex_ids), endpoints_visited=len(targets)
@@ -406,13 +394,11 @@ def csr_connected_components(
 
 
 def csr_pagerank(
-    csr: tuple[np.ndarray, np.ndarray],
-    vertex_ids: np.ndarray,
-    damping: float,
-    iterations: int,
+    graph: Graph, damping: float, iterations: int
 ) -> tuple[dict[int, float], ProcedureStats]:
-    """:func:`pagerank` over the table's CSR."""
-    offsets, targets = csr
+    """:func:`pagerank` over the graph's CSR."""
+    vertex_ids = graph.vertices
+    offsets, targets = graph.csr()
     ranks = kernels.csr_pagerank(offsets, targets, damping, iterations)
     stats = ProcedureStats(
         random_lookups=len(vertex_ids),

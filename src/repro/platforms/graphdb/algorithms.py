@@ -5,12 +5,13 @@ Neo4j algorithms do: no network, no barriers, but every neighbor
 expansion chases relationship-chain pointers (charged as random
 accesses by the store).
 
-BFS, CONN and PR also run whole over the relationship chains as one
-CSR (:func:`~repro.platforms.graphdb.store.relationship_chains`):
-``chain_bfs``, ``chain_conn`` and ``chain_pagerank`` return what
-``db_bfs``, ``db_conn`` and ``db_pagerank`` return and charge the
-same totals, one ``charge_compute`` for the ``node_ids()`` scan (and
-PageRank's per-round scans) and one ``charge_random_access`` for the
+BFS, CONN and PR also run whole over the uploaded graph's CSR
+(:meth:`~repro.graph.graph.Graph.csr`), whose row ``i`` is node
+``i``'s relationship chain: ``chain_bfs``, ``chain_conn`` and
+``chain_pagerank`` return what ``db_bfs``, ``db_conn`` and
+``db_pagerank`` return and charge the same totals, one
+``charge_compute`` for the ``node_ids()`` scan (and PageRank's
+per-round scans) and one ``charge_random_access`` for the
 ``1 + len(chain)`` accesses of every chain walked. The counts are
 integers, so one total equals the scalar call sequence bit for bit.
 """
@@ -26,6 +27,7 @@ from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
 from repro.core.cost import CostMeter
+from repro.graph.graph import Graph
 from repro.graph.kernels import (
     csr_bfs_levels,
     csr_min_labels,
@@ -49,9 +51,6 @@ __all__ = [
     "chain_conn",
     "chain_pagerank",
 ]
-
-#: A node's relationship chains as CSR ``(offsets, neighbors)`` arrays.
-Chains = tuple[np.ndarray, np.ndarray]
 
 
 def db_bfs(store: GraphStore, source: int) -> dict[int, int]:
@@ -235,12 +234,11 @@ def db_evo(
     return links
 
 
-def chain_bfs(
-    node_ids: np.ndarray, chains: Chains, meter: CostMeter, source: int
-) -> dict[int, int]:
+def chain_bfs(graph: Graph, meter: CostMeter, source: int) -> dict[int, int]:
     """:func:`db_bfs` over the chain CSR: every reached node's chain is
     walked once."""
-    offsets, neighbors = chains
+    node_ids = graph.vertices
+    offsets, neighbors = graph.csr()
     meter.charge_compute(0, len(node_ids))
     levels = csr_bfs_levels(offsets, neighbors, dense_index(node_ids, source))
     reached = levels != UNREACHABLE
@@ -250,12 +248,11 @@ def chain_bfs(
     return dict(zip(node_ids.tolist(), levels.tolist()))
 
 
-def chain_conn(
-    node_ids: np.ndarray, chains: Chains, meter: CostMeter
-) -> dict[int, int]:
+def chain_conn(graph: Graph, meter: CostMeter) -> dict[int, int]:
     """:func:`db_conn` over the chain CSR: every node's chain is walked
     once, and each node is labeled with its component's minimum id."""
-    offsets, neighbors = chains
+    node_ids = graph.vertices
+    offsets, neighbors = graph.csr()
     meter.charge_compute(0, len(node_ids))
     meter.charge_random_access(0, len(node_ids) + len(neighbors))
     labels = node_ids[csr_min_labels(offsets, neighbors)]
@@ -263,15 +260,12 @@ def chain_conn(
 
 
 def chain_pagerank(
-    node_ids: np.ndarray,
-    chains: Chains,
-    meter: CostMeter,
-    damping: float,
-    iterations: int,
+    graph: Graph, meter: CostMeter, damping: float, iterations: int
 ) -> dict[int, float]:
     """:func:`db_pagerank` over the chain CSR: the chains are walked
     once, and each round scans every node and its neighbors."""
-    offsets, neighbors = chains
+    node_ids = graph.vertices
+    offsets, neighbors = graph.csr()
     n, arcs = len(node_ids), len(neighbors)
     meter.charge_compute(0, n + iterations * (n + arcs))
     meter.charge_random_access(0, n + arcs)

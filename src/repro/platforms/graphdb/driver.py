@@ -1,8 +1,8 @@
 """Neo4j platform driver.
 
-The upload keeps the graph as every node's relationship chain in one
-CSR; ``bulk=True`` (the default) charges the record store's bytes from
-counts and runs BFS, CONN and PR over that CSR. The linked record
+``bulk=True`` (the default) charges the record store's bytes from
+counts at upload and runs BFS, CONN and PR over the uploaded graph's
+CSR, whose rows are the nodes' relationship chains. The linked record
 store the other procedures walk is built when one of them first needs
 it, at upload under ``bulk=False``. Both paths produce the same
 outputs and cost profiles.
@@ -32,29 +32,19 @@ from repro.platforms.graphdb.store import (
     GraphStore,
     allocate_records,
     build_store,
-    relationship_chains,
 )
 
 __all__ = ["Neo4jPlatform"]
 
-#: The algorithms the bulk path runs over the chain CSR, each as
-#: ``runner(handle, meter, params)``; the rest walk the record store.
+#: The algorithms the bulk path runs over the graph's CSR, each as
+#: ``runner(graph, meter, params)``; the rest walk the record store.
 _CHAIN_RUNNERS = {
-    Algorithm.BFS: lambda handle, meter, params: chain_bfs(
-        handle.graph.vertices,
-        handle.detail["chains"],
-        meter,
-        params.resolve_bfs_source(handle.graph),
+    Algorithm.BFS: lambda graph, meter, params: chain_bfs(
+        graph, meter, params.resolve_bfs_source(graph)
     ),
-    Algorithm.CONN: lambda handle, meter, params: chain_conn(
-        handle.graph.vertices, handle.detail["chains"], meter
-    ),
-    Algorithm.PR: lambda handle, meter, params: chain_pagerank(
-        handle.graph.vertices,
-        handle.detail["chains"],
-        meter,
-        params.pagerank_damping,
-        params.pagerank_iterations,
+    Algorithm.CONN: lambda graph, meter, params: chain_conn(graph, meter),
+    Algorithm.PR: lambda graph, meter, params: chain_pagerank(
+        graph, meter, params.pagerank_damping, params.pagerank_iterations
     ),
 }
 
@@ -83,7 +73,7 @@ class Neo4jPlatform(Platform):
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
         meter = CostMeter(self.cluster)
-        detail = {"chains": relationship_chains(undirected)}
+        detail = {}
         # The store's records charge the upload meter's memory; insert
         # *time* is the explicit ETL model below.
         if self.bulk:
@@ -141,7 +131,7 @@ class Neo4jPlatform(Platform):
         meter.begin_round(algorithm.value.lower())
         try:
             if self.bulk and algorithm in _CHAIN_RUNNERS:
-                output = _CHAIN_RUNNERS[algorithm](handle, meter, params)
+                output = _CHAIN_RUNNERS[algorithm](handle.graph, meter, params)
             else:
                 output = self._walk_store(handle, meter, algorithm, params)
         finally:

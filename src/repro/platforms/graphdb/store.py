@@ -16,11 +16,12 @@ Record sizes follow Neo4j's on-disk format of the era (node 14 B,
 relationship 33 B) plus page/cache overhead.
 
 The linked :class:`GraphStore` is what the scalar procedures walk.
-The bulk procedures read the same chains as one CSR
-(:func:`relationship_chains`), and a bulk upload charges the store's
-record bytes from counts (:func:`allocate_records`), so the linked
-records are built (:func:`build_store`) only when a scalar procedure
-first needs them.
+The bulk procedures read the same chains off the uploaded graph's
+CSR (:meth:`~repro.graph.graph.Graph.csr`: a relationship sits on
+both endpoints' chains, as each edge gives the CSR both its arcs),
+and a bulk upload charges the store's record bytes from counts
+(:func:`allocate_records`), so the linked records are built
+(:func:`build_store`) only when a scalar procedure first needs them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "NO_RELATIONSHIP",
     "allocate_records",
     "build_store",
-    "relationship_chains",
 ]
 
 #: In-memory bytes per node record (14 B record + page-cache overhead).
@@ -277,24 +277,3 @@ def allocate_records(meter: CostMeter, graph: Graph) -> None:
             np.repeat(record_bytes, counts),
         ),
     )
-
-
-def relationship_chains(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's relationship chain as a CSR over dense node indices.
-
-    Returns ``(offsets, neighbors)``: row ``i`` lists the other
-    endpoint of each relationship on ``graph.vertices[i]``'s chain, in
-    ascending order, as :meth:`GraphStore.neighbors` returns them. A
-    relationship sits on both endpoints' chains, but a self-loop only
-    once on its node's chain, where :meth:`Graph.csr` lists it twice.
-    """
-    n = graph.num_vertices
-    sources = graph.indices_of(graph.edges[:, 0])
-    targets = graph.indices_of(graph.edges[:, 1])
-    links = sources != targets
-    keys = np.concatenate([sources * n + targets, targets[links] * n + sources[links]])
-    keys.sort()
-    rows, neighbors = np.divmod(keys, n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    return offsets, neighbors

@@ -140,8 +140,8 @@ class VertexContext:
 
     @property
     def num_edges(self) -> int:
-        """Total arcs in the (symmetrized) graph."""
-        return self._engine.graph.num_edges
+        """Total arcs: an undirected edge counts once per direction."""
+        return len(self._engine.graph.csr()[1])
 
     def neighbors(self) -> list[int]:
         """The current vertex's out-neighbors."""
@@ -216,7 +216,7 @@ class PregelEngine:
         adaptive_central_fraction: float | None = None,
         bulk: bool = True,
     ):
-        self.graph = graph.to_directed() if not graph.directed else graph
+        self.graph = graph
         self.spec = spec
         self.meter = meter or CostMeter(spec)
         # Per-vertex structures (the adjacency dict and the partition

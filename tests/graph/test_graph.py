@@ -27,11 +27,6 @@ class TestGraphBuilder:
         # The vertex is not even registered by a rejected self-loop.
         assert builder.num_vertices == 0
 
-    def test_keeps_self_loops_when_allowed(self):
-        builder = GraphBuilder(allow_self_loops=True)
-        assert builder.add_edge(3, 3)
-        assert builder.num_edges == 1
-
     def test_rejects_negative_vertices(self):
         builder = GraphBuilder()
         with pytest.raises(ValueError):
@@ -99,12 +94,22 @@ class TestGraph:
         for index, vertex in enumerate(small_rmat.vertices):
             assert sequence[index] == small_rmat.degree(int(vertex))
 
-    def test_to_directed_roundtrip(self, triangle_graph):
-        directed = triangle_graph.to_directed()
-        assert directed.directed
-        assert directed.num_edges == 2 * triangle_graph.num_edges
-        back = directed.to_undirected()
-        assert back == triangle_graph
+    def test_constructor_drops_self_loops_with_their_weights(self):
+        graph = Graph(
+            [1, 2, 3], [(2, 2), (1, 2), (3, 3)], weights=[1.0, 2.0, 3.0]
+        )
+        assert [tuple(e) for e in graph.edges] == [(1, 2)]
+        assert graph.weights.tolist() == [2.0]
+        assert graph.neighbors(2).tolist() == [1]
+        assert graph.csr_weights().tolist() == [2.0, 2.0]
+
+    def test_constructor_checks_self_loops_before_dropping_them(self):
+        with pytest.raises(ValueError, match="unregistered vertex"):
+            Graph([1], [(2, 2)])
+        with pytest.raises(ValueError, match="finite and positive"):
+            Graph([1, 2], [(1, 1), (1, 2)], weights=[-1.0, 1.0])
+        with pytest.raises(ValueError, match="weights for"):
+            Graph([1, 2], [(1, 1), (1, 2)], weights=[1.0])
 
     def test_to_undirected_merges_reciprocal_arcs(self):
         directed = Graph.from_edges([(0, 1), (1, 0)], directed=True)
@@ -195,26 +200,3 @@ class TestBulkAccessors:
         idx = triangle_graph.indices_of([2])[0]
         row = targets[offsets[idx] : offsets[idx + 1]]
         assert set(triangle_graph.vertices[row].tolist()) == {0, 1, 3}
-
-    def test_frontier_neighbors_matches_per_vertex_slices(
-        self, triangle_graph
-    ):
-        frontier = [2, 0, 4]
-        expected = np.concatenate(
-            [triangle_graph.neighbors(v) for v in frontier]
-        )
-        got = triangle_graph.frontier_neighbors(frontier)
-        assert np.array_equal(got, expected)
-
-    def test_frontier_neighbors_keeps_multiplicity(self, triangle_graph):
-        doubled = triangle_graph.frontier_neighbors([3, 3])
-        assert doubled.tolist() == [2, 2]
-
-    def test_frontier_neighbors_empty_cases(self, triangle_graph):
-        assert triangle_graph.frontier_neighbors([]).tolist() == []
-        assert triangle_graph.frontier_neighbors([4]).tolist() == []
-
-    def test_frontier_neighbors_sparse_ids(self):
-        graph = Graph.from_edges([(10, 30), (30, 700), (10, 700)])
-        got = graph.frontier_neighbors([30, 10])
-        assert got.tolist() == [10, 700, 30, 700]

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.graph import Graph
@@ -78,8 +78,39 @@ def test_graph_equality_is_edge_set_equality(edges_a, edges_b):
     assert (graph_a == graph_b) == (same_vertices and same_edges)
 
 
-@given(edge_lists)
-@settings(max_examples=40, deadline=None)
-def test_to_directed_to_undirected_roundtrip(edges):
-    graph = Graph.from_edges(edges)
-    assert graph.to_directed().to_undirected() == graph
+#: Edge lists in which about half the edges are self-loops.
+loopy_edge_lists = st.lists(
+    st.one_of(
+        st.integers(0, 12).map(lambda vertex: (vertex, vertex)),
+        st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    ),
+    max_size=60,
+)
+
+
+@given(
+    loopy_edge_lists,
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.integers(0, 20), max_size=3),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_constructor_drops_self_loops_as_the_builder_does(
+    edges, directed, weighted, isolated, data
+):
+    vertices = sorted(set(isolated).union(*edges))
+    weights = None
+    if weighted:
+        # With no edge left, the builder yields an unweighted graph.
+        assume(any(source != target for source, target in edges))
+        weights = data.draw(
+            st.lists(
+                st.floats(0.5, 4.0), min_size=len(edges), max_size=len(edges)
+            )
+        )
+    graph = Graph(vertices, edges, directed=directed, weights=weights)
+    assert graph == Graph.from_edges(
+        edges, directed=directed, vertices=vertices, weights=weights
+    )
+    assert not (graph.edges[:, 0] == graph.edges[:, 1]).any()

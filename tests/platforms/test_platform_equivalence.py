@@ -10,6 +10,7 @@ epsilon for PageRank's platform-order float sums; SSSP cells run on
 a weighted twin of the graph).
 """
 
+import numpy as np
 import pytest
 
 from repro.algorithms.evo import forest_fire_links
@@ -44,6 +45,12 @@ GRAPHS = {
     "scale-free": barabasi_albert_graph(300, 3, seed=4),
     "disconnected": Graph.from_edges(
         [(0, 1), (1, 2), (2, 0), (10, 11), (11, 12)], vertices=[50]
+    ),
+    # Loop-bearing input: the constructor drops the loops, so every
+    # engine reads the graph the reference reads.
+    "self-loops": Graph(
+        [1, 2, 3, 5, 6, 8, 11],
+        [(1, 1), (1, 2), (2, 3), (3, 1), (3, 3), (3, 8), (5, 6), (6, 6)],
     ),
 }
 
@@ -127,3 +134,18 @@ def test_evo_rejects_an_empty_graph_as_the_reference_does(
     params = AlgorithmParams(evo_new_vertices=new_vertices)
     with pytest.raises(ValueError, match=message):
         platform.run_algorithm(handle, Algorithm.EVO, params)
+
+
+@pytest.mark.parametrize("platform_name", available_platforms())
+def test_upload_keeps_one_graph_view(platform_name):
+    """Every engine reads the uploaded graph itself: the handle holds
+    the undirected view, and no second adjacency array beside it."""
+    graph = rmat_graph(6, edge_factor=8, seed=3, directed=True)
+    (platform,) = create_platform_fleet(
+        ClusterSpec.paper_distributed(), names=[platform_name]
+    )
+    handle = platform.upload_graph("g", graph)
+    assert handle.graph is graph.to_undirected()
+    for name, value in handle.detail.items():
+        parts = value if isinstance(value, tuple) else (value,)
+        assert not any(isinstance(part, np.ndarray) for part in parts), name

@@ -2,9 +2,8 @@
 
 The vectorized bulk paths (``pregel/bulk.py``, ``gas/bulk.py``,
 ``rddgraph/bulk.py``, the batched MapReduce shuffle accounting, and
-the neo4j relationship-chain and virtuoso table CSR procedures)
-promise *bit-identical* results to the scalar per-record paths — not
-approximately equal. The charges they batch are all integer-valued
+the neo4j and virtuoso CSR procedures) promise *bit-identical*
+results to the scalar per-record paths — not approximately equal. The charges they batch are all integer-valued
 floats, and float64 addition of integers below 2**53 is exact, so one
 vector charge of pre-summed per-worker totals equals the scalar call
 sequence bit for bit (see ``CostMeter.charge_worker_compute``).
@@ -16,11 +15,11 @@ PR, SSSP and STATS have them today) is automatically held to the bar, and
 an algorithm without one must still produce identical results and
 profiles by running the same scalar path under both flags. The sweep
 covers a directed graph, an undirected graph, a graph with sparse
-vertex ids plus an isolated vertex, and a graph with self-loops (which
-a neo4j relationship chain holds once and the virtuoso edge table
-twice), on the 10-worker cluster; one graph also runs on the
-single-node cluster, where every message is local and there is one
-worker pair. The single-machine platforms (neo4j, virtuoso) run on
+vertex ids plus an isolated vertex, and a graph constructed from an
+edge list with self-loops (which the ``Graph`` constructor drops, so
+every engine reads the same loop-free graph), on the 10-worker
+cluster; one graph also runs on the single-node cluster, where every
+message is local and there is one worker pair. The single-machine platforms (neo4j, virtuoso) run on
 their own default machine. "Identical" means the algorithm outputs
 compare equal as text, so an int and an equal float, or a Python
 float and a numpy scalar, differ; and so does the ``repr`` of the
@@ -89,10 +88,11 @@ def _sparse_id_graph() -> Graph:
 
 
 def _self_loop_graph() -> Graph:
-    """Self-loops on a triangle corner, a pendant pair and a leaf."""
-    return Graph.from_edges(
+    """The constructor's output on self-loops at a triangle corner, a
+    pendant pair and a leaf."""
+    return Graph(
+        [1, 2, 3, 5, 6, 8, 11],
         [(1, 1), (1, 2), (2, 3), (3, 1), (3, 3), (3, 8), (5, 6), (6, 6)],
-        vertices=[1, 2, 3, 5, 6, 8, 11],
         directed=False,
     )
 
