@@ -144,10 +144,11 @@ class _ClassInfo:
     methods: dict[str, str] = field(default_factory=dict)  # name -> qualname
 
 
-def _import_aliases(tree: ast.Module, package: str) -> dict[str, str]:
-    """Local name -> dotted target for this module's imports."""
+def _import_aliases(nodes: list[ast.AST], package: str) -> dict[str, str]:
+    """Local name -> dotted target for the imports among a module's
+    nodes (:attr:`ModuleContext.nodes`)."""
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -310,7 +311,7 @@ def _collect_module(graph: CallGraph, module: ModuleContext) -> None:
         package = name
     else:
         package = name.rpartition(".")[0]
-    graph._aliases[name] = _import_aliases(module.tree, package)
+    graph._aliases[name] = _import_aliases(module.nodes, package)
     toplevel: dict[str, str] = {}
     graph._module_functions[name] = toplevel
 

@@ -139,19 +139,20 @@ _DEFERRED_EXPRS = (
 )
 
 
-def statement_anchors(tree: ast.AST) -> dict[int, int]:
+def statement_anchors(nodes: Iterable[ast.AST]) -> dict[int, int]:
     """Map ``id(node)`` to the enclosing statement's line for every
     node inside a ``lambda`` or comprehension body.
 
-    A multi-line lambda or nested comprehension places its body on
-    continuation lines; a finding anchored there points at a line no
-    suppression comment or editor jump naturally targets. Rules look
-    their flagged node up here (``anchors.get(id(node), node.lineno)``)
-    so such findings land on the statement that builds the deferred
-    expression instead.
+    ``nodes`` is a module's nodes in ``ast.walk`` order
+    (:attr:`ModuleContext.nodes`). A multi-line lambda or nested
+    comprehension places its body on continuation lines; a finding
+    anchored there points at a line no suppression comment or editor
+    jump naturally targets. Rules look their flagged node up here
+    (``anchors.get(id(node), node.lineno)``) so such findings land on
+    the statement that builds the deferred expression instead.
     """
     anchors: dict[int, int] = {}
-    for stmt in ast.walk(tree):
+    for stmt in nodes:
         if not isinstance(stmt, ast.stmt):
             continue
         # Only the statement's own expressions: nested statements own
@@ -234,16 +235,23 @@ class ModuleContext:
         return any(fragment in path for fragment in prefixes)
 
     @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the module in ``ast.walk`` order, walked once
+        per run for every rule that scans the whole module."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
     def comments(self) -> dict[int, str]:
-        """Genuine comment text by line (:func:`_comment_lines`),
-        tokenized once per run for suppressions and unit pragmas."""
+        """Comment text by line (:func:`_comment_lines`) for
+        suppressions and unit pragmas, tokenized once per run and only
+        in a module whose text holds a directive."""
         return _comment_lines(self.lines)
 
     @cached_property
     def anchors(self) -> dict[int, int]:
         """:func:`statement_anchors` of the module, built once per run
         for every rule that anchors findings."""
-        return statement_anchors(self.tree)
+        return statement_anchors(self.nodes)
 
 
 @dataclass
@@ -369,20 +377,24 @@ def _load_builtin_rules() -> None:
 # -- metrics ---------------------------------------------------------------
 
 
-def _function_complexity(node: ast.AST) -> int:
+def _function_complexity(node: ast.AST, nested: set[ast.AST]) -> int:
     """Cyclomatic complexity of one function, nested functions excluded.
 
     Each ``ast.BoolOp`` contributes one decision per *extra* operand
     (``a or b or c`` adds 2), each ``case`` of a ``match`` statement
     contributes one (like an ``elif`` arm), and the walk stops at
     nested function boundaries: a closure's branches belong to the
-    closure's own metrics, not to the enclosing function's.
+    closure's own metrics, not to the enclosing function's. Every
+    function definition the walk stops at is added to ``nested``.
     """
     complexity = 1
     stack = list(ast.iter_child_nodes(node))
     while stack:
         child = stack.pop()
-        if isinstance(child, _FUNCTION_NODES + (ast.Lambda,)):
+        if isinstance(child, _FUNCTION_NODES):
+            nested.add(child)
+            continue
+        if isinstance(child, ast.Lambda):
             continue
         if isinstance(child, ast.BoolOp):
             complexity += len(child.values) - 1
@@ -394,42 +406,44 @@ def _function_complexity(node: ast.AST) -> int:
     return complexity
 
 
-class _MetricsCollector(ast.NodeVisitor):
-    """Collects per-function metrics for one module."""
+def _function_metrics(nodes: list[ast.AST]) -> list[FunctionMetrics]:
+    """Per-function metrics of one module, in source order.
 
-    def __init__(self):
-        self.functions: list[FunctionMetrics] = []
-        self._function_depth = 0
-
-    def _visit_function(self, node) -> None:
+    ``nodes`` is the module's :attr:`ModuleContext.nodes`. Sorting the
+    definitions by position gives a depth-first pre-order, so every
+    enclosing function is measured, and marks the definitions in its
+    body as nested, before they are measured themselves.
+    """
+    functions = sorted(
+        (node for node in nodes if isinstance(node, _FUNCTION_NODES)),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
+    nested: set[ast.AST] = set()
+    metrics: list[FunctionMetrics] = []
+    for node in functions:
         anchor = function_anchor(node)
         end = getattr(node, "end_lineno", anchor)
-        self.functions.append(
+        metrics.append(
             FunctionMetrics(
                 name=node.name,
                 line=anchor,
-                complexity=_function_complexity(node),
+                complexity=_function_complexity(node, nested),
                 length=end - anchor + 1,
                 has_docstring=ast.get_docstring(node) is not None,
-                nested=self._function_depth > 0,
+                nested=node in nested,
             )
         )
-        self._function_depth += 1
-        try:
-            self.generic_visit(node)
-        finally:
-            self._function_depth -= 1
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Collect metrics for a function definition."""
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Collect metrics for an async function definition."""
-        self._visit_function(node)
+    return metrics
 
 
 # -- suppressions ----------------------------------------------------------
+
+
+#: Text every directive comment contains: a ``# quality: ignore``
+#: suppression (``_SUPPRESSION``) or a ``# units:`` pragma
+#: (``units._PRAGMA``). A module without either has no comment any
+#: reader of :attr:`ModuleContext.comments` would match.
+_DIRECTIVE_TEXT = ("quality:", "units:")
 
 
 def _comment_lines(lines: list[str]) -> dict[int, str]:
@@ -438,9 +452,13 @@ def _comment_lines(lines: list[str]) -> dict[int, str]:
     Tokenizing keeps suppression syntax *mentioned* inside string
     literals and docstrings (as in this very module) from being read
     as live suppressions — and, downstream, from being reported as
-    stale ones. Falls back to raw lines if tokenization fails.
+    stale ones. Falls back to raw lines if tokenization fails. A
+    source without any ``_DIRECTIVE_TEXT`` is not tokenized at all:
+    it maps to ``{}``.
     """
     source = "\n".join(lines)
+    if not any(text in source for text in _DIRECTIVE_TEXT):
+        return {}
     try:
         return {
             token.start[0]: token.string
@@ -609,15 +627,11 @@ def _build_module(
         )
     except ValueError as error:  # e.g. null bytes in the source
         return _parse_error_report(path, f"unparseable source: {error}", 1)
-    collector = _MetricsCollector()
-    collector.visit(tree)
-    return ModuleContext(
-        path=path,
-        tree=tree,
-        lines=source.splitlines(),
-        config=config,
-        functions=collector.functions,
+    module = ModuleContext(
+        path=path, tree=tree, lines=source.splitlines(), config=config
     )
+    module.functions = _function_metrics(module.nodes)
+    return module
 
 
 def _run_project_rules(
@@ -682,8 +696,8 @@ def _prepare_file(
 ) -> FileReport | _ModuleAnalysis:
     """Read, parse, and run the per-module rules over one file.
 
-    The per-file half of :func:`analyze_tree` — everything that needs
-    no sight of the other modules, so it can run in a worker process.
+    The per-file half of :func:`analyze_tree`: everything that needs
+    no sight of the other modules.
     """
     try:
         source = Path(file_path).read_text(encoding="utf-8")
@@ -699,19 +713,9 @@ def _prepare_file(
     return analysis
 
 
-def _prepare_file_worker(
-    item: tuple[str, AnalysisConfig, bool],
-) -> tuple[FileReport | _ModuleAnalysis, dict[str, float]]:
-    """Process-pool entry point: one file plus its rule timings."""
-    file_path, config, profile = item
-    timings: dict[str, float] = {}
-    return _prepare_file(file_path, config, timings if profile else None), timings
-
-
 def analyze_tree(
     root: str | Path,
     config: AnalysisConfig | None = None,
-    jobs: int = 1,
     rule_timings: dict[str, float] | None = None,
 ) -> QualityReport:
     """Analyze every ``*.py`` file under a directory.
@@ -720,37 +724,20 @@ def analyze_tree(
     then the project rules see all modules together (that is what lets
     ``cost-protocol`` and ``nondeterminism-flow`` follow calls across
     module boundaries), and finally the stale-suppression postpass
-    runs with the complete used-suppression picture.
+    runs with the complete used-suppression picture. Everything runs
+    in this process, so each module's node list, function metrics,
+    directive comments and statement anchors are built once.
 
-    ``jobs > 1`` fans the per-file half out over a process pool (the
-    project rules stay in this process: they need every module at
-    once). Pass a dict as ``rule_timings`` to collect per-rule
-    wall-clock seconds; note the interprocedural families that share
-    one cached analysis bill the whole computation to whichever member
-    runs first.
+    Pass a dict as ``rule_timings`` to collect per-rule wall-clock
+    seconds; note the interprocedural families that share one cached
+    analysis bill the whole computation to whichever member runs
+    first.
     """
     config = config or AnalysisConfig()
-    root = Path(root)
-    paths = [str(path) for path in sorted(root.rglob("*.py"))]
-    ordered: list[FileReport | _ModuleAnalysis] = []
-    if jobs > 1 and len(paths) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for entry, timings in pool.map(
-                _prepare_file_worker,
-                [(path, config, rule_timings is not None) for path in paths],
-                chunksize=4,
-            ):
-                ordered.append(entry)
-                if rule_timings is not None:
-                    for rule_id, seconds in timings.items():
-                        rule_timings[rule_id] = (
-                            rule_timings.get(rule_id, 0.0) + seconds
-                        )
-    else:
-        for path in paths:
-            ordered.append(_prepare_file(path, config, rule_timings))
+    ordered = [
+        _prepare_file(str(path), config, rule_timings)
+        for path in sorted(Path(root).rglob("*.py"))
+    ]
     analyses = {
         index: entry
         for index, entry in enumerate(ordered)

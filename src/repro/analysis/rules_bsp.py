@@ -122,7 +122,7 @@ class BSPRaceRule(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         """Yield findings for one module."""
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ClassDef) and _is_program_class(node):
                 yield from self._check_class(node)
 

@@ -50,10 +50,11 @@ _BANNED_CLOCKS = {
 _SEEDED_CONSTRUCTORS = {"default_rng", "Generator", "SeedSequence", "RandomState"}
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the fully qualified names they import."""
+def _import_aliases(nodes: list[ast.AST]) -> dict[str, str]:
+    """Map local names to the fully qualified names a module's nodes
+    (:attr:`ModuleContext.nodes`) import."""
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 aliases[alias.asname or alias.name.split(".")[0]] = (
@@ -93,11 +94,11 @@ class DeterminismRule(Rule):
         """Yield findings for one module."""
         if not module.in_scope(DETERMINISM_SCOPE):
             return
-        aliases = _import_aliases(module.tree)
+        aliases = _import_aliases(module.nodes)
         # Calls inside lambda/comprehension bodies anchor on the
         # enclosing statement, where the suppression comment can live.
         anchors = module.anchors
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = _dotted_name(node.func, aliases)
@@ -224,7 +225,7 @@ class CostAccountingRule(Rule):
             return
         if Path(module.path).name not in COST_BASENAMES:
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if node.name == "__init__":

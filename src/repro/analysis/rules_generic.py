@@ -38,7 +38,7 @@ class BareExceptRule(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         """Yield findings for one module."""
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.finding(
                     "bare 'except:' swallows all errors", node.lineno
@@ -55,7 +55,7 @@ class MutableDefaultRule(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         """Yield findings for one module."""
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             defaults = list(node.args.defaults) + [
@@ -85,7 +85,7 @@ class EqNoneRule(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         """Yield findings for one module."""
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             for op, comparator in zip(node.ops, node.comparators):

@@ -45,7 +45,6 @@ budget, and ``--inject`` activates seeded fault injection
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -206,9 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the current analysis as the new baseline")
     quality.add_argument("--disable", default=None, metavar="RULES",
                          help="comma-separated rule ids to disable")
-    quality.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="run per-file rules across N worker "
-                         "processes (project rules stay in-process)")
     quality.add_argument("--profile-rules", action="store_true",
                          help="print a per-rule wall-clock table after "
                          "the report")
@@ -605,9 +601,7 @@ def _disabled_rules(raw: str | None) -> frozenset[str]:
 def _command_quality(args: argparse.Namespace) -> int:
     config = AnalysisConfig(disabled=_disabled_rules(args.disable))
     timings: dict[str, float] | None = {} if args.profile_rules else None
-    report = analyze_tree(
-        args.root, config, jobs=max(1, args.jobs), rule_timings=timings
-    )
+    report = analyze_tree(args.root, config, rule_timings=timings)
     print(render_text(report))
     if timings is not None:
         print()
@@ -855,11 +849,8 @@ def _selfcheck_quality() -> bool:
 
     print("selfcheck: running quality gate")
     quality_start = _time.perf_counter()
-    # Fan the per-file rules out over a few workers; the growing rule
-    # set must not push the full-src analysis past its budget.
-    jobs = max(1, min(4, (os.cpu_count() or 1) - 1))
     passed = main([
-        "quality", "--root", "src", "--jobs", str(jobs),
+        "quality", "--root", "src",
         "--baseline", ".quality-baseline.json", "--check",
     ]) == 0
     quality_seconds = _time.perf_counter() - quality_start

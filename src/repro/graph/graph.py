@@ -140,13 +140,15 @@ class GraphBuilder:
         """Remove an edge if present; returns ``True`` if removed.
 
         Vertices stay registered even when their last edge is removed,
-        matching the degree-preserving rewiring use case.
+        matching the degree-preserving rewiring use case. The edge's
+        weight goes with it.
         """
         key = (source, target)
         if not self.directed and source > target:
             key = (target, source)
         if key in self._edges:
             self._edges.remove(key)
+            self._weights.pop(key, None)
             return True
         return False
 

@@ -1,6 +1,9 @@
 """Unit tests for the rule engine: metrics, suppression, config, errors."""
 
+import ast
 import textwrap
+import tokenize
+from collections import Counter
 
 import pytest
 
@@ -182,8 +185,8 @@ class TestRegistry:
             register_rule(Anonymous)
 
 
-class TestParallelAndProfile:
-    """``analyze_tree(jobs=N)`` and per-rule timing collection."""
+class TestProfile:
+    """Per-rule timing collection."""
 
     @staticmethod
     def _seed_tree(tmp_path):
@@ -197,19 +200,6 @@ class TestParallelAndProfile:
         )
         (tmp_path / "broken.py").write_text("def (", encoding="utf-8")
 
-    @staticmethod
-    def _snapshot(report):
-        return [
-            (f.path, [(x.rule, x.line) for x in f.findings], f.suppressed)
-            for f in report.files
-        ]
-
-    def test_parallel_matches_serial(self, tmp_path):
-        self._seed_tree(tmp_path)
-        serial = analyze_tree(tmp_path)
-        parallel = analyze_tree(tmp_path, jobs=2)
-        assert self._snapshot(serial) == self._snapshot(parallel)
-
     def test_rule_timings_collected(self, tmp_path):
         self._seed_tree(tmp_path)
         timings = {}
@@ -217,8 +207,131 @@ class TestParallelAndProfile:
         assert "bare-except" in timings
         assert all(seconds >= 0.0 for seconds in timings.values())
 
-    def test_rule_timings_collected_in_parallel(self, tmp_path):
-        self._seed_tree(tmp_path)
-        timings = {}
-        analyze_tree(tmp_path, jobs=2, rule_timings=timings)
-        assert "bare-except" in timings
+
+#: A driver module that trips every rule walking a whole module:
+#: bare-except, mutable-default, eq-none, bsp-race, determinism (whose
+#: lambda anchors on its statement), cost-accounting, and the call
+#: graph's import table.
+_ENGINE_MODULE = '''\
+"""Engine."""
+
+import time
+
+from repro.core.pregel import VertexProgram
+
+
+class Echo(VertexProgram):
+    """Program."""
+
+    def compute(self, ctx, messages):
+        """Kernel."""
+        self.seen = messages
+
+
+def step(meter, adjacency, seen=[]):
+    """Loop without a charge."""
+    for v in adjacency:
+        seen.append(v)
+    stamp = (lambda: time.time())()
+    try:
+        return stamp == None
+    except:
+        return None
+'''
+
+_CORE_MODULE = '''\
+"""Core."""
+
+import random
+
+
+def pick(items):
+    """Unseeded choice."""
+    return random.choice(sorted(items))
+'''
+
+_OTHER_MODULE = '''\
+"""Elsewhere."""
+
+from repro.core import clock
+
+
+def later(x=None):
+    """Calls across modules."""
+    return clock.pick([x])
+'''
+
+
+class TestSingleWalk:
+    """Each module is walked whole once per run and tokenized only when
+    its text can hold a directive."""
+
+    def test_each_module_is_walked_whole_once(self, tmp_path, monkeypatch):
+        files = {
+            "repro/platforms/fake/engine.py": _ENGINE_MODULE,
+            "repro/core/clock.py": _CORE_MODULE,
+            "tools/later.py": _OTHER_MODULE,
+        }
+        for relative, source in files.items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        walked = []
+        walk = ast.walk
+
+        def counting_walk(node):
+            if isinstance(node, ast.Module):
+                walked.append(node)
+            return walk(node)
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        report = analyze_tree(tmp_path)
+        rules = {f.rule for file in report.files for f in file.findings}
+        assert {
+            "bare-except", "mutable-default", "eq-none", "bsp-race",
+            "determinism", "cost-accounting",
+        } <= rules
+        assert sorted(Counter(map(id, walked)).values()) == [1, 1, 1]
+
+    @staticmethod
+    def _tokenized(monkeypatch, source):
+        calls = []
+        generate_tokens = tokenize.generate_tokens
+
+        def counting(readline):
+            calls.append(readline)
+            return generate_tokens(readline)
+
+        monkeypatch.setattr(tokenize, "generate_tokens", counting)
+        report = _analyze(source)
+        return len(calls), report
+
+    def test_module_without_directive_text_is_not_tokenized(
+        self, monkeypatch
+    ):
+        calls, report = self._tokenized(
+            monkeypatch, "def f(x=[]):  # shared on purpose\n    return x\n"
+        )
+        assert calls == 0
+        assert [f.rule for f in report.findings] == ["mutable-default"]
+
+    def test_module_with_a_suppression_is_tokenized(self, monkeypatch):
+        calls, report = self._tokenized(
+            monkeypatch,
+            "def f(x=[]):  # quality: ignore[mutable-default]\n"
+            "    return x\n",
+        )
+        assert calls == 1
+        assert report.findings == []
+        assert report.suppressed == 1
+
+    def test_suppression_inside_a_string_suppresses_nothing(
+        self, monkeypatch
+    ):
+        calls, report = self._tokenized(
+            monkeypatch,
+            'def f(x=[], y="# quality: ignore"):\n    return x, y\n',
+        )
+        assert calls == 1
+        assert [f.rule for f in report.findings] == ["mutable-default"]
+        assert report.suppressed == 0

@@ -41,6 +41,19 @@ class TestGraphBuilder:
         assert not builder.remove_edge(1, 2)
         assert builder.num_vertices == 2
 
+    def test_remove_edge_drops_its_weight(self):
+        builder = GraphBuilder()
+        builder.add_edge(1, 2, weight=5.0)
+        assert builder.remove_edge(1, 2)
+        builder.add_edge(1, 2, weight=7.0)
+        assert builder.build().weights.tolist() == [7.0]
+        # With every weighted edge removed, the graph is unweighted.
+        builder.remove_edge(2, 1)
+        builder.add_edge(3, 4)
+        graph = builder.build()
+        assert graph.weights is None
+        assert not graph.is_weighted
+
     def test_has_edge_is_orientation_insensitive_undirected(self):
         builder = GraphBuilder()
         builder.add_edge(5, 3)
