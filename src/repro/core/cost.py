@@ -362,10 +362,12 @@ class CostMeter:
     :class:`repro.observability.TraceSink`-shaped observers that
     receive structured events — round begin/end, message/shuffle/
     disk/memory charges, and fault annotations. The contract is
-    *zero overhead when no sink is attached*: every emission site is
-    guarded by ``if self.sinks`` and sinks never mutate charges, so
-    with ``sinks=()`` the charge path is the exact pre-hook code and
-    recorded profiles are bit-identical with or without observers
+    *zero overhead when no sink reads an event*: round and fault
+    events go to every sink, but charge events are built only for the
+    sinks that read them (``charge_sinks``, the sinks whose
+    ``reads_charges`` is true), and every charge emission site is
+    guarded by ``if self.charge_sinks``. Sinks never mutate charges,
+    so recorded profiles are bit-identical with or without observers
     (enforced by ``tests/observability/``). Per-``charge_compute``
     events are deliberately not emitted — the hot path stays clean and
     round-end spans carry the full per-worker breakdown instead.
@@ -392,6 +394,10 @@ class CostMeter:
         self.faults = faults
         #: Attached trace sinks (observe-only; may be empty).
         self.sinks = tuple(sinks) if sinks else ()
+        #: The attached sinks that read charge events.
+        self.charge_sinks = tuple(
+            sink for sink in self.sinks if getattr(sink, "reads_charges", True)
+        )
         self.profile = RunProfile(
             cluster=spec,
             peak_memory_per_worker=[0.0] * spec.num_workers,
@@ -403,7 +409,7 @@ class CostMeter:
 
     def _emit_charge(self, kind: str, **fields) -> None:
         round_index = len(self.profile.rounds)
-        for sink in self.sinks:
+        for sink in self.charge_sinks:
             sink.on_charge(kind, round_index, fields)
 
     def _emit_fault(self, kind: str, detail: str) -> None:
@@ -440,7 +446,7 @@ class CostMeter:
         profile = self.profile
         profile.launches += 1
         profile.startup_seconds = profile.launches * startup_seconds
-        if self.sinks:
+        if self.charge_sinks:
             self._emit_charge("startup", seconds=startup_seconds)
 
     @property
@@ -570,74 +576,82 @@ class CostMeter:
         """One message per ``(src_workers[i], dst_workers[i])`` element.
 
         ``payload_bytes`` is one size for every message, or an array
-        of per-message sizes aligned with the workers. Tallies the
-        elements per worker pair and charges each non-zero pair once,
-        in ascending ``src * num_workers + dst`` order, as one
-        :meth:`charge_message` call with ``count=`` would. Sinks and
-        the fault injector therefore see the events, and draw the
-        random numbers, of that per-pair loop. A pair of
-        variable-size messages adds its summed wire bytes, which equal
-        the per-message sum exactly for integer sizes, and its event
-        reports the pair's mean payload.
+        of per-message sizes aligned with the workers. The elements are
+        tallied per worker pair with one ``np.bincount`` (the local
+        pairs are its table's diagonal), and the round's local count,
+        remote count and remote bytes are each added once. They equal
+        the totals of one :meth:`charge_message` call with ``count=``
+        per non-zero pair exactly for integer sizes; a pair of
+        variable-size messages adds its summed wire bytes.
+
+        The call walks the non-zero pairs, in ascending
+        ``src * num_workers + dst`` order, only when a fault injector
+        or a sink that reads charge events is attached. The injector
+        then draws the random numbers, and the sinks see the events, of
+        that per-pair loop; a pair of variable-size messages reports
+        its mean payload.
         """
-        self._require_round()
+        record = self._require_round()
         num_workers = self.spec.num_workers
+        cells = num_workers * num_workers
         pairs = src_workers * num_workers + dst_workers
-        pair_counts = np.bincount(pairs, minlength=num_workers * num_workers)
+        pair_counts = np.bincount(pairs, minlength=cells)
+        local = int(pair_counts[:: num_workers + 1].sum())
+        remote = len(pairs) - local
         variable = np.ndim(payload_bytes) > 0
         if variable:
             pair_bytes = np.bincount(
                 pairs,
                 weights=payload_bytes + self.MESSAGE_OVERHEAD_BYTES,
-                minlength=num_workers * num_workers,
+                minlength=cells,
             )
-        for pair in np.flatnonzero(pair_counts).tolist():
-            src_worker, dst_worker = divmod(pair, num_workers)
-            count = int(pair_counts[pair])
-            if variable:
-                wire_bytes = float(pair_bytes[pair])
-                self._charge_messages(
-                    src_worker, dst_worker, count, wire_bytes,
-                    wire_bytes / count - self.MESSAGE_OVERHEAD_BYTES,
+            remote_bytes = float(
+                pair_bytes.sum() - pair_bytes[:: num_workers + 1].sum()
+            )
+        else:
+            remote_bytes = remote * (payload_bytes + self.MESSAGE_OVERHEAD_BYTES)
+        if self.faults is not None or self.charge_sinks:
+            for pair in np.flatnonzero(pair_counts).tolist():
+                src_worker, dst_worker = divmod(pair, num_workers)
+                count = int(pair_counts[pair])
+                self._observe_messages(
+                    src_worker,
+                    dst_worker,
+                    count,
+                    float(pair_bytes[pair]) / count - self.MESSAGE_OVERHEAD_BYTES
+                    if variable
+                    else payload_bytes,
                 )
-            else:
-                self.charge_message(
-                    src_worker, dst_worker, payload_bytes, count=count
-                )
+        record.local_messages += local
+        if remote:
+            record.remote_messages += remote
+            record.remote_bytes += remote_bytes
 
     def charge_message(
         self, src_worker: int, dst_worker: int, payload_bytes: float, count: int = 1
     ) -> None:
         """A message between workers; local delivery costs no network."""
-        self._charge_messages(
-            src_worker,
-            dst_worker,
-            count,
-            count * (payload_bytes + self.MESSAGE_OVERHEAD_BYTES),
-            payload_bytes,
-        )
-
-    def _charge_messages(
-        self,
-        src_worker: int,
-        dst_worker: int,
-        count: int,
-        wire_bytes: float,
-        payload_bytes: float,
-    ) -> None:
-        """``count`` messages totalling ``wire_bytes`` with envelopes."""
         record = self._require_round()
+        self._observe_messages(src_worker, dst_worker, count, payload_bytes)
         if src_worker == dst_worker:
             record.local_messages += count
         else:
-            if self.faults is not None:
-                self._consult_faults(
-                    self.faults.on_messages,
-                    src_worker, dst_worker, len(self.profile.rounds), count,
-                )
             record.remote_messages += count
-            record.remote_bytes += wire_bytes
-        if self.sinks:
+            record.remote_bytes += count * (
+                payload_bytes + self.MESSAGE_OVERHEAD_BYTES
+            )
+
+    def _observe_messages(
+        self, src_worker: int, dst_worker: int, count: int, payload_bytes: float
+    ) -> None:
+        """Show ``count`` messages of one worker pair to the fault
+        injector (remote pairs only) and to the charge-reading sinks."""
+        if self.faults is not None and src_worker != dst_worker:
+            self._consult_faults(
+                self.faults.on_messages,
+                src_worker, dst_worker, len(self.profile.rounds), count,
+            )
+        if self.charge_sinks:
             self._emit_charge(
                 "message",
                 src_worker=src_worker,
@@ -675,7 +689,7 @@ class CostMeter:
                 )
             record.remote_messages += count
             record.remote_bytes += num_bytes
-        if self.sinks:
+        if self.charge_sinks:
             self._emit_charge("shuffle", num_bytes=num_bytes, count=count)
 
     def charge_disk_read(self, worker: int | None, num_bytes: float) -> None:
@@ -694,7 +708,7 @@ class CostMeter:
             record.striped_disk_read_bytes += num_bytes
         else:
             record.disk_bytes_per_worker[worker] += num_bytes
-        if self.sinks:
+        if self.charge_sinks:
             self._emit_charge("disk-read", worker=worker, num_bytes=num_bytes)
 
     def charge_disk_write(self, worker: int | None, num_bytes: float) -> None:
@@ -708,7 +722,7 @@ class CostMeter:
             record.striped_disk_write_bytes += num_bytes
         else:
             record.disk_bytes_per_worker[worker] += num_bytes
-        if self.sinks:
+        if self.charge_sinks:
             self._emit_charge("disk-write", worker=worker, num_bytes=num_bytes)
 
     def charge_disk_random(
@@ -726,7 +740,7 @@ class CostMeter:
         else:
             record.disk_read_bytes += num_bytes
         record.disk_random_bytes_per_worker[worker] += num_bytes
-        if self.sinks:
+        if self.charge_sinks:
             self._emit_charge(
                 "disk-random", worker=worker, num_bytes=num_bytes, write=write
             )
@@ -738,7 +752,7 @@ class CostMeter:
         self._memory[worker] += num_bytes
         peak = self.profile.peak_memory_per_worker
         peak[worker] = max(peak[worker], self._memory[worker])
-        if self.sinks:
+        if self.charge_sinks:
             self._emit_charge(
                 "memory",
                 worker=worker,
@@ -787,7 +801,7 @@ class CostMeter:
     def release_memory(self, worker: int, num_bytes: float) -> None:
         """Lower the worker's live memory (floors at zero)."""
         self._memory[worker] = max(0.0, self._memory[worker] - num_bytes)
-        if self.sinks:
+        if self.charge_sinks:
             self._emit_charge(
                 "memory",
                 worker=worker,

@@ -1,15 +1,16 @@
 """Array kernels shared by the vectorized (bulk) engine paths.
 
 Option-free numpy primitives over CSR arrays and grouped keys: the
-dense index of a vertex id, the CSR range gather, a sorted
-group-reduce, a key grouping and the order-preserving float group-sum
-over it, the multiplicative vertex-placement hash, the traversals the
-database engines run whole (BFS levels, minimum component labels and
-damped PageRank rounds), and the per-vertex triangle count behind the
-STATS and LCC references. None
-of them touches a :class:`~repro.core.cost.CostMeter`; the engines
-decide what each array means, what to charge and to which worker, and
-charge per-worker tallies through
+dense index of a vertex id, the CSR range gather, the sorted distinct
+values of an id array, a sorted group-reduce, a key grouping and the
+order-preserving float group-sum over it, the multiplicative
+vertex-placement hash, the traversals the database engines run whole
+(BFS levels, minimum component labels and damped PageRank rounds),
+and the per-vertex triangle count behind the STATS and LCC
+references. None of them touches a
+:class:`~repro.core.cost.CostMeter`; the engines decide what each
+array means, what to charge and to which worker, and charge
+per-worker tallies through
 :meth:`~repro.core.cost.CostMeter.charge_worker_compute` and
 :meth:`~repro.core.cost.CostMeter.charge_worker_messages`.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "KeyGroups",
     "dense_index",
     "csr_gather",
+    "sorted_unique",
     "csr_bfs_levels",
     "csr_min_labels",
     "csr_pagerank",
@@ -85,6 +87,19 @@ def csr_gather(
     positions = np.arange(bounds[-1] if len(bounds) else 0, dtype=np.int64)
     positions += np.repeat(starts - (bounds - counts), counts)
     return positions, counts
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as ``np.unique``
+    returns them, from one sort and a run-boundary mask.
+
+    A plain ``np.unique`` takes numpy's hash path, several times
+    slower on the small id arrays of a frontier or a vertex cut.
+    """
+    ordered = np.sort(values)
+    run_start = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    return ordered[run_start]
 
 
 def group_reduce(
@@ -155,7 +170,7 @@ def csr_bfs_levels(
         depth += 1
         positions, _ = csr_gather(offsets, frontier)
         reached = targets[positions]
-        frontier = np.unique(reached[levels[reached] < 0])
+        frontier = sorted_unique(reached[levels[reached] < 0])
         levels[frontier] = depth
     return levels
 

@@ -2,12 +2,13 @@
 
 The :class:`~repro.core.cost.CostMeter` emits events — round
 begin/end, message/shuffle/disk/memory charges, fault annotations —
-to every attached sink, and the platform driver API brackets each
-algorithm execution with run begin/end events. Sinks observe, never
-mutate: profiles recorded with a sink attached are bit-identical to
-profiles recorded without one (the differential tests in
-``tests/observability/`` hold every platform to that), and with no
-sink attached the emission sites are skipped entirely.
+to the attached sinks, charge events only to the sinks that read them
+(:attr:`TraceSink.reads_charges`), and the platform driver API
+brackets each algorithm execution with run begin/end events. Sinks
+observe, never mutate: profiles recorded with a sink attached are
+bit-identical to profiles recorded without one (the differential
+tests in ``tests/observability/`` hold every platform to that), and an
+emission site no sink reads is skipped entirely.
 
 This is the per-stage instrumentation style of Spark's task-metrics
 listener bus, scaled to the simulation: the existing
@@ -48,6 +49,11 @@ class TraceSink:
     is trusted to stay out of the way.
     """
 
+    #: Whether the sink reads charge events. A meter builds charge
+    #: events only for the sinks that read them; a sink whose
+    #: :meth:`on_charge` ignores every event sets this false.
+    reads_charges = True
+
     def on_run_begin(
         self, platform: str, graph: str, algorithm: str, spec: ClusterSpec
     ) -> None:
@@ -60,9 +66,11 @@ class TraceSink:
         """A message/shuffle/disk/memory/startup charge landed.
 
         ``kind`` is one of ``message``, ``shuffle``, ``disk-read``,
-        ``disk-write``, ``memory``, ``startup``; ``fields`` carries the
-        kind-specific payload. Per-compute charges are intentionally
-        not streamed — round-end spans carry the per-worker breakdown.
+        ``disk-write``, ``disk-random``, ``memory``, ``startup``;
+        ``fields`` carries the kind-specific payload. Per-compute
+        charges are intentionally not streamed — round-end spans carry
+        the per-worker breakdown. Called only when
+        :attr:`reads_charges` is true.
         """
 
     def on_round_end(
@@ -103,7 +111,7 @@ class JsonlTraceWriter(TraceSink):
     def __init__(self, path: str | Path, charges: bool = False):
         self.path = Path(path)
         #: Stream fine-grained charge events too (large traces).
-        self.charges = charges
+        self.reads_charges = charges
         self.attempt = 0
         self._handle = None
 
@@ -143,7 +151,7 @@ class JsonlTraceWriter(TraceSink):
         )
 
     def on_charge(self, kind, round_index, fields) -> None:
-        if self.charges:
+        if self.reads_charges:
             self._write(
                 {"event": "charge", "kind": kind, "round": round_index, **fields}
             )
@@ -244,6 +252,8 @@ class MonitorSink(TraceSink):
     split each round under the hardware that costed it: the
     ``run-begin`` cluster, or the replayed profile's cluster.
     """
+
+    reads_charges = False
 
     def __init__(self):
         self.samples: list[UtilizationSample] = []

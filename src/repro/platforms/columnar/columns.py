@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.kernels import sorted_unique
+
 __all__ = ["CompressedColumn", "FloatColumn", "VECTOR_SIZE"]
 
 #: Values per vector, as in Virtuoso's vectored execution.
@@ -80,7 +82,7 @@ class CompressedColumn:
             candidates.append((cost, "rle", (run_values, run_lengths)))
 
         # Dictionary encoding.
-        distinct = np.unique(data)
+        distinct = sorted_unique(data)
         if len(distinct) <= max(2, n // 4):
             code_width = _bits_needed(len(distinct) - 1)
             codes = np.searchsorted(distinct, data)

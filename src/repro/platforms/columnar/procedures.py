@@ -128,7 +128,7 @@ def bfs_distances(
         gathered = [g for g in gathered if g.size]
         if not gathered:
             break
-        targets = np.unique(np.concatenate(gathered))
+        targets = kernels.sorted_unique(np.concatenate(gathered))
         fresh = [
             int(t) for t in targets.tolist() if distances[t] == UNREACHABLE
         ]
@@ -159,7 +159,7 @@ def connected_components(
             gathered = [g for g in gathered if g.size]
             if not gathered:
                 break
-            targets = np.unique(np.concatenate(gathered))
+            targets = kernels.sorted_unique(np.concatenate(gathered))
             fresh = [int(t) for t in targets.tolist() if t not in labels]
             for target in fresh:
                 labels[target] = vertex

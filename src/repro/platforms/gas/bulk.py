@@ -53,6 +53,7 @@ from repro.graph.kernels import (
     group_keys,
     group_reduce,
     ordered_group_sum,
+    sorted_unique,
 )
 
 __all__ = [
@@ -308,7 +309,7 @@ class BulkRoundRunner:
             # Scatter: one op per incident arc on the edge's worker.
             meter.charge_worker_compute(arc_ops)
             flags = kernel.scatter_flags(old_values, new_values)
-            next_active = np.unique(arc_neighbor[np.repeat(flags, arc_counts)])
+            next_active = sorted_unique(arc_neighbor[np.repeat(flags, arc_counts)])
             values[active] = new_values
             meter.end_round(active_vertices=len(active))
             active = next_active
@@ -480,7 +481,7 @@ class _GatherPlan:
             self._insertion
         ]
         #: Every vertex a scatter reaches: the next round's active set.
-        self.next_active = np.unique(self.arc_neighbor)
+        self.next_active = sorted_unique(self.arc_neighbor)
 
     def fold(self, contributions: np.ndarray) -> np.ndarray:
         """The gather sum per active vertex (0.0 where nothing gathered,

@@ -31,7 +31,12 @@ import numpy as np
 
 from repro.core.cost import ClusterSpec, CostMeter
 from repro.graph.graph import Graph
-from repro.graph.kernels import _KNUTH, hash_worker, hash_workers
+from repro.graph.kernels import (
+    _KNUTH,
+    hash_worker,
+    hash_workers,
+    sorted_unique,
+)
 
 __all__ = ["GASProgram", "GASEngine", "GASResult", "edge_partition_of"]
 
@@ -191,7 +196,7 @@ class GASEngine:
         ]
         # Replica placement: a vertex lives on every worker owning one
         # of its arcs, plus its master.
-        replica_pairs = np.unique(
+        replica_pairs = sorted_unique(
             np.concatenate(
                 [
                     arc_source * spec.num_workers + self._arc_workers,

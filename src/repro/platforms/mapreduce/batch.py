@@ -43,18 +43,34 @@ __all__ = [
 ]
 
 
+#: ``10**k`` for ``k`` in ``0..19``; an int64 magnitude has at most 19
+#: digits, and every one left-aligned to 19 digits fits in uint64.
+_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+_KEY_DIGITS = 19
+
+
 def repr_sort_permutation(keys: np.ndarray) -> np.ndarray:
     """Permutation ordering int64 keys by ``repr`` (decimal-string) order.
 
     The scalar reduce phase sorts grouped keys with
-    ``sorted(by_key, key=repr)``; for non-negative integers that is
-    lexicographic order of their decimal strings, which numpy's
-    ``U``-dtype sort reproduces exactly. The batch executor applies
-    this permutation to its output so the next job's round-robin map
-    splits (``index % num_workers``) assign every record to the same
-    worker as the scalar path.
+    ``sorted(by_key, key=repr)``: lexicographic order of the decimal
+    strings, stable for equal keys. The batch executor applies this
+    permutation to its output so the next job's round-robin map splits
+    (``index % num_workers``) assign every record to the same worker as
+    the scalar path.
+
+    One stable ``np.lexsort`` over three integer keys gives that order:
+    the sign (``-`` sorts before every digit), then the magnitude's
+    digits left-aligned to 19 places (``|key| * 10**(19 - digits)``),
+    then the digit count, so a string that is a prefix of another
+    (``1`` of ``10``) comes first.
     """
-    return np.argsort(keys.astype("U"), kind="stable")
+    keys = np.asarray(keys, dtype=np.int64)
+    # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63.
+    magnitude = np.abs(keys).view(np.uint64)
+    digits = np.searchsorted(_POWERS_OF_TEN[1:], magnitude, side="right") + 1
+    aligned = magnitude * _POWERS_OF_TEN[_KEY_DIGITS - digits]
+    return np.lexsort((digits, aligned, keys >= 0))
 
 
 @dataclass
@@ -171,7 +187,9 @@ class RecordBatch:
 
         Returns ``self`` when the permutation is the identity — after
         the first job every batch is already in repr-sorted key order,
-        so the steady-state iteration pays no reordering cost.
+        so a steady-state job copies no rows. The caller still computes
+        the permutation on every job (one integer
+        :func:`repr_sort_permutation`) and this check compares it once.
         """
         n = len(self.keys)
         if np.array_equal(permutation, np.arange(n, dtype=permutation.dtype)):

@@ -5,7 +5,12 @@ import pytest
 
 from repro.core.cost import ClusterSpec, CostMeter, MemoryBudgetExceeded
 from repro.hardware.models import CpuModel
-from repro.observability import TraceSink
+from repro.observability import (
+    InMemoryAggregator,
+    JsonlTraceWriter,
+    MonitorSink,
+    TraceSink,
+)
 from repro.robustness.errors import SimulatedMessageLoss
 from repro.robustness.faults import FaultInjector, FaultPlan
 
@@ -249,6 +254,24 @@ def _charge_pairs_in_a_loop(meter, src_workers, dst_workers, payload):
         meter.charge_message(src, dst, payload, count=count)
 
 
+def _charge_messages_one_by_one(meter, src_workers, dst_workers, payloads):
+    """One ``charge_message`` per message, for per-message sizes."""
+    for src, dst, payload in zip(
+        src_workers.tolist(), dst_workers.tolist(), payloads.tolist()
+    ):
+        meter.charge_message(src, dst, payload)
+
+
+def _sinks_reading_no_charges(kind, spec, path):
+    if kind == "none":
+        return ()
+    if kind == "writer":
+        return (JsonlTraceWriter(path, charges=False),)
+    monitor = MonitorSink()
+    monitor.on_run_begin("giraph", "g", "BFS", spec)
+    return (monitor,)
+
+
 class TestBulkCharges:
     """Vector charges must be *exactly* equivalent to scalar sequences.
 
@@ -338,6 +361,66 @@ class TestBulkCharges:
             for _event, _kind, _round, fields in vector_sink.events
         )
         assert vector.end_round() == loop.end_round()
+
+    @pytest.mark.parametrize("sizes", ["one", "per-message"])
+    @pytest.mark.parametrize("sinks", ["none", "writer", "monitor"])
+    def test_vector_messages_close_the_loop_round_when_no_sink_reads_charges(
+        self, cluster_spec, tmp_path, sinks, sizes
+    ):
+        src, dst = _message_arrays(cluster_spec.num_workers, seed=7)
+        if sizes == "one":
+            payload, loop = 8.0, _charge_pairs_in_a_loop
+        else:
+            payload = 8.0 * np.random.default_rng(7).integers(
+                1, 40, size=len(src)
+            )
+            loop = _charge_messages_one_by_one
+        rounds = []
+        for name, charge in (
+            ("vector", lambda meter: meter.charge_worker_messages(
+                src, dst, payload
+            )),
+            ("loop", lambda meter: loop(meter, src, dst, payload)),
+        ):
+            attached = _sinks_reading_no_charges(
+                sinks, cluster_spec, tmp_path / f"{name}.jsonl"
+            )
+            meter = CostMeter(cluster_spec, sinks=attached)
+            assert meter.charge_sinks == ()
+            meter.begin_round("messages")
+            charge(meter)
+            meter.charge_message(0, 1, 8.0)  # a scalar charge after it
+            rounds.append(meter.end_round())
+            for sink in attached:
+                if isinstance(sink, JsonlTraceWriter):
+                    sink.close()
+        assert rounds[0] == rounds[1]
+        # Python numbers in both: the repr the golden digests hash.
+        assert repr(rounds[0]) == repr(rounds[1])
+        assert type(rounds[0].remote_messages) is int
+        assert type(rounds[0].remote_bytes) is float
+
+    def test_an_aggregator_beside_the_writer_counts_every_message_event(
+        self, cluster_spec, tmp_path
+    ):
+        src, dst = _message_arrays(cluster_spec.num_workers, seed=9)
+        counts = []
+        for name, charge in (
+            ("vector", lambda meter: meter.charge_worker_messages(
+                src, dst, 8.0
+            )),
+            ("loop", lambda meter: _charge_pairs_in_a_loop(meter, src, dst, 8.0)),
+        ):
+            aggregator = InMemoryAggregator()
+            with JsonlTraceWriter(tmp_path / f"{name}.jsonl") as writer:
+                meter = CostMeter(cluster_spec, sinks=(writer, aggregator))
+                assert meter.charge_sinks == (aggregator,)
+                meter.begin_round("messages")
+                charge(meter)
+                meter.end_round()
+            counts.append(aggregator.charge_counts["message"])
+        pairs = set(zip(src.tolist(), dst.tolist()))
+        assert counts == [len(pairs), len(pairs)]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_vector_messages_lose_the_same_pair_as_the_loop(

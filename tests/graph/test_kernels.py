@@ -30,6 +30,7 @@ from repro.graph.kernels import (
     hash_worker,
     hash_workers,
     ordered_group_sum,
+    sorted_unique,
     triangle_links,
 )
 from repro.graph import properties
@@ -84,6 +85,16 @@ def test_group_reduce_matches_a_dict_of_minima(records):
     distinct, minima = group_reduce(np.minimum, keys, values)
     assert distinct.tolist() == sorted(expected)
     assert minima.tolist() == [expected[key] for key in sorted(expected)]
+
+
+@given(st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_sorted_unique_equals_np_unique(values):
+    array = np.array(values, dtype=np.int64)
+    distinct = sorted_unique(array)
+    assert distinct.dtype == np.int64
+    assert distinct.tolist() == sorted(set(values))
+    assert distinct.tolist() == np.unique(array).tolist()
 
 
 @given(float_records)

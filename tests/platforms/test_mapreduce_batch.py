@@ -132,6 +132,52 @@ class TestReprSortPermutation:
             keys.tolist(), key=repr
         )
 
+    @staticmethod
+    def _assert_string_order(keys):
+        # The oracle: a stable sort of the keys' decimal strings.
+        keys = np.asarray(keys, dtype=np.int64)
+        expected = np.argsort(keys.astype("U"), kind="stable")
+        assert repr_sort_permutation(keys).tolist() == expected.tolist()
+
+    def test_empty_and_single_key(self):
+        self._assert_string_order([])
+        self._assert_string_order([7])
+
+    def test_zero_and_powers_of_ten_beside_their_neighbours(self):
+        keys = [0]
+        for exponent in range(1, 19):
+            power = 10**exponent
+            keys += [power - 1, power, power + 1]
+        rng = np.random.default_rng(3)
+        self._assert_string_order(keys)
+        self._assert_string_order(rng.permutation(keys))
+
+    def test_eighteen_and_nineteen_digit_keys(self):
+        keys = [
+            10**17, 10**18 - 1, 10**18, 10**18 + 1, 2 * 10**18,
+            9 * 10**18, 2**63 - 2, 2**63 - 1, 123456789012345678,
+            1234567890123456789, 12, 123, 1,
+        ]
+        self._assert_string_order(keys)
+        self._assert_string_order(keys[::-1])
+
+    def test_negative_keys(self):
+        keys = [
+            -(2**63), -(2**63) + 1, -(10**18), -(10**18) + 1, -101, -100,
+            -99, -11, -10, -9, -1, 0, 1, 9, 10, 2**63 - 1,
+        ]
+        rng = np.random.default_rng(5)
+        self._assert_string_order(keys)
+        self._assert_string_order(rng.permutation(keys))
+        self._assert_string_order(
+            rng.integers(-(2**63), 2**63 - 1, size=2000, dtype=np.int64)
+        )
+
+    def test_duplicate_keys_keep_their_input_order(self):
+        rng = np.random.default_rng(9)
+        self._assert_string_order(rng.integers(-30, 120, size=600))
+        self._assert_string_order([10, 1, 10, -1, 1, 100, -1, 10, 0, 0])
+
 
 class TestVectorizedCrc32:
     def test_crc32_rows_matches_zlib(self):

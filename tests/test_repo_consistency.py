@@ -173,3 +173,32 @@ def test_platforms_never_count_with_the_reference_triangle_kernel():
         if "triangle_links" in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+def test_engines_take_distinct_values_from_sorted_unique():
+    # A plain np.unique takes numpy's hash path, several times slower
+    # than kernels.sorted_unique on the engines' per-round id arrays;
+    # np.unique stays for the return_index/inverse/counts variants.
+    paths = sorted((ROOT / "src" / "repro" / "platforms").rglob("*.py"))
+    paths.append(ROOT / "src" / "repro" / "graph" / "kernels.py")
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and not any(
+                    (keyword.arg or "").startswith("return_")
+                    for keyword in node.keywords
+                )
+            ):
+                offenders.append(
+                    f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+                )
+    assert offenders == [], (
+        "use repro.graph.kernels.sorted_unique instead of a plain "
+        f"np.unique: {offenders}"
+    )
