@@ -5,9 +5,11 @@ data generator, the reference algorithms, and the simulated platforms,
 plus edge-list I/O, synthetic graph generators, and structural property
 computation (clustering coefficients, assortativity).
 
-Degree-distribution fitting lives in :mod:`repro.graph.fitting` and is
-imported where it is used: it loads ``scipy.stats`` and
-``scipy.optimize``, which no harness, engine or gate path needs.
+Everything here runs on numpy, the engines' link count
+(:func:`~repro.graph.properties.csr_received_links`) included, so no
+harness, engine or gate path imports scipy. Degree-distribution
+fitting lives in :mod:`repro.graph.fitting` and is imported where it
+is used: it loads ``scipy.stats`` and ``scipy.optimize``.
 """
 
 from repro.graph.graph import Graph, GraphBuilder

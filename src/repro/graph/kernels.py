@@ -108,14 +108,15 @@ def group_reduce(
     """Reduce ``values`` per distinct key with ``ufunc.reduceat``.
 
     Returns the sorted distinct keys and one reduction per key. The
-    stable sort keeps each key's values in input order; ``reduceat``
-    may still associate them pairwise, so use it for order-free
-    reductions (integer ``min``) and :func:`ordered_group_sum` for
-    float sums that must match a sequential fold.
+    sort is not stable, so a key's values reach ``ufunc`` in no
+    particular order: use it for order-free reductions (``np.minimum``,
+    which every caller passes; only the sign of a zero minimum can
+    follow the order) and :func:`ordered_group_sum` for float sums
+    that must match a sequential fold.
     """
     if len(keys) == 0:
         return keys[:0], values[:0]
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     sorted_keys = keys[order]
     run_start = np.ones(len(sorted_keys), dtype=bool)
     run_start[1:] = sorted_keys[1:] != sorted_keys[:-1]

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse
 
 from repro.graph.graph import Graph
-from repro.graph.kernels import triangle_links
+from repro.graph.kernels import csr_gather, triangle_links
 
 __all__ = [
     "GraphCharacteristics",
@@ -97,9 +96,9 @@ def received_links(
     return sum(len(own.intersection(lst)) for lst in neighbor_lists) // 2
 
 
-#: Length-2 paths :func:`csr_received_links` multiplies out at once;
-#: bounds its sparse temporaries however skewed the graph is.
-_PATH_BLOCK = 1 << 22
+#: Length-2 paths :func:`csr_received_links` probes at once; bounds
+#: its per-block temporaries however skewed the graph is.
+_PATH_BLOCK = 1 << 14
 
 
 def csr_received_links(offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -107,31 +106,51 @@ def csr_received_links(offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
     Row ``i`` receives the list of every neighbor ``j`` of degree at
     least 2 (the engines' senders) and matches ``|N(i) ∩ N(j)|`` of
-    its entries, so its count is ``sum_j A[i, j] * (A @ A)[i, j]``
-    over those ``j``, halved. Rows are multiplied in blocks of about
-    ``_PATH_BLOCK`` length-2 paths, so the product's memory stays
-    bounded on graphs with hubs. Equal per vertex to
-    :func:`received_links` over the lists the engines ship.
+    its entries: each triangle through ``i`` twice, once from each of
+    its other corners, so the halved count is the triangles through
+    ``i`` on a CSR without self-loops or repeated arcs (a neighbor of
+    degree 1 closes none). This counts them directly: every edge is
+    taken once, from its lower-(degree, id) end ``u`` toward ``v``;
+    each ``w`` of ``u``'s row is probed against ``v``'s sorted arc
+    keys with ``np.searchsorted``, and a hit, the arc ``(v, w)``, is
+    credited to ``w``. A triangle's three edges credit its three
+    corners once each. Rows need not be sorted (the keys are), and
+    ``_PATH_BLOCK`` probes run at a time, so memory grows with the
+    edge count, not the path count.
+
+    This is not :func:`~repro.graph.kernels.triangle_links`, the
+    references' count, which probes wedges of edges oriented upward:
+    the validator's oracle stays independent of the engines' code.
+    Equal per vertex to :func:`received_links` over the lists the
+    engines ship.
     """
     n = len(offsets) - 1
     degrees = np.diff(offsets)
-    adjacency = scipy.sparse.csr_matrix(
-        (np.ones(len(targets), dtype=np.int64), targets, offsets), shape=(n, n)
-    )
-    senders = (degrees >= 2).astype(np.int64)
-    # Length-2 paths leaving each row: the nonzeros its product row
-    # can have at most.
-    path_bounds = np.cumsum(adjacency @ degrees)
+    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    # Row i's keys sit at offsets[i]:offsets[i + 1]; the last key,
+    # n * n, is larger than every probe.
+    keys = np.append(np.sort(rows * n + targets), n * n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(degrees, kind="stable")] = np.arange(n)
+    # The arcs whose target is the lower end, one per edge, in row
+    # order: a block's probes fall in one run of key rows.
+    lower = rank[targets] < rank[rows]
+    ends, others = targets[lower], rows[lower]
+    through = np.cumsum(degrees[ends])
     links = np.zeros(n, dtype=np.int64)
     start = 0
-    while start < n:
-        limit = (path_bounds[start - 1] if start else 0) + _PATH_BLOCK
-        stop = max(int(np.searchsorted(path_bounds, limit, side="right")), start + 1)
-        rows = adjacency[start:stop]
-        common = (rows @ adjacency).multiply(rows)
-        links[start:stop] = common @ senders
+    while start < len(ends):
+        limit = through[start] - degrees[ends[start]] + _PATH_BLOCK
+        stop = max(int(np.searchsorted(through, limit, side="right")), start + 1)
+        positions, counts = csr_gather(offsets, ends[start:stop])
+        corners = targets[positions]
+        probes = np.repeat(others[start:stop] * n, counts) + corners
+        # The block's key rows and the next key, which no probe reaches.
+        window = keys[offsets[others[start]]: offsets[others[stop - 1] + 1] + 1]
+        found = window[np.searchsorted(window, probes)] == probes
+        links += np.bincount(corners[found], minlength=n)
         start = stop
-    return links // 2
+    return links
 
 
 def lcc_values(links: np.ndarray, degrees: np.ndarray) -> np.ndarray:

@@ -5,10 +5,15 @@ registry, which is also the extension point for third-party drivers
 (the paper's "API that will enable third party developers to port our
 benchmark to their graph processing platforms"): call
 :func:`register_platform` with a new driver class.
+
+The built-in drivers are named in a table and imported on first use,
+so a run loads only the drivers it creates, and listing the names
+loads none.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable
 
 from repro.core.cost import ClusterSpec
@@ -23,8 +28,20 @@ __all__ = [
     "register_platform",
 ]
 
+#: Built-in drivers: configuration name -> (module, class).
+_BUILTINS: dict[str, tuple[str, str]] = {
+    "giraph": ("repro.platforms.pregel.driver", "GiraphPlatform"),
+    "mapreduce": ("repro.platforms.mapreduce.driver", "MapReducePlatform"),
+    "graphx": ("repro.platforms.rddgraph.driver", "GraphXPlatform"),
+    "neo4j": ("repro.platforms.graphdb.driver", "Neo4jPlatform"),
+    "graphlab": ("repro.platforms.gas.driver", "GraphLabPlatform"),
+    "virtuoso": ("repro.platforms.columnar.driver", "VirtuosoPlatform"),
+    "medusa": ("repro.platforms.gpu.driver", "MedusaPlatform"),
+    "stratosphere": ("repro.platforms.dataflow.driver", "StratospherePlatform"),
+}
+
+#: Factories by name: registered drivers, and built-ins once imported.
 _REGISTRY: dict[str, Callable[..., Platform]] = {}
-_BUILTINS_LOADED = False
 
 
 def register_platform(name: str, factory: Callable[..., Platform]) -> None:
@@ -36,8 +53,7 @@ def register_platform(name: str, factory: Callable[..., Platform]) -> None:
 
 def available_platforms() -> list[str]:
     """Names of all registered platform drivers."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    return sorted(_REGISTRY.keys() | _BUILTINS.keys())
 
 
 def create_platform(name: str, cluster: ClusterSpec | None = None) -> Platform:
@@ -47,12 +63,7 @@ def create_platform(name: str, cluster: ClusterSpec | None = None) -> Platform:
     (single-machine platforms have one; cluster platforms require an
     explicit spec).
     """
-    _ensure_builtins()
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown platform {name!r}; available: {sorted(_REGISTRY)}"
-        )
-    factory = _REGISTRY[name]
+    factory = _factory(name)
     try:
         return factory() if cluster is None else factory(cluster)
     except TypeError as exc:
@@ -63,10 +74,7 @@ def create_platform(name: str, cluster: ClusterSpec | None = None) -> Platform:
 
 def is_single_machine(name: str) -> bool:
     """Whether a registered platform runs on a single machine."""
-    _ensure_builtins()
-    if name not in _REGISTRY:
-        raise ConfigurationError(f"unknown platform {name!r}")
-    return bool(getattr(_REGISTRY[name], "single_machine", False))
+    return bool(getattr(_factory(name), "single_machine", False))
 
 
 def create_platform_fleet(
@@ -92,30 +100,13 @@ def create_platform_fleet(
     return fleet
 
 
-def _ensure_builtins() -> None:
-    """Lazily register the built-in drivers (avoids import cycles)."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    from repro.platforms.columnar.driver import VirtuosoPlatform
-    from repro.platforms.dataflow.driver import StratospherePlatform
-    from repro.platforms.gas.driver import GraphLabPlatform
-    from repro.platforms.gpu.driver import MedusaPlatform
-    from repro.platforms.graphdb.driver import Neo4jPlatform
-    from repro.platforms.mapreduce.driver import MapReducePlatform
-    from repro.platforms.pregel.driver import GiraphPlatform
-    from repro.platforms.rddgraph.driver import GraphXPlatform
-
-    _REGISTRY.update(
-        {
-            GiraphPlatform.name: GiraphPlatform,
-            MapReducePlatform.name: MapReducePlatform,
-            GraphXPlatform.name: GraphXPlatform,
-            Neo4jPlatform.name: Neo4jPlatform,
-            GraphLabPlatform.name: GraphLabPlatform,
-            VirtuosoPlatform.name: VirtuosoPlatform,
-            MedusaPlatform.name: MedusaPlatform,
-            StratospherePlatform.name: StratospherePlatform,
-        }
-    )
+def _factory(name: str) -> Callable[..., Platform]:
+    """The factory registered under ``name``, importing a built-in."""
+    if name not in _REGISTRY:
+        if name not in _BUILTINS:
+            raise ConfigurationError(
+                f"unknown platform {name!r}; available: {available_platforms()}"
+            )
+        module, attribute = _BUILTINS[name]
+        _REGISTRY[name] = getattr(import_module(module), attribute)
+    return _REGISTRY[name]

@@ -7,7 +7,9 @@ per-vertex loop the scalar procedures run.
 The two triangle counts, the references' :func:`triangle_links` and
 the engines' :func:`received_links`, are held to networkx instead;
 the engines' array twin :func:`csr_received_links` is held to
-:func:`received_links`.
+:func:`received_links` and to the scipy sparse product
+``(A @ A) ∘ A``, also on a MapReduce batch whose rows a reorder left
+unsorted.
 """
 
 import math
@@ -40,6 +42,7 @@ from repro.graph.properties import (
     lcc_values,
     received_links,
 )
+from repro.platforms.mapreduce.batch import RecordBatch
 
 #: Row lengths of a CSR, zero-degree rows included.
 degree_lists = st.lists(st.integers(0, 6), min_size=1, max_size=30)
@@ -85,6 +88,41 @@ def test_group_reduce_matches_a_dict_of_minima(records):
     distinct, minima = group_reduce(np.minimum, keys, values)
     assert distinct.tolist() == sorted(expected)
     assert minima.tolist() == [expected[key] for key in sorted(expected)]
+
+
+def _stable_group_reduce(ufunc, keys, values):
+    """group_reduce with a stable sort: each key's values in input order."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    return sorted_keys[first], ufunc.reduceat(values[order], first)
+
+
+#: Many records on few keys: every key repeats, most of them often.
+crowded_keys = st.lists(st.integers(-3, 3), min_size=1, max_size=400)
+
+
+@given(crowded_keys, st.data())
+@settings(max_examples=100, deadline=None)
+def test_group_reduce_minimum_equals_a_stable_sort(keys, data):
+    values = {
+        "int": st.integers(-(2 ** 63), 2 ** 63 - 1),
+        "float": st.floats(allow_nan=False),
+    }
+    for kind, element in values.items():
+        drawn = data.draw(
+            st.lists(element, min_size=len(keys), max_size=len(keys)), label=kind
+        )
+        key_array = np.array(keys, dtype=np.int64)
+        value_array = np.array(drawn, dtype=np.int64 if kind == "int" else np.float64)
+        distinct, minima = group_reduce(np.minimum, key_array, value_array)
+        expected_keys, expected = _stable_group_reduce(
+            np.minimum, key_array, value_array
+        )
+        assert distinct.tolist() == expected_keys.tolist()
+        assert minima.dtype == expected.dtype
+        # == treats the two zeros as one, the only order-dependent bit.
+        assert minima.tolist() == expected.tolist()
 
 
 @given(st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), max_size=60))
@@ -228,24 +266,94 @@ def _shipped(graph: Graph) -> list[int]:
     ]
 
 
-@given(st.one_of(simple_graphs(), scattered_graphs()))
-@settings(max_examples=150, deadline=None)
-def test_csr_received_links_equals_received_links(graph):
+@pytest.mark.parametrize("block", [1, 7, 1 << 40])
+def test_path_block_size_does_not_change_the_links(monkeypatch, block):
+    monkeypatch.setattr(properties, "_PATH_BLOCK", block)
+    for graph in NAMED_GRAPHS.values():
+        assert csr_received_links(*graph.csr()).tolist() == _shipped(graph)
+
+
+@st.composite
+def hub_graphs(draw) -> Graph:
+    """Graphs with hubs, pendant (degree-1) and isolated vertices.
+
+    A few hubs link to many of the core vertices, random edges close
+    triangles among them, and each extra vertex either hangs off one
+    core vertex or stays isolated. ``n`` may be 0: the empty graph.
+    """
+    n = draw(st.integers(0, 40))
+    core = st.integers(0, max(n - 1, 0))
+    edges = [
+        (hub, spoke)
+        for hub in draw(st.lists(core, max_size=3, unique=True))
+        for spoke in draw(st.sets(core, max_size=n))
+    ]
+    edges += draw(st.lists(st.tuples(core, core), max_size=60))
+    extras = draw(st.lists(st.booleans(), max_size=8)) if n else []
+    edges += [
+        (n + i, draw(core)) for i, pendant in enumerate(extras) if pendant
+    ]
+    return Graph(
+        range(n + len(extras)), [(u, v) for u, v in edges if u != v]
+    )
+
+
+def _sparse_links(offsets: np.ndarray, targets: np.ndarray) -> list[int]:
+    """The count as a sparse product: ``(A @ A) ∘ A`` times the
+    senders (degree at least 2), halved."""
+    import scipy.sparse
+
+    n = len(offsets) - 1
+    adjacency = scipy.sparse.csr_matrix(
+        (np.ones(len(targets), dtype=np.int64), targets, offsets), shape=(n, n)
+    )
+    senders = (np.diff(offsets) >= 2).astype(np.int64)
+    return ((adjacency @ adjacency).multiply(adjacency) @ senders // 2).tolist()
+
+
+def _batch_shipped(batch) -> list[int]:
+    """received_links over a batch's rows, as the MapReduce job ships them."""
+    offsets, targets = batch.adj_offsets.tolist(), batch.adj_targets.tolist()
+    rows = [targets[offsets[i]: offsets[i + 1]] for i in range(len(offsets) - 1)]
+    return [
+        received_links(row, [rows[j] for j in row if len(rows[j]) >= 2])
+        for row in rows
+    ]
+
+
+@given(st.one_of(simple_graphs(), scattered_graphs(), hub_graphs()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_csr_received_links_equals_received_links(graph, data):
     links = csr_received_links(*graph.csr())
     assert links.tolist() == _shipped(graph)
+    assert links.tolist() == _sparse_links(*graph.csr())
     degrees = graph.out_degrees()
     coefficients = lcc_values(links, degrees)
     assert coefficients.tolist() == [
         lcc_value(count, degree)
         for count, degree in zip(links.tolist(), degrees.tolist())
     ]
+    # Rows permuted by the MapReduce repr order: targets are remapped
+    # and each row keeps its old order, so rows come out unsorted.
+    permutation = np.array(
+        data.draw(st.permutations(range(graph.num_vertices)), label="order"),
+        dtype=np.int64,
+    )
+    batch = RecordBatch.from_graph(graph).reorder(permutation)
+    permuted = csr_received_links(batch.adj_offsets, batch.adj_targets)
+    assert permuted.tolist() == links[permutation].tolist()
+    assert permuted.tolist() == _batch_shipped(batch)
+    assert permuted.tolist() == _sparse_links(batch.adj_offsets, batch.adj_targets)
 
 
-@pytest.mark.parametrize("block", [1, 7, 1 << 40])
-def test_path_block_size_does_not_change_the_links(monkeypatch, block):
-    monkeypatch.setattr(properties, "_PATH_BLOCK", block)
-    for graph in NAMED_GRAPHS.values():
-        assert csr_received_links(*graph.csr()).tolist() == _shipped(graph)
+def test_csr_received_links_on_a_batch_with_unsorted_rows():
+    graph = NAMED_GRAPHS["complete-100"]
+    reversed_rows = np.arange(graph.num_vertices, dtype=np.int64)[::-1].copy()
+    batch = RecordBatch.from_graph(graph).reorder(reversed_rows)
+    row = batch.adj_targets[batch.adj_offsets[0]: batch.adj_offsets[1]]
+    assert (np.diff(row) < 0).any()
+    links = csr_received_links(batch.adj_offsets, batch.adj_targets)
+    assert links.tolist() == [math.comb(99, 2)] * 100
 
 
 def _networkx_graph(graph: Graph) -> nx.Graph:
